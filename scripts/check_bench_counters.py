@@ -15,7 +15,10 @@ It also guards the exact-discrete compute-layer rows: the one-shot
 model benchmark (BM_RankingModelDiscreteExact, with its max_size
 counter), the table build (BM_DiscreteModelTableBuild), and the
 sweep-reuse benchmark (BM_DiscreteModelSweepReuse, whose cells counter
-and items_per_second make the amortized per-cell cost checkable).
+and items_per_second make the amortized per-cell cost checkable), and
+the trace-expansion rows the expander's speed claim rests on
+(BM_PacketStreamExpansion and BM_MonitorLoop, each with
+items_per_second).
 
 Used by CI's bench smoke step on a fresh short run, and runnable against
 the committed baseline:
@@ -31,6 +34,7 @@ import sys
 from pathlib import Path
 
 REQUIRED_COUNTERS = ("shards", "queue_full_events", "shed_chunks", "shed_packets")
+EXPANSION_ROWS = ("BM_PacketStreamExpansion", "BM_MonitorLoop")
 
 
 def main() -> int:
@@ -69,8 +73,15 @@ def main() -> int:
     expected = {s.strip() for s in args.shards.split(",") if s.strip()}
     seen = set()
     discrete_seen = set()
+    expansion_seen = set()
     for row in doc.get("benchmarks", []):
         name = row.get("name", "")
+        # "BM_MonitorLoop/real_time" -> "BM_MonitorLoop".
+        base = name.split("/")[0]
+        if base in EXPANSION_ROWS:
+            expansion_seen.add(base)
+            if "items_per_second" not in row:
+                errors.append(f"{name}: missing items_per_second throughput")
         if name.startswith("BM_RankingModelDiscreteExact"):
             discrete_seen.add("BM_RankingModelDiscreteExact")
             if "max_size" not in row:
@@ -107,13 +118,18 @@ def main() -> int:
         if bench not in discrete_seen:
             errors.append(f"no {bench} row: exact-discrete coverage dropped")
 
+    for bench in EXPANSION_ROWS:
+        if bench not in expansion_seen:
+            errors.append(f"no {bench} row: trace-expansion coverage dropped")
+
     if errors:
         for err in errors:
             print(f"bench counters check: {err}", file=sys.stderr)
         return 1
     print(
         f"bench counters check passed: BM_ShardedIngest shards {sorted(seen)}, "
-        "exact-discrete rows present, Release build, accounting counters present"
+        "exact-discrete and trace-expansion rows present, Release build, "
+        "accounting counters present"
     )
     return 0
 

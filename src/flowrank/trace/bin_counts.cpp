@@ -38,9 +38,6 @@ BinnedCounts bin_flow_counts(const FlowTrace& trace, double bin_seconds,
   for (std::size_t fi = 0; fi < trace.flows.size(); ++fi) {
     const auto& flow = trace.flows[fi];
     const packet::FlowKey key = packet::make_flow_key(flow.tuple, def);
-    auto engine = util::make_engine(
-        trace.config.seed ^ (placement_seed * 0x9e3779b97f4a7c15ULL),
-        0x81AC0000ULL + fi);
 
     const double start = flow.start_s;
     const double end = std::min(flow.end_s(), trace.config.duration_s);
@@ -53,6 +50,12 @@ BinnedCounts bin_flow_counts(const FlowTrace& trace, double bin_seconds,
       acc[first_bin][key] += flow.packets;
       continue;
     }
+
+    // Only the multi-bin split draws, so only it seeds an engine: a lazy
+    // one, since the split takes one binomial per overlapped bin.
+    auto engine = util::make_lazy_engine(
+        trace.config.seed ^ (placement_seed * 0x9e3779b97f4a7c15ULL),
+        0x81AC0000ULL + fi);
 
     // Multinomial split across overlapped bins via sequential binomial
     // conditionals: P(bin b gets k of the remaining m) with probability

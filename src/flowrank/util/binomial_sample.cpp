@@ -11,7 +11,8 @@ namespace {
 /// Uniform on [0, 1) from the top 53 bits of one engine() output. Built
 /// by hand so the variate stream is pinned to the engine's bit stream,
 /// not to a standard-library distribution's unspecified algorithm.
-inline double next_unit(Engine& engine) {
+template <class Urbg>
+double next_unit(Urbg& engine) {
   return static_cast<double>(engine() >> 11) * 0x1.0p-53;
 }
 
@@ -27,8 +28,9 @@ inline double binv_bound(double nd, double p, double q) {
 /// BINV walk given its precomputed setup (qn = q^n = pmf(0)): inversion
 /// by the recurrence pmf(k+1)/pmf(k) = (n-k)/(k+1)·p/q. One uniform per
 /// variate, expected n·p + 1 recurrence steps.
+template <class Urbg>
 std::uint64_t binv_walk(double nd, double p, double q, double qn, double bound,
-                        Engine& engine) {
+                        Urbg& engine) {
   double x = 0.0;
   double px = qn;
   double u = next_unit(engine);
@@ -49,7 +51,8 @@ std::uint64_t binv_walk(double nd, double p, double q, double qn, double bound,
 /// One-shot BINV. Requires p <= 0.5 and n·p <= kBinomialInversionMaxMean,
 /// which keeps q^n well above the smallest normal double
 /// (q^n >= exp(-30·ln4) ~ 1e-19).
-std::uint64_t sample_binv(std::uint64_t n, double p, Engine& engine) {
+template <class Urbg>
+std::uint64_t sample_binv(std::uint64_t n, double p, Urbg& engine) {
   const double nd = static_cast<double>(n);
   const double q = 1.0 - p;
   const double qn = std::exp(nd * std::log(q));  // pmf(0)
@@ -71,7 +74,8 @@ inline double stirling_tail(double x) {
 /// published squeeze tests so most variates cost one (u, v) pair and a
 /// handful of multiplies. Requires p <= 0.5 and n·p above the inversion
 /// threshold. Step numbering follows the paper.
-std::uint64_t sample_btpe(std::uint64_t n, double p, Engine& engine) {
+template <class Urbg>
+std::uint64_t sample_btpe(std::uint64_t n, double p, Urbg& engine) {
   const double nd = static_cast<double>(n);
   const double r = p;
   const double q = 1.0 - r;
@@ -164,9 +168,8 @@ std::uint64_t sample_btpe(std::uint64_t n, double p, Engine& engine) {
   }
 }
 
-}  // namespace
-
-std::uint64_t binomial_sample(std::uint64_t n, double p, Engine& engine) {
+template <class Urbg>
+std::uint64_t sample_binomial(std::uint64_t n, double p, Urbg& engine) {
   if (!(p >= 0.0 && p <= 1.0)) {
     throw std::invalid_argument("binomial_sample: p in [0,1]");
   }
@@ -179,6 +182,16 @@ std::uint64_t binomial_sample(std::uint64_t n, double p, Engine& engine) {
           ? sample_binv(n, pp, engine)
           : sample_btpe(n, pp, engine);
   return flip ? n - k : k;
+}
+
+}  // namespace
+
+std::uint64_t binomial_sample(std::uint64_t n, double p, Engine& engine) {
+  return sample_binomial(n, p, engine);
+}
+
+std::uint64_t binomial_sample(std::uint64_t n, double p, LazyEngine& engine) {
+  return sample_binomial(n, p, engine);
 }
 
 namespace {

@@ -6,7 +6,10 @@
 // reproducible from a single 64-bit seed.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <random>
 
 namespace flowrank::util {
@@ -62,6 +65,72 @@ using Engine = std::mt19937_64;
 [[nodiscard]] inline Engine make_engine(std::uint64_t master,
                                         std::uint64_t stream = 0) {
   return Engine{derive_seed(master, stream)};
+}
+
+/// Drop-in for Engine{seed} on streams that draw only a few numbers.
+///
+/// Its output equals Engine{seed} draw for draw. Constructing an Engine
+/// runs the standard's 312-step seeding recurrence
+///   x[0] = seed,  x[i] = f · (x[i-1] ^ (x[i-1] >> 62)) + i,
+/// and its first draw then twists all 312 words. But twisted word i
+/// (i < 156) reads only seeded words i, i+1 and i+156, so draw i needs the
+/// recurrence run only through word i+156: the first draw costs 156 serial
+/// multiply steps, each later one a single step. A per-flow placement of
+/// ~10 draws thus skips most of the seeding and the whole twist. From draw
+/// 157 on, the twist reads words it has itself rewritten, so the engine
+/// hands over to a real Engine advanced past the draws already served.
+class LazyEngine {
+ public:
+  using result_type = Engine::result_type;
+  static constexpr result_type min() noexcept { return Engine::min(); }
+  static constexpr result_type max() noexcept { return Engine::max(); }
+
+  explicit LazyEngine(result_type seed) noexcept : seed_(seed) { words_[0] = seed; }
+
+  result_type operator()() {
+    if (drawn_ == kLazyDraws) {
+      if (!fallback_) {
+        fallback_.emplace(seed_);
+        fallback_->discard(kLazyDraws);
+      }
+      return (*fallback_)();
+    }
+    const std::size_t i = drawn_++;
+    for (; seeded_ <= i + kShift; ++seeded_) {
+      const std::uint64_t prev = words_[seeded_ - 1];
+      words_[seeded_] = kSeedMultiplier * (prev ^ (prev >> 62)) + seeded_;
+    }
+    const std::uint64_t y = (words_[i] & kUpperMask) | (words_[i + 1] & kLowerMask);
+    std::uint64_t z = words_[i + kShift] ^ (y >> 1) ^ ((y & 1) != 0 ? kTwistMatrix : 0);
+    // Tempering (u, d), (s, b), (t, c), l of mt19937_64.
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  // mt19937_64's state size n = 312 and shift m = 156: the first n - m
+  // twisted words read only seeded words.
+  static constexpr std::size_t kStateWords = 312;
+  static constexpr std::size_t kShift = 156;
+  static constexpr std::size_t kLazyDraws = kStateWords - kShift;
+  static constexpr std::uint64_t kSeedMultiplier = 6364136223846793005ULL;
+  static constexpr std::uint64_t kTwistMatrix = 0xb5026f5aa96619e9ULL;
+  static constexpr std::uint64_t kLowerMask = (std::uint64_t{1} << 31) - 1;
+  static constexpr std::uint64_t kUpperMask = ~kLowerMask;
+
+  result_type seed_;
+  std::size_t drawn_ = 0;   ///< draws served
+  std::size_t seeded_ = 1;  ///< words_[0, seeded_) hold seeded words
+  std::array<std::uint64_t, kStateWords> words_{};  ///< seeded words, on demand
+  std::optional<Engine> fallback_;  ///< engaged at draw kLazyDraws + 1
+};
+
+/// make_engine() as a LazyEngine: the same stream for (master, stream).
+[[nodiscard]] inline LazyEngine make_lazy_engine(std::uint64_t master,
+                                                 std::uint64_t stream = 0) {
+  return LazyEngine{derive_seed(master, stream)};
 }
 
 /// Uniform draw on (0, 1]: always a valid ccdf value to invert and a
