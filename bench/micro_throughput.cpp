@@ -38,6 +38,7 @@
 #include "flowrank/numeric/quadrature.hpp"
 #include "flowrank/sampler/packet_sampler.hpp"
 #include "flowrank/sim/binned_sim.hpp"
+#include "flowrank/trace/bin_counts.hpp"
 #include "flowrank/trace/fault_injection.hpp"
 #include "flowrank/trace/flow_trace_generator.hpp"
 #include "flowrank/trace/packet_stream.hpp"
@@ -652,6 +653,27 @@ void BM_BinomialSampleStdSeedPath(benchmark::State& state) {
 }
 BENCHMARK(BM_BinomialSampleStdSeedPath)->Arg(100)->Arg(1000000);
 
+// The count path's per-flow kernel: one bin's heavy-tailed true sizes
+// thinned at one rate, run after run, through one BinomialThinner (tabled
+// BINV walk for small n·p', BTPE for the largest flows). Arg is the rate
+// in thousandths; items are draws.
+void BM_BinomialThinner(benchmark::State& state) {
+  const double p = static_cast<double>(state.range(0)) / 1000.0;
+  auto engine = flowrank::util::make_engine(23);
+  const auto pareto = flowrank::dist::Pareto::from_mean(9.6, 1.5);
+  std::vector<std::uint64_t> sizes(4096), sampled(sizes.size());
+  for (auto& size : sizes) size = static_cast<std::uint64_t>(pareto.sample(engine));
+  flowrank::util::BinomialThinner thin(p);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < sizes.size(); ++i) sampled[i] = thin(sizes[i], engine);
+    benchmark::DoNotOptimize(sampled.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sizes.size()));
+}
+BENCHMARK(BM_BinomialThinner)->Arg(1)->Arg(10)->Arg(100)->Arg(500);
+
 /// Shared workload for the sweep benchmarks: a generated trace and a
 /// figure-shaped SimConfig (4 rates x 15 bins x 20 runs, top-10).
 const flowrank::trace::FlowTrace& sweep_trace() {
@@ -701,6 +723,21 @@ BENCHMARK(BM_BinnedSimSweep)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// Per-bin flow counts over the sweep trace (37.5 k flows, 15 bins of
+// 10 s): flat append, then sort and merge by key; flows spanning a bin
+// edge take the binomial split. Items are flow records.
+void BM_BinFlowCounts(benchmark::State& state) {
+  const auto& trace = sweep_trace();
+  for (auto _ : state) {
+    const auto counts = flowrank::trace::bin_flow_counts(
+        trace, 10.0, flowrank::packet::FlowDefinition::kFiveTuple, 7);
+    benchmark::DoNotOptimize(counts.bins.front().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(trace.flows.size()));
+}
+BENCHMARK(BM_BinFlowCounts)->Unit(benchmark::kMillisecond);
 
 // The frozen PR 2 sweep on the identical workload: sequential grid walk,
 // per-flow std::binomial_distribution construction, full

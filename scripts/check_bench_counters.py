@@ -18,7 +18,9 @@ sweep-reuse benchmark (BM_DiscreteModelSweepReuse, whose cells counter
 and items_per_second make the amortized per-cell cost checkable), and
 the trace-expansion rows the expander's speed claim rests on
 (BM_PacketStreamExpansion and BM_MonitorLoop, each with
-items_per_second).
+items_per_second), and the Monte-Carlo count-path rows
+(BM_BinomialThinner at every rate, BM_BinFlowCounts and
+BM_RankMetricsContext, each with items_per_second).
 
 Used by CI's bench smoke step on a fresh short run, and runnable against
 the committed baseline:
@@ -35,6 +37,9 @@ from pathlib import Path
 
 REQUIRED_COUNTERS = ("shards", "queue_full_events", "shed_chunks", "shed_packets")
 EXPANSION_ROWS = ("BM_PacketStreamExpansion", "BM_MonitorLoop")
+COUNT_PATH_ROWS = ("BM_BinomialThinner", "BM_BinFlowCounts", "BM_RankMetricsContext")
+# BM_BinomialThinner's argument is the sampling rate in thousandths.
+THINNER_RATES = ("1", "10", "100", "500")
 
 
 def main() -> int:
@@ -74,12 +79,20 @@ def main() -> int:
     seen = set()
     discrete_seen = set()
     expansion_seen = set()
+    count_path_seen = set()
+    thinner_rates_seen = set()
     for row in doc.get("benchmarks", []):
         name = row.get("name", "")
         # "BM_MonitorLoop/real_time" -> "BM_MonitorLoop".
         base = name.split("/")[0]
         if base in EXPANSION_ROWS:
             expansion_seen.add(base)
+            if "items_per_second" not in row:
+                errors.append(f"{name}: missing items_per_second throughput")
+        if base in COUNT_PATH_ROWS:
+            count_path_seen.add(base)
+            if base == "BM_BinomialThinner":
+                thinner_rates_seen.add(name.split("/")[1])
             if "items_per_second" not in row:
                 errors.append(f"{name}: missing items_per_second throughput")
         if name.startswith("BM_RankingModelDiscreteExact"):
@@ -121,6 +134,12 @@ def main() -> int:
     for bench in EXPANSION_ROWS:
         if bench not in expansion_seen:
             errors.append(f"no {bench} row: trace-expansion coverage dropped")
+    for bench in COUNT_PATH_ROWS:
+        if bench not in count_path_seen:
+            errors.append(f"no {bench} row: count-path coverage dropped")
+    missing_rates = sorted(set(THINNER_RATES) - thinner_rates_seen, key=int)
+    if missing_rates:
+        errors.append(f"no BM_BinomialThinner row for rate(s) {', '.join(missing_rates)}")
 
     if errors:
         for err in errors:
@@ -128,7 +147,7 @@ def main() -> int:
         return 1
     print(
         f"bench counters check passed: BM_ShardedIngest shards {sorted(seen)}, "
-        "exact-discrete and trace-expansion rows present, Release build, "
+        "exact-discrete, trace-expansion and count-path rows present, Release build, "
         "accounting counters present"
     )
     return 0

@@ -22,19 +22,6 @@ bool swapped_equal(std::uint64_t sa, std::uint64_t sb, TiePolicy policy) {
   return sa == 0 && sb == 0;
 }
 
-/// Fenwick add over a zeroed tree vector (tree.size() = ranks + 1).
-inline void fenwick_add(std::vector<std::uint64_t>& tree, std::size_t rank) {
-  for (std::size_t i = rank + 1; i < tree.size(); i += i & (~i + 1)) ++tree[i];
-}
-
-/// Number of inserted elements with compressed rank <= `rank`.
-inline std::uint64_t fenwick_count_leq(const std::vector<std::uint64_t>& tree,
-                                       std::size_t rank) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = rank + 1; i > 0; i -= i & (~i + 1)) acc += tree[i];
-  return acc;
-}
-
 }  // namespace
 
 RankMetricsContext::RankMetricsContext(std::span<const std::uint64_t> true_sizes,
@@ -44,13 +31,22 @@ RankMetricsContext::RankMetricsContext(std::span<const std::uint64_t> true_sizes
     throw std::invalid_argument("RankMetricsContext: requires 1 <= t <= N");
   }
 
-  // True ranking: size descending, index ascending.
-  order_.resize(n_);
-  std::iota(order_.begin(), order_.end(), 0u);
-  std::sort(order_.begin(), order_.end(), [&](std::uint32_t a, std::uint32_t b) {
+  // True ranking: size descending, index ascending. Only the top t and
+  // the flows tying the t-th size are ever read, so select those and
+  // order just them.
+  const auto before = [&](std::uint32_t a, std::uint32_t b) {
     if (true_sizes[a] != true_sizes[b]) return true_sizes[a] > true_sizes[b];
     return a < b;
-  });
+  };
+  order_.resize(n_);
+  std::iota(order_.begin(), order_.end(), 0u);
+  const auto tth = order_.begin() + static_cast<std::ptrdiff_t>(t_ - 1);
+  std::nth_element(order_.begin(), tth, order_.end(), before);
+  const std::uint64_t cut = true_sizes[*tth];
+  order_.erase(std::partition(tth + 1, order_.end(),
+                              [&](std::uint32_t i) { return true_sizes[i] == cut; }),
+               order_.end());
+  std::sort(order_.begin(), order_.end(), before);
 
   // Extent of each top-t position's equal-true-size run (contiguous in
   // order_, so positions sharing a run share the end).
@@ -62,7 +58,7 @@ RankMetricsContext::RankMetricsContext(std::span<const std::uint64_t> true_sizes
       continue;
     }
     std::size_t q = r + 1;
-    while (q < n_ && true_sizes[order_[q]] == size_r) ++q;
+    while (q < order_.size() && true_sizes[order_[q]] == size_r) ++q;
     equal_run_end_[r] = static_cast<std::uint32_t>(q);
   }
 
@@ -78,101 +74,87 @@ RankMetricsResult RankMetricsContext::evaluate(
     throw std::invalid_argument("RankMetricsContext: size mismatch");
   }
 
-  // Rank function for the Fenwick tree. Small sampled sizes — the common
-  // case under thinning, where a bin's samples rarely exceed a few
-  // thousand — index the tree by value directly; only large, sparse size
-  // ranges pay the O(N log N) sort-compress. Both modes rank every value
-  // identically (count_leq(rank(v)) counts exactly the samples <= v), so
-  // the choice never changes a result, only the constant factor.
-  std::uint64_t max_sample = 0;
-  for (const std::uint64_t s : sampled_sizes) max_sample = std::max(max_sample, s);
-  constexpr std::uint64_t kDirectFenwickCap = 1u << 16;
-  // Direct mode must also be cheap relative to N: zeroing a value-indexed
-  // tree costs O(max_sample), which a small bin with moderately large
-  // samples should not pay (16·N words is well under one N log N sort).
-  const bool direct = max_sample < kDirectFenwickCap &&
-                      max_sample < 16 * static_cast<std::uint64_t>(n_);
-  std::size_t rank_count;
-  if (direct) {
-    rank_count = static_cast<std::size_t>(max_sample) + 1;
-  } else {
-    values_.assign(sampled_sizes.begin(), sampled_sizes.end());
-    std::sort(values_.begin(), values_.end());
-    values_.erase(std::unique(values_.begin(), values_.end()), values_.end());
-    rank_count = values_.size();
-  }
-  const auto rank_of = [&](std::uint64_t v) {
-    if (direct) return static_cast<std::size_t>(v);
-    return static_cast<std::size_t>(
-        std::lower_bound(values_.begin(), values_.end(), v) - values_.begin());
-  };
+  // Thresholds: the distinct samples of the true top-t rows.
+  thresholds_.resize(t_);
+  for (std::size_t r = 0; r < t_; ++r) thresholds_[r] = sampled_sizes[order_[r]];
+  std::sort(thresholds_.begin(), thresholds_.end());
+  thresholds_.erase(std::unique(thresholds_.begin(), thresholds_.end()), thresholds_.end());
+  const std::size_t k = thresholds_.size();
+  const std::uint64_t lowest = thresholds_.front();
+  at_or_above_.assign(k, 0);
+  equal_.assign(k, 0);
 
-  // Scan true order from the back, inserting sampled sizes; when reaching a
-  // top-t position r, all flows ranked after r are in the tree, so
-  // "#suffix with s_j >= s_r" is one Fenwick query. The query applies the
-  // distinct-size rule; pairs with equal TRUE size inside the suffix are
-  // then corrected to the equal-size rule, and top-vs-top pairs are
-  // re-derived exactly for the detection metric. The count of zero samples
-  // already inserted rides along for free — one counter instead of the
-  // O(t·N) per-row rescans the lenient policy used to pay.
-  fenwick_.assign(rank_count + 1, 0);
-  suffix_geq_.assign(t_, 0);
-  suffix_zeros_.assign(t_, 0);
-  std::uint64_t inserted = 0;
-  std::uint64_t zeros_inserted = 0;
-  for (std::size_t pos = n_; pos-- > 0;) {
-    if (pos < t_) {
-      const std::uint64_t s_r = sampled_sizes[order_[pos]];
-      std::uint64_t geq;
-      if (policy == TiePolicy::kPaper) {
-        // s_j >= s_r  <=>  total - count(s_j <= s_r - 1); careful with 0.
-        const std::uint64_t below =
-            s_r == 0
-                ? 0
-                : (rank_of(s_r) == 0 ? 0
-                                     : fenwick_count_leq(fenwick_, rank_of(s_r) - 1));
-        geq = inserted - below;
-      } else {
-        // strict s_j > s_r
-        geq = inserted - fenwick_count_leq(fenwick_, rank_of(s_r));
-      }
-      suffix_geq_[pos] = geq;
-      suffix_zeros_[pos] = zeros_inserted;
-    }
-    const std::uint64_t s = sampled_sizes[order_[pos]];
-    fenwick_add(fenwick_, rank_of(s));
-    ++inserted;
-    if (s == 0) ++zeros_inserted;
+  // One sequential pass. Each sample at or above the lowest threshold is
+  // counted under the highest threshold it reaches (suffix-summed below
+  // into ">= threshold") and, on a match, as equal to it. The same pass
+  // keeps the sampled top-t for recall: a heap of the t best by (sample
+  // descending, index ascending), worst in front. Indices arrive in
+  // ascending order, so only a strictly larger sample displaces the
+  // worst.
+  const auto better = [](const Ranked& a, const Ranked& b) {
+    if (a.sample != b.sample) return a.sample > b.sample;
+    return a.index < b.index;
+  };
+  heap_.clear();
+  for (std::size_t i = 0; i < t_; ++i) {
+    heap_.push_back(Ranked{sampled_sizes[i], static_cast<std::uint32_t>(i)});
   }
+  std::make_heap(heap_.begin(), heap_.end(), better);
+  std::uint64_t worst = heap_.front().sample;
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::uint64_t s = sampled_sizes[i];
+    if (s >= lowest) {
+      const std::size_t m =
+          s == lowest ? 0
+                      : static_cast<std::size_t>(
+                            std::upper_bound(thresholds_.begin() + 1, thresholds_.end(), s) -
+                            thresholds_.begin()) - 1;
+      ++at_or_above_[m];
+      if (thresholds_[m] == s) ++equal_[m];
+    }
+    if (i >= t_ && s > worst) {
+      std::pop_heap(heap_.begin(), heap_.end(), better);
+      heap_.back() = Ranked{s, static_cast<std::uint32_t>(i)};
+      std::push_heap(heap_.begin(), heap_.end(), better);
+      worst = heap_.front().sample;
+    }
+  }
+
+  // Take the top rows back out, leaving counts over the outside flows.
+  row_threshold_.resize(t_);
+  for (std::size_t r = 0; r < t_; ++r) {
+    const std::uint64_t s = sampled_sizes[order_[r]];
+    const auto m = static_cast<std::uint32_t>(
+        std::lower_bound(thresholds_.begin(), thresholds_.end(), s) - thresholds_.begin());
+    row_threshold_[r] = m;
+    --at_or_above_[m];
+    --equal_[m];
+  }
+  for (std::size_t m = k - 1; m-- > 0;) at_or_above_[m] += at_or_above_[m + 1];
 
   double ranking_swapped = 0.0;
   double detection_swapped = 0.0;
 
   for (std::size_t r = 0; r < t_; ++r) {
-    const std::uint32_t i = order_[r];
-    const std::uint64_t s_i = sampled_sizes[i];
+    const std::uint64_t s_i = sampled_sizes[order_[r]];
+    const std::uint32_t m = row_threshold_[r];
 
-    double count = static_cast<double>(suffix_geq_[r]);
-    if (policy == TiePolicy::kLenient && s_i == 0) {
-      // Lenient distinct rule also swaps when both are zero; the Fenwick
-      // query counted only strict inversions. Both-zero pairs are added in
-      // the equal/zero correction below only for equal true sizes, so add
-      // the distinct-size both-zero pairs here (equal-true-size zeros get
-      // corrected below together with the rest).
-      count += static_cast<double>(suffix_zeros_[r]);
-    }
+    // Outside flows by the distinct-size rule: samples >= s_i; lenient
+    // drops the ties, except that every pair counts when s_i = 0.
+    std::uint64_t outside = at_or_above_[m];
+    if (policy == TiePolicy::kLenient && s_i != 0) outside -= equal_[m];
+    double detection = static_cast<double>(outside);
 
-    // Correct pairs whose TRUE sizes are equal (contiguous run after r).
-    for (std::size_t q = r + 1; q < equal_run_end_[r]; ++q) {
+    // Outside flows whose TRUE size equals row r's (the run tying the
+    // t-th true size) take the equal-size rule instead.
+    for (std::size_t q = t_; q < equal_run_end_[r]; ++q) {
       const std::uint64_t s_j = sampled_sizes[order_[q]];
       const bool counted = swapped_distinct(s_i, s_j, policy);
       const bool correct = swapped_equal(s_i, s_j, policy);
-      count += static_cast<double>(correct) - static_cast<double>(counted);
+      detection += static_cast<double>(correct) - static_cast<double>(counted);
     }
 
-    ranking_swapped += count;
-
-    // Detection: remove pairs whose second element is also a top-t flow.
+    // Top-vs-top pairs, scored directly: they count for ranking only.
     double top_top = 0.0;
     for (std::size_t q = r + 1; q < t_; ++q) {
       const std::uint64_t s_j = sampled_sizes[order_[q]];
@@ -180,25 +162,17 @@ RankMetricsResult RankMetricsContext::evaluate(
                                                  : swapped_distinct(s_i, s_j, policy);
       if (swapped) top_top += 1.0;
     }
-    detection_swapped += count - top_top;
+    ranking_swapped += detection + top_top;
+    detection_swapped += detection;
   }
 
-  // Sampled top-t set for recall, same deterministic tie-break.
-  sampled_order_.resize(n_);
-  std::iota(sampled_order_.begin(), sampled_order_.end(), 0u);
-  std::nth_element(sampled_order_.begin(),
-                   sampled_order_.begin() + static_cast<std::ptrdiff_t>(t_ - 1),
-                   sampled_order_.end(), [&](std::uint32_t a, std::uint32_t b) {
-                     if (sampled_sizes[a] != sampled_sizes[b]) {
-                       return sampled_sizes[a] > sampled_sizes[b];
-                     }
-                     return a < b;
-                   });
-  in_sampled_top_.assign(n_, false);
-  for (std::size_t r = 0; r < t_; ++r) in_sampled_top_[sampled_order_[r]] = true;
+  // Recall: a true top row is in the sampled top-t iff it ranks at or
+  // above the heap's worst entry.
+  const Ranked cutoff = heap_.front();
   std::size_t hits = 0;
   for (std::size_t r = 0; r < t_; ++r) {
-    if (in_sampled_top_[order_[r]]) ++hits;
+    const Ranked row{sampled_sizes[order_[r]], order_[r]};
+    if (!better(cutoff, row)) ++hits;
   }
 
   RankMetricsResult result;

@@ -17,15 +17,29 @@
 //
 // The Monte-Carlo sweeps evaluate the same true population against
 // hundreds of sampled realizations (one per run). Everything that depends
-// only on (true_sizes, t) — the descending true order, the extents of
+// only on (true_sizes, t) — the true top-t rows in order, the extents of
 // equal-true-size runs, the pair-count denominators — is therefore hoisted
-// into RankMetricsContext, built once per bin; evaluate() then costs one
-// Fenwick pass over the sampled sizes per run, with no true-side sort.
+// into RankMetricsContext, built once per bin; evaluate() then scores a
+// realization with one sequential pass over the sampled sizes.
 // compute_rank_metrics() remains as the one-shot convenience (build a
 // context, evaluate once).
 //
-// Complexity: O(N log N) per evaluation via a Fenwick tree over compressed
-// sampled sizes; context construction adds one O(N log N) sort, paid once.
+// Only the t top rows are ever scored, so evaluate() counts against
+// thresholds instead of ordering the population. Row r's swaps with the
+// flows outside the true top-t are, by the distinct-size rule, the
+// outside flows whose sample is >= s_r (> s_r, or all of them when
+// s_r = 0, under the lenient policy). The pass places every sample among
+// the <= t distinct top-row samples and counts ">=" and "=" per
+// threshold; subtracting the top rows' own counts leaves the outside
+// counts. Outside flows of equal true size — the run tying the t-th true
+// size — are then rescored by the equal-size rule, and the top-vs-top
+// pairs are scored directly. The outside count is row r's detection term;
+// adding the top-vs-top term gives its ranking term. The same pass keeps
+// a bounded heap of the sampled top-t for recall.
+//
+// Complexity: evaluate() is O(N log t + t² + t·E), where E is the length
+// of the true-size run at the t-th flow; construction is O(N) for the
+// selection plus a sort of the true top-t and that run, paid once.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +91,8 @@ class RankMetricsContext {
  private:
   std::size_t n_ = 0;
   std::size_t t_ = 0;
-  /// Flow indices in true order: size descending, index ascending.
+  /// Flow indices in true order (size descending, index ascending) for
+  /// the top t and every later flow that ties the t-th true size.
   std::vector<std::uint32_t> order_;
   /// equal_run_end_[r] (r < t): one past the last position whose true size
   /// equals position r's — equal-true-size runs are contiguous in order_.
@@ -85,14 +100,20 @@ class RankMetricsContext {
   double ranking_pairs_ = 0.0;    ///< (2N-t-1) t / 2
   double detection_pairs_ = 0.0;  ///< t (N-t)
 
+  /// One entry of the sampled top-t heap, kept as (sample, flow index).
+  struct Ranked {
+    std::uint64_t sample = 0;
+    std::uint32_t index = 0;
+  };
+
   // Per-evaluate scratch, reused across runs to keep the sweep hot loop
   // allocation-free after the first evaluation.
-  std::vector<std::uint64_t> values_;  ///< sorted unique samples (sparse mode)
-  std::vector<std::uint64_t> fenwick_;     ///< Fenwick tree over values_
-  std::vector<std::uint64_t> suffix_geq_;  ///< distinct-rule swap counts
-  std::vector<std::uint64_t> suffix_zeros_;  ///< zero-sample counts after r
-  std::vector<std::uint32_t> sampled_order_;  ///< recall's sampled top-t
-  std::vector<bool> in_sampled_top_;
+  std::vector<std::uint64_t> thresholds_;  ///< distinct top-row samples, ascending
+  std::vector<std::uint32_t> row_threshold_;  ///< top row r's index in thresholds_
+  /// Outside flows (not true top-t) whose sample is >= each threshold.
+  std::vector<std::uint64_t> at_or_above_;
+  std::vector<std::uint64_t> equal_;  ///< outside flows whose sample == threshold
+  std::vector<Ranked> heap_;          ///< sampled top-t, worst in front
 };
 
 /// Computes all metrics for one realization (one-shot: builds a context

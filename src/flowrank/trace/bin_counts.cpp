@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 
 #include "flowrank/util/binomial_sample.hpp"
+#include "flowrank/util/error.hpp"
 
 namespace flowrank::trace {
 
@@ -31,23 +32,34 @@ BinnedCounts bin_flow_counts(const FlowTrace& trace, double bin_seconds,
   out.bin_seconds = bin_seconds;
   out.bins.resize(bin_count);
 
-  // Aggregate per (bin, key); /24 aggregation may merge many flow records.
-  std::vector<std::unordered_map<packet::FlowKey, std::uint64_t, packet::FlowKeyHash>>
-      acc(bin_count);
-
+  // Every (key, packets) contribution is appended to its bin; a bin is
+  // sorted by key and equal keys merged at the end, which is where /24
+  // aggregation folds many flow records into one entry.
   for (std::size_t fi = 0; fi < trace.flows.size(); ++fi) {
     const auto& flow = trace.flows[fi];
+    // A NaN or negative start has no bin, and casting it to a bin index
+    // is undefined: reject the record rather than lose its packets.
+    if (!std::isfinite(flow.start_s) || !std::isfinite(flow.duration_s) ||
+        flow.start_s < 0.0) {
+      throw Error(ErrorCategory::kCorruptInput, "bin_counts",
+                  "flow " + std::to_string(fi) +
+                      " has a non-finite or negative start_s or a non-finite duration_s");
+    }
     const packet::FlowKey key = packet::make_flow_key(flow.tuple, def);
 
     const double start = flow.start_s;
+    // Compared as a double, so a start far past the trace is skipped
+    // before any cast could overflow.
+    if (start / bin_seconds >= static_cast<double>(bin_count)) continue;
+    const auto first_bin = static_cast<std::size_t>(start / bin_seconds);
     const double end = std::min(flow.end_s(), trace.config.duration_s);
-    auto first_bin = static_cast<std::size_t>(start / bin_seconds);
-    if (first_bin >= bin_count) continue;
-    auto last_bin = static_cast<std::size_t>(end / bin_seconds);
-    if (last_bin >= bin_count) last_bin = bin_count - 1;
+    const std::size_t last_bin =
+        flow.duration_s <= 0.0
+            ? first_bin
+            : std::min(static_cast<std::size_t>(end / bin_seconds), bin_count - 1);
 
-    if (first_bin == last_bin || flow.duration_s <= 0.0 || flow.packets == 1) {
-      acc[first_bin][key] += flow.packets;
+    if (first_bin == last_bin || flow.packets == 1) {
+      out.bins[first_bin].push_back(BinFlowCount{key, flow.packets});
       continue;
     }
 
@@ -64,7 +76,7 @@ BinnedCounts bin_flow_counts(const FlowTrace& trace, double bin_seconds,
     double remaining_len = end - start;
     for (std::size_t b = first_bin; b <= last_bin && remaining > 0; ++b) {
       if (b == last_bin) {
-        acc[b][key] += remaining;
+        out.bins[b].push_back(BinFlowCount{key, remaining});
         remaining = 0;
         break;
       }
@@ -80,23 +92,26 @@ BinnedCounts bin_flow_counts(const FlowTrace& trace, double bin_seconds,
       // consumer asserts conservation or distributional bands, not exact
       // split values.
       const std::uint64_t here = util::binomial_sample(remaining, prob, engine);
-      if (here > 0) acc[b][key] += here;
+      if (here > 0) out.bins[b].push_back(BinFlowCount{key, here});
       remaining -= here;
       remaining_len -= overlap;
     }
   }
 
-  for (std::size_t b = 0; b < bin_count; ++b) {
-    out.bins[b].reserve(acc[b].size());
-    // unordered-ok: sorted by key immediately below before anything reads it
-    for (const auto& [key, packets] : acc[b]) {
-      out.bins[b].push_back(BinFlowCount{key, packets});
-    }
+  for (auto& bin : out.bins) {
     // Deterministic order for reproducible downstream tie-breaks.
-    std::sort(out.bins[b].begin(), out.bins[b].end(),
-              [](const BinFlowCount& a, const BinFlowCount& c) {
-                return a.key < c.key;
-              });
+    std::sort(bin.begin(), bin.end(), [](const BinFlowCount& a, const BinFlowCount& c) {
+      return a.key < c.key;
+    });
+    std::size_t kept = 0;
+    for (const BinFlowCount& entry : bin) {
+      if (kept > 0 && bin[kept - 1].key == entry.key) {
+        bin[kept - 1].packets += entry.packets;
+      } else {
+        bin[kept++] = entry;
+      }
+    }
+    bin.resize(kept);
   }
   return out;
 }

@@ -195,11 +195,28 @@ std::uint64_t binomial_sample(std::uint64_t n, double p, LazyEngine& engine) {
 }
 
 namespace {
-/// Largest n whose inversion setup is memoized by BinomialThinner. The
+/// Largest n whose inversion pmf is tabled by BinomialThinner. The
 /// sweeps' flow-size distributions are heavy-tailed: nearly all flows are
 /// small and repeat, the rare huge ones take the BTPE branch anyway
-/// (n·p' > 30) or just recompute.
+/// (n·p' > 30) or walk untabled.
 constexpr std::size_t kThinnerCacheMax = 4096;
+
+/// binv_walk over a tabled pmf(0..length-1): the same uniforms against
+/// the same doubles, so the same variate. Reaching k == length is the
+/// walk's x > bound restart.
+template <class Urbg>
+std::uint64_t table_walk(const double* pmf, std::size_t length, Urbg& engine) {
+  std::size_t k = 0;
+  double u = next_unit(engine);
+  while (u > pmf[k]) {
+    u -= pmf[k];
+    if (++k == length) {
+      k = 0;
+      u = next_unit(engine);
+    }
+  }
+  return k;
+}
 }  // namespace
 
 BinomialThinner::BinomialThinner(double p) : p_(p) {
@@ -211,6 +228,25 @@ BinomialThinner::BinomialThinner(double p) : p_(p) {
   log_q_ = std::log(1.0 - pp_);
 }
 
+BinomialThinner::PmfTable BinomialThinner::build_table(std::uint64_t n) {
+  if (n >= tables_.size()) tables_.resize(n + 1);
+  // The exact doubles sample_binv and binv_walk compute: the same exp/log
+  // setup, then the walk's recurrence step by step, in order.
+  const double nd = static_cast<double>(n);
+  const double q = 1.0 - pp_;
+  const double bound = binv_bound(nd, pp_, q);
+  PmfTable& table = tables_[n];
+  table.offset = static_cast<std::uint32_t>(pmf_.size());
+  double px = std::exp(nd * log_q_);
+  pmf_.push_back(px);
+  for (double x = 1.0; x <= bound; x += 1.0) {
+    px *= ((nd - x + 1.0) * pp_) / (x * q);
+    pmf_.push_back(px);
+  }
+  table.length = static_cast<std::uint32_t>(pmf_.size() - table.offset);
+  return table;
+}
+
 std::uint64_t BinomialThinner::operator()(std::uint64_t n, Engine& engine) {
   if (n == 0 || p_ == 0.0) return 0;
   if (p_ == 1.0) return n;
@@ -218,18 +254,13 @@ std::uint64_t BinomialThinner::operator()(std::uint64_t n, Engine& engine) {
   const double nd = static_cast<double>(n);
   std::uint64_t k;
   if (nd * pp_ <= kBinomialInversionMaxMean) {
-    const double q = 1.0 - pp_;
     if (n < kThinnerCacheMax) {
-      if (n >= cache_.size()) cache_.resize(n + 1);
-      InversionSetup& setup = cache_[n];
-      if (setup.qn < 0.0) {
-        // The exact doubles sample_binv computes: same exp/log
-        // expressions, so the walk — and the stream — are bit-identical.
-        setup.qn = std::exp(nd * log_q_);
-        setup.bound = binv_bound(nd, pp_, q);
-      }
-      k = binv_walk(nd, pp_, q, setup.qn, setup.bound, engine);
+      // The lookup stays inline; only a first use calls out to build.
+      const PmfTable pmf =
+          n < tables_.size() && tables_[n].length != 0 ? tables_[n] : build_table(n);
+      k = table_walk(pmf_.data() + pmf.offset, pmf.length, engine);
     } else {
+      const double q = 1.0 - pp_;
       k = binv_walk(nd, pp_, q, std::exp(nd * log_q_), binv_bound(nd, pp_, q),
                     engine);
     }

@@ -16,8 +16,9 @@
 //    triangle/parallelogram/exponential-tails squeeze-accept method,
 //    ~1.1 uniform pairs per variate independent of n.
 // Uniforms are built directly from engine() output bits (53-bit
-// mantissa), so the stream depends only on util::Engine (mt19937_64,
-// itself bit-portable) — no standard-library distribution is involved.
+// mantissa), so the stream depends only on util::Engine (an in-repo
+// mt19937_64, bit-portable by construction) — no standard-library
+// distribution is involved.
 #pragma once
 
 #include <cstdint>
@@ -48,15 +49,18 @@ namespace flowrank::util {
 inline constexpr double kBinomialInversionMaxMean = 30.0;
 
 /// Repeated thinning at one fixed rate: binomial_sample with the
-/// per-(n, p) setup memoized.
+/// inversion branch tabled per n.
 ///
 /// The Monte-Carlo sweeps thin every flow of a bin at the same p, run
 /// after run, and flow sizes repeat heavily under the paper's
-/// heavy-tailed distributions — so the inversion branch's exp/log setup
-/// (the dominant cost for small flows) is cached per n. The variate
-/// stream is IDENTICAL to binomial_sample(n, p, engine): memoization
-/// reuses setup constants, never changes which uniforms are drawn, and
-/// the cached values are the very doubles the one-shot path computes.
+/// heavy-tailed distributions. So for each n the inversion branch sees
+/// (below a cache edge), the thinner computes the BINV walk's whole pmf
+/// sequence once: q^n and then pmf(k) = pmf(k-1)·((n-k+1)·p)/(k·q) up to
+/// the walk's restart bound, the very doubles the one-shot walk computes
+/// in the same order. A draw is then a subtract/compare walk over that
+/// table, with no exp, log or division. The variate stream is IDENTICAL
+/// to binomial_sample(n, p, engine): the same uniforms are drawn and
+/// compared against the same doubles.
 ///
 /// Not thread-safe (per-instance cache); give each worker its own.
 class BinomialThinner {
@@ -64,23 +68,29 @@ class BinomialThinner {
   /// Throws std::invalid_argument unless p is in [0, 1].
   explicit BinomialThinner(double p);
 
-  /// One draw of Bin(n, p): same distribution, same stream, less setup.
+  /// One draw of Bin(n, p): same distribution, same stream, less work.
   [[nodiscard]] std::uint64_t operator()(std::uint64_t n, Engine& engine);
 
   [[nodiscard]] double p() const noexcept { return p_; }
 
  private:
-  struct InversionSetup {
-    double qn = -1.0;     ///< q^n (pmf at 0); -1 = not yet computed
-    double bound = 0.0;   ///< restart bound of the BINV walk
+  /// Where one n's pmf table sits in pmf_; length 0 = not yet built.
+  struct PmfTable {
+    std::uint32_t offset = 0;
+    std::uint32_t length = 0;
   };
+
+  /// Builds n's table (n below the cache edge) on its first use.
+  PmfTable build_table(std::uint64_t n);
 
   double p_;
   double pp_;     ///< min(p, 1-p)
-  double log_q_;  ///< ln(1 - pp_), shared by every cached setup
+  double log_q_;  ///< ln(1 - pp_), shared by every table
   bool flip_;     ///< p > 1/2: sample at pp_ and return n - k
-  /// Inversion-branch setups indexed by n, grown lazily up to kCacheMax.
-  std::vector<InversionSetup> cache_;
+  /// Tables indexed by n, grown lazily up to the cache edge.
+  std::vector<PmfTable> tables_;
+  /// Every built table's pmf(0..floor(bound)), back to back.
+  std::vector<double> pmf_;
 };
 
 }  // namespace flowrank::util

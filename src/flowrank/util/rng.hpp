@@ -6,6 +6,7 @@
 // reproducible from a single 64-bit seed.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -57,9 +58,93 @@ namespace flowrank::util {
   return mix_stream(mix_stream(a, b), c);
 }
 
-/// Engine used across the library. mt19937_64 is deterministic across
-/// platforms, which matters for golden-value tests.
-using Engine = std::mt19937_64;
+/// The 64-bit Mersenne Twister, output-identical to std::mt19937_64: the
+/// same seeding recurrence, twist and tempering, so every seed yields the
+/// standard engine's stream draw for draw (tests keep std::mt19937_64 as
+/// the oracle). It is deterministic across platforms, which golden-value
+/// tests rely on. It is written out here, rather than aliased, for speed:
+/// the twist picks its matrix term with a mask instead of a branch, which
+/// lets the compiler vectorize the 312-word refill at the baseline x86-64
+/// target. A URBG with discard() and seed(), like the standard engine.
+class Engine {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type default_seed = 5489u;
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+  Engine() noexcept : Engine(default_seed) {}
+  explicit Engine(result_type value) noexcept { seed(value); }
+
+  void seed(result_type value = default_seed) noexcept {
+    words_[0] = value;
+    for (std::size_t i = 1; i < kStateWords; ++i) words_[i] = seed_step(words_[i - 1], i);
+    next_ = kStateWords;
+  }
+
+  result_type operator()() noexcept {
+    if (next_ == kStateWords) twist();
+    return temper(words_[next_++]);
+  }
+
+  void discard(unsigned long long z) noexcept {
+    while (z > 0) {
+      if (next_ == kStateWords) twist();
+      const std::size_t step =
+          static_cast<std::size_t>(std::min<unsigned long long>(z, kStateWords - next_));
+      next_ += step;
+      z -= step;
+    }
+  }
+
+  // mt19937_64's parameters: state size n = 312, shift m = 156, seeding
+  // multiplier f, twist matrix a, and the 31-bit lower mask r.
+  static constexpr std::size_t kStateWords = 312;
+  static constexpr std::size_t kShift = 156;
+  static constexpr std::uint64_t kSeedMultiplier = 6364136223846793005ULL;
+  static constexpr std::uint64_t kTwistMatrix = 0xb5026f5aa96619e9ULL;
+  static constexpr std::uint64_t kLowerMask = (std::uint64_t{1} << 31) - 1;
+  static constexpr std::uint64_t kUpperMask = ~kLowerMask;
+
+  /// Seeded word i from word i - 1: x[i] = f · (x[i-1] ^ (x[i-1] >> 62)) + i.
+  static constexpr std::uint64_t seed_step(std::uint64_t prev, std::size_t i) noexcept {
+    return kSeedMultiplier * (prev ^ (prev >> 62)) + i;
+  }
+
+  /// One twisted word from x[i] (upper bit), x[i+1] (lower 31 bits) and
+  /// x[i+m]; the matrix term is masked in, not branched on.
+  static constexpr std::uint64_t twist_word(std::uint64_t word, std::uint64_t next,
+                                            std::uint64_t shifted) noexcept {
+    const std::uint64_t y = (word & kUpperMask) | (next & kLowerMask);
+    return shifted ^ (y >> 1) ^ ((std::uint64_t{0} - (y & 1)) & kTwistMatrix);
+  }
+
+  /// Tempering (u, d), (s, b), (t, c), l of mt19937_64.
+  static constexpr std::uint64_t temper(std::uint64_t z) noexcept {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  /// Refills all 312 words. Each loop has a fixed distance between the
+  /// words it reads and writes, so each vectorizes.
+  void twist() noexcept {
+    constexpr std::size_t n = kStateWords;
+    constexpr std::size_t m = kShift;
+    std::size_t i = 0;
+    for (; i < n - m; ++i) words_[i] = twist_word(words_[i], words_[i + 1], words_[i + m]);
+    for (; i < n - 1; ++i) {
+      words_[i] = twist_word(words_[i], words_[i + 1], words_[i + m - n]);
+    }
+    words_[n - 1] = twist_word(words_[n - 1], words_[0], words_[m - 1]);
+    next_ = 0;
+  }
+
+  std::array<std::uint64_t, kStateWords> words_{};
+  std::size_t next_ = kStateWords;  ///< next word to temper; n = refill first
+};
 
 /// Makes an engine for (master seed, stream id).
 [[nodiscard]] inline Engine make_engine(std::uint64_t master,
@@ -70,15 +155,14 @@ using Engine = std::mt19937_64;
 /// Drop-in for Engine{seed} on streams that draw only a few numbers.
 ///
 /// Its output equals Engine{seed} draw for draw. Constructing an Engine
-/// runs the standard's 312-step seeding recurrence
-///   x[0] = seed,  x[i] = f · (x[i-1] ^ (x[i-1] >> 62)) + i,
-/// and its first draw then twists all 312 words. But twisted word i
-/// (i < 156) reads only seeded words i, i+1 and i+156, so draw i needs the
-/// recurrence run only through word i+156: the first draw costs 156 serial
-/// multiply steps, each later one a single step. A per-flow placement of
-/// ~10 draws thus skips most of the seeding and the whole twist. From draw
-/// 157 on, the twist reads words it has itself rewritten, so the engine
-/// hands over to a real Engine advanced past the draws already served.
+/// runs the 312-step seeding recurrence (Engine::seed_step), and its first
+/// draw then twists all 312 words. But twisted word i (i < 156) reads only
+/// seeded words i, i+1 and i+156, so draw i needs the recurrence run only
+/// through word i+156: the first draw costs 156 serial multiply steps,
+/// each later one a single step. A per-flow placement of ~10 draws thus
+/// skips most of the seeding and the whole twist. From draw 157 on, the
+/// twist reads words it has itself rewritten, so the engine hands over to
+/// a real Engine advanced past the draws already served.
 class LazyEngine {
  public:
   using result_type = Engine::result_type;
@@ -96,34 +180,21 @@ class LazyEngine {
       return (*fallback_)();
     }
     const std::size_t i = drawn_++;
-    for (; seeded_ <= i + kShift; ++seeded_) {
-      const std::uint64_t prev = words_[seeded_ - 1];
-      words_[seeded_] = kSeedMultiplier * (prev ^ (prev >> 62)) + seeded_;
+    for (; seeded_ <= i + Engine::kShift; ++seeded_) {
+      words_[seeded_] = Engine::seed_step(words_[seeded_ - 1], seeded_);
     }
-    const std::uint64_t y = (words_[i] & kUpperMask) | (words_[i + 1] & kLowerMask);
-    std::uint64_t z = words_[i + kShift] ^ (y >> 1) ^ ((y & 1) != 0 ? kTwistMatrix : 0);
-    // Tempering (u, d), (s, b), (t, c), l of mt19937_64.
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71d67fffeda60000ULL;
-    z ^= (z << 37) & 0xfff7eee000000000ULL;
-    return z ^ (z >> 43);
+    return Engine::temper(
+        Engine::twist_word(words_[i], words_[i + 1], words_[i + Engine::kShift]));
   }
 
  private:
-  // mt19937_64's state size n = 312 and shift m = 156: the first n - m
-  // twisted words read only seeded words.
-  static constexpr std::size_t kStateWords = 312;
-  static constexpr std::size_t kShift = 156;
-  static constexpr std::size_t kLazyDraws = kStateWords - kShift;
-  static constexpr std::uint64_t kSeedMultiplier = 6364136223846793005ULL;
-  static constexpr std::uint64_t kTwistMatrix = 0xb5026f5aa96619e9ULL;
-  static constexpr std::uint64_t kLowerMask = (std::uint64_t{1} << 31) - 1;
-  static constexpr std::uint64_t kUpperMask = ~kLowerMask;
+  // The first n - m twisted words read only seeded words.
+  static constexpr std::size_t kLazyDraws = Engine::kStateWords - Engine::kShift;
 
   result_type seed_;
   std::size_t drawn_ = 0;   ///< draws served
   std::size_t seeded_ = 1;  ///< words_[0, seeded_) hold seeded words
-  std::array<std::uint64_t, kStateWords> words_{};  ///< seeded words, on demand
+  std::array<std::uint64_t, Engine::kStateWords> words_{};  ///< seeded words, on demand
   std::optional<Engine> fallback_;  ///< engaged at draw kLazyDraws + 1
 };
 

@@ -1,12 +1,18 @@
 // Tests for the swapped-pair metrics: brute-force cross-checks, tie
 // conventions, and consistency with the two-flow model.
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "flowrank/core/misranking.hpp"
 #include "flowrank/metrics/rank_metrics.hpp"
+#include "flowrank/util/binomial_sample.hpp"
 #include "flowrank/util/rng.hpp"
 
 namespace fm = flowrank::metrics;
@@ -47,6 +53,29 @@ fm::RankMetricsResult brute_force(const std::vector<std::uint64_t>& true_sizes,
     }
   }
   return out;
+}
+
+/// Recall straight from the definition: full sorts of both orders, each
+/// by size descending with index ascending.
+double brute_force_recall(const std::vector<std::uint64_t>& true_sizes,
+                          const std::vector<std::uint64_t>& sampled, std::size_t t) {
+  const auto top = [t](const std::vector<std::uint64_t>& sizes) {
+    std::vector<std::uint32_t> order(sizes.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<std::uint32_t>(i);
+    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+      if (sizes[a] != sizes[b]) return sizes[a] > sizes[b];
+      return a < b;
+    });
+    order.resize(t);
+    std::sort(order.begin(), order.end());
+    return order;
+  };
+  const auto want = top(true_sizes);
+  const auto got = top(sampled);
+  std::vector<std::uint32_t> both;
+  std::set_intersection(want.begin(), want.end(), got.begin(), got.end(),
+                        std::back_inserter(both));
+  return static_cast<double>(both.size()) / static_cast<double>(t);
 }
 
 }  // namespace
@@ -279,6 +308,71 @@ TEST(RankMetricsContext, SparseLargeSampledSizesMatchBruteForce) {
       EXPECT_DOUBLE_EQ(fast.ranking_swapped, slow.ranking_swapped)
           << "trial " << trial;
       EXPECT_DOUBLE_EQ(fast.detection_swapped, slow.detection_swapped);
+    }
+  }
+}
+
+// The threshold-counting evaluator against the definitions, at sizes up
+// to N = 5000 and t from 1 to N, on the populations that stress it:
+// thinned heavy-tailed sizes, all-zero samples, sparse huge samples with
+// ties among them, a t-th true size shared by most of the population (an
+// ordered prefix far longer than t), and a population of one size.
+TEST(RankMetricsContext, MatchesBruteForceUpToN5000AcrossTopT) {
+  auto engine = flowrank::util::make_engine(0x5EED);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const std::uint64_t huge[] = {0, std::numeric_limits<std::uint64_t>::max(),
+                                (1ULL << 62) + 3, (1ULL << 40) + 1, 1ULL << 40};
+  for (const std::size_t n : {1u, 2u, 37u, 500u, 5000u}) {
+    std::vector<std::size_t> tops;
+    for (const std::size_t t : {std::size_t{1}, std::size_t{10}, n / 2, n}) {
+      if (t >= 1 && t <= n && std::find(tops.begin(), tops.end(), t) == tops.end()) {
+        tops.push_back(t);
+      }
+    }
+    for (const std::size_t t : tops) {
+      std::vector<std::pair<std::string, std::vector<std::uint64_t>>> populations;
+      std::vector<std::uint64_t> pareto(n), tie_at_t(n), flat(n, 9);
+      for (std::size_t i = 0; i < n; ++i) {
+        pareto[i] = 1 + static_cast<std::uint64_t>(std::pow(1.0 - unit(engine), -1.0 / 1.2));
+        tie_at_t[i] = i < t / 2 ? 1000 + (i % 3) : 7;
+      }
+      populations.emplace_back("pareto", pareto);
+      populations.emplace_back("tie_at_t", tie_at_t);
+      populations.emplace_back("flat", flat);
+      for (const auto& [family, true_sizes] : populations) {
+        std::vector<std::pair<std::string, std::vector<std::uint64_t>>> realizations;
+        for (const double p : {0.1, 0.5}) {
+          std::vector<std::uint64_t> thinned(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            thinned[i] = flowrank::util::binomial_sample(true_sizes[i], p, engine);
+          }
+          realizations.emplace_back("thinned " + std::to_string(p), thinned);
+        }
+        realizations.emplace_back("all_zero", std::vector<std::uint64_t>(n, 0));
+        std::vector<std::uint64_t> sparse(n);
+        for (auto& s : sparse) s = huge[engine() % 5];
+        realizations.emplace_back("sparse_huge", sparse);
+
+        fm::RankMetricsContext context(true_sizes, t);
+        for (const auto& [name, sampled] : realizations) {
+          const std::string label = family + " " + name + " n=" + std::to_string(n) +
+                                    " t=" + std::to_string(t);
+          for (auto policy : {fm::TiePolicy::kPaper, fm::TiePolicy::kLenient}) {
+            const auto fast = context.evaluate(sampled, policy);
+            const auto slow = brute_force(true_sizes, sampled, t, policy);
+            ASSERT_EQ(fast.ranking_swapped, slow.ranking_swapped)
+                << label << " policy " << static_cast<int>(policy);
+            ASSERT_EQ(fast.detection_swapped, slow.detection_swapped)
+                << label << " policy " << static_cast<int>(policy);
+            ASSERT_EQ(fast.top_set_recall, brute_force_recall(true_sizes, sampled, t))
+                << label;
+            const double nd = static_cast<double>(n);
+            const double td = static_cast<double>(t);
+            ASSERT_EQ(fast.ranking_pairs, 0.5 * (2.0 * nd - td - 1.0) * td) << label;
+            ASSERT_EQ(fast.detection_pairs, td * (nd - td)) << label;
+          }
+        }
+      }
     }
   }
 }
