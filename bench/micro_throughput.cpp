@@ -25,6 +25,7 @@
 #include "flowrank/core/discrete_model.hpp"
 #include "flowrank/core/misranking.hpp"
 #include "flowrank/core/ranking_model.hpp"
+#include "flowrank/core/sampling_planner.hpp"
 #include "flowrank/dist/pareto.hpp"
 #include "flowrank/estimators/heavy_hitter_trackers.hpp"
 #include "flowrank/exec/task_pool.hpp"
@@ -201,6 +202,39 @@ void BM_DiscreteModelSweepReuse(benchmark::State& state) {
   state.counters["cells"] = 3.0;
 }
 BENCHMARK(BM_DiscreteModelSweepReuse)->Unit(benchmark::kMillisecond);
+
+// One sampling-rate planner query per iteration (items = queries): the
+// exact-discrete overload (max_size = 600) or the continuous quadrature
+// one, on perfbench plan_exact's first two shapes. The `evaluations`
+// counter is the query's model-evaluation count, the cost a faster search
+// cuts; the plain bisection spent 19.
+void BM_PlanSamplingRate(benchmark::State& state, bool discrete) {
+  const auto pareto = [](double beta) {
+    return std::make_shared<flowrank::dist::Pareto>(
+        flowrank::dist::Pareto::from_mean(9.6, beta));
+  };
+  flowrank::core::DiscreteModelConfig discrete_cfg;
+  discrete_cfg.n = 2000;
+  discrete_cfg.t = 10;
+  discrete_cfg.max_size = 600;
+  discrete_cfg.tail_tolerance = 1e-4;
+  discrete_cfg.size_pmf = std::make_shared<flowrank::dist::Discretized>(pareto(2.0));
+  flowrank::core::RankingModelConfig continuous_cfg;
+  continuous_cfg.n = 200000;
+  continuous_cfg.t = 10;
+  continuous_cfg.size_dist = pareto(1.5);
+  flowrank::core::PlannerResult plan;
+  for (auto _ : state) {
+    plan = discrete ? flowrank::core::plan_sampling_rate(discrete_cfg, 1.0, 1e-4, 0.999)
+                    : flowrank::core::plan_sampling_rate(
+                          continuous_cfg, flowrank::core::PlannerGoal::kRankTopT, 1.0);
+    benchmark::DoNotOptimize(plan);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["evaluations"] = static_cast<double>(plan.evaluations);
+}
+BENCHMARK_CAPTURE(BM_PlanSamplingRate, discrete, true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlanSamplingRate, continuous, false)->Unit(benchmark::kMillisecond);
 
 // --- packet path -------------------------------------------------------------
 

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   // fresh rate, and the two planners must land in the same ballpark.
   {
     // At N=2000 the paper's acceptability line (metric 1) needs near-full
-    // sampling, so plan against a mid-range target where the bisection has
+    // sampling, so plan against a mid-range target where the planners have
     // room to disagree.
     const double target = 50.0;
     auto cont = bench::sprint_config(2000, 10, 2.5, bench::kMean5Tuple);

@@ -20,7 +20,9 @@ the trace-expansion rows the expander's speed claim rests on
 (BM_PacketStreamExpansion and BM_MonitorLoop, each with
 items_per_second), and the Monte-Carlo count-path rows
 (BM_BinomialThinner at every rate, BM_BinFlowCounts and
-BM_RankMetricsContext, each with items_per_second).
+BM_RankMetricsContext, each with items_per_second), and the planner
+rows (BM_PlanSamplingRate/discrete and /continuous, each with its
+evaluations counter and items_per_second).
 
 Used by CI's bench smoke step on a fresh short run, and runnable against
 the committed baseline:
@@ -40,6 +42,7 @@ EXPANSION_ROWS = ("BM_PacketStreamExpansion", "BM_MonitorLoop")
 COUNT_PATH_ROWS = ("BM_BinomialThinner", "BM_BinFlowCounts", "BM_RankMetricsContext")
 # BM_BinomialThinner's argument is the sampling rate in thousandths.
 THINNER_RATES = ("1", "10", "100", "500")
+PLANNER_ROWS = ("BM_PlanSamplingRate/discrete", "BM_PlanSamplingRate/continuous")
 
 
 def main() -> int:
@@ -81,6 +84,7 @@ def main() -> int:
     expansion_seen = set()
     count_path_seen = set()
     thinner_rates_seen = set()
+    planner_seen = set()
     for row in doc.get("benchmarks", []):
         name = row.get("name", "")
         # "BM_MonitorLoop/real_time" -> "BM_MonitorLoop".
@@ -95,6 +99,11 @@ def main() -> int:
                 thinner_rates_seen.add(name.split("/")[1])
             if "items_per_second" not in row:
                 errors.append(f"{name}: missing items_per_second throughput")
+        if name in PLANNER_ROWS:
+            planner_seen.add(name)
+            for key in ("evaluations", "items_per_second"):
+                if key not in row:
+                    errors.append(f"{name}: missing '{key}'")
         if name.startswith("BM_RankingModelDiscreteExact"):
             discrete_seen.add("BM_RankingModelDiscreteExact")
             if "max_size" not in row:
@@ -137,6 +146,9 @@ def main() -> int:
     for bench in COUNT_PATH_ROWS:
         if bench not in count_path_seen:
             errors.append(f"no {bench} row: count-path coverage dropped")
+    for bench in PLANNER_ROWS:
+        if bench not in planner_seen:
+            errors.append(f"no {bench} row: planner coverage dropped")
     missing_rates = sorted(set(THINNER_RATES) - thinner_rates_seen, key=int)
     if missing_rates:
         errors.append(f"no BM_BinomialThinner row for rate(s) {', '.join(missing_rates)}")
@@ -147,8 +159,8 @@ def main() -> int:
         return 1
     print(
         f"bench counters check passed: BM_ShardedIngest shards {sorted(seen)}, "
-        "exact-discrete, trace-expansion and count-path rows present, Release build, "
-        "accounting counters present"
+        "exact-discrete, trace-expansion, count-path and planner rows present, "
+        "Release build, accounting counters present"
     )
     return 0
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "flowrank/core/misranking.hpp"
@@ -27,18 +29,50 @@ namespace {
 // ascending k order with the exact expressions of the old code, so the
 // results are bit-identical — only *independent* lanes interleave.
 
-/// One row of Bin(s, p) pmf values b_p(k, s), k = 0..s: the same seed and
-/// recurrence the pre-context code ran inline, so every stored value is
-/// bit-identical to what the old incremental loops produced.
-void fill_pmf_row(double* row, std::int64_t s, double p) {
-  double b = std::pow(1.0 - p, static_cast<double>(s));  // k = 0
+/// One row of Bin(s, p) pmf values b_p(k, s), k = 0..s, and its nonzero
+/// k-range. Where the k = 0 seed (1-p)^s is a normal double, this is the
+/// seed and recurrence the pre-context code ran inline, so every stored
+/// value is bit-identical to what the old incremental loops produced.
+/// Once s*ln(1-p) < ~-708 that seed underflows: recurring from a zero (or
+/// subnormal) seed would leave the whole row zero or grossly wrong. Such a
+/// row is anchored at its mode with one log-space pmf and recurred in both
+/// directions instead; entries below 2^-60 of the mode value are left
+/// zero (they cannot move a double-precision sum, and multiplying them
+/// would only drag the k-sums through subnormal arithmetic), and the
+/// returned range lets the k-sums skip them.
+std::pair<std::int64_t, std::int64_t> fill_pmf_row(double* row, std::int64_t s,
+                                                   double p) {
   const double odds = p / (1.0 - p);
-  for (std::int64_t k = 0; k <= s; ++k) {
-    row[static_cast<std::size_t>(k)] = b;
-    if (k < s) {
-      b *= static_cast<double>(s - k) / static_cast<double>(k + 1) * odds;
+  double b = std::pow(1.0 - p, static_cast<double>(s));  // k = 0
+  if (b >= std::numeric_limits<double>::min()) {
+    for (std::int64_t k = 0; k <= s; ++k) {
+      row[static_cast<std::size_t>(k)] = b;
+      if (k < s) {
+        b *= static_cast<double>(s - k) / static_cast<double>(k + 1) * odds;
+      }
     }
+    return {0, s};
   }
+  std::fill(row, row + s + 1, 0.0);
+  const std::int64_t mode = std::min<std::int64_t>(
+      s, static_cast<std::int64_t>(std::floor(static_cast<double>(s + 1) * p)));
+  const double peak = std::exp(numeric::binomial_log_pmf(mode, s, p));
+  const double cutoff = std::ldexp(peak, -60);
+  row[static_cast<std::size_t>(mode)] = peak;
+  std::int64_t k_hi = mode;
+  for (b = peak; k_hi < s; ++k_hi) {
+    b *= static_cast<double>(s - k_hi) / static_cast<double>(k_hi + 1) * odds;
+    if (b < cutoff) break;
+    row[static_cast<std::size_t>(k_hi + 1)] = b;
+  }
+  const double inv_odds = (1.0 - p) / p;
+  std::int64_t k_lo = mode;
+  for (b = peak; k_lo > 0; --k_lo) {
+    b *= static_cast<double>(k_lo) / static_cast<double>(s - k_lo + 1) * inv_odds;
+    if (b < cutoff) break;
+    row[static_cast<std::size_t>(k_lo - 1)] = b;
+  }
+  return {k_lo, k_hi};
 }
 
 /// Continues `acc` with row[k] * cdf[k] terms for k in [k_lo, k_hi]
@@ -415,7 +449,8 @@ DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) 
   std::vector<double> pm_equal(count);
 
   std::vector<double> rows;
-  // Per-size k-sum windows (full range unless the gate is on).
+  // Per-size k-sum windows: each row's nonzero range (the full range
+  // unless the row's seed underflows), trimmed further when the gate is on.
   std::vector<std::int64_t> win_lo(count, 0), win_hi(count);
   if (!config.gaussian_pairwise) {
     rows.resize(row_total);
@@ -423,8 +458,7 @@ DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) 
         count,
         [&](std::size_t r) {
           const std::int64_t s = lo + static_cast<std::int64_t>(r);
-          fill_pmf_row(rows.data() + row_off[r], s, p_);
-          std::int64_t k_lo = 0, k_hi = s;
+          auto [k_lo, k_hi] = fill_pmf_row(rows.data() + row_off[r], s, p_);
           if (window_tolerance_ > 0.0) {
             // Central window of Bin(s, p): trim each tail while the
             // cumulative trimmed mass stays within tolerance/2. The

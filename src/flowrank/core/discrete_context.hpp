@@ -14,7 +14,14 @@
 // per-row arithmetic is sequential and uses exactly the same seed,
 // recurrence and summation order as the historical single-threaded
 // implementation — results are bit-identical at any thread count and to
-// the pre-context code. The one stream-changing knob, the support-
+// the pre-context code. One deliberate exception: a Bin(s, p) row whose
+// k = 0 seed (1-p)^s is below DBL_MIN (s > ~708/|ln(1-p)|: s > ~236 at
+// p = 0.95, s > ~114 at p = 0.998) is anchored at its mode in log space
+// instead, because recurring from the underflowed seed zeroed the whole
+// row (Pm(i, i) read 1, Pm between two such sizes 0) and made the metric
+// a sawtooth in p. Rows with a normal seed keep the old arithmetic bit
+// for bit, so results at low p (the goldens) are unchanged and results
+// at high p are now correct. The one stream-changing knob, the support-
 // windowed k-sum, is OFF by default and gated behind window_tolerance
 // (PR 3 / PR 9 precedent), with its approximation error bounded below.
 #pragma once

@@ -9,6 +9,7 @@
 // dynamically checks the TaskPool-parallel table build.
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -16,6 +17,7 @@
 
 #include "flowrank/core/discrete_context.hpp"
 #include "flowrank/core/discrete_model.hpp"
+#include "flowrank/core/misranking.hpp"
 #include "flowrank/core/ranking_model.hpp"
 #include "flowrank/core/sampling_planner.hpp"
 #include "flowrank/dist/pareto.hpp"
@@ -119,6 +121,61 @@ TEST(DiscreteModelContext, ParallelBuildBitIdentical) {
   }
 }
 
+// Above s ~ 708/|ln(1-p)| packets the k = 0 seed (1-p)^s of a Bin(s, p)
+// row underflows; those rows are anchored at their mode instead. The
+// cached sums must then agree with sums built pair by pair from
+// misranking_exact (an independent, log-space-anchored evaluation), and
+// the parallel build must still be bit-identical.
+TEST(DiscreteModelContext, UnderflowRowsMatchPairwiseExact) {
+  for (double p : {0.9, 0.99}) {
+    auto cfg = context_config(p, 400, 2.5);
+    cfg.tail_tolerance = 1e-3;
+    const fc::DiscreteModelContext ctx(cfg);
+    const auto& a_sums = ctx.smaller_pair_sums();
+    const auto& b_sums = ctx.larger_pair_sums();
+    const std::int64_t lo = ctx.min_size(), hi = ctx.max_size();
+    ASSERT_GT(static_cast<double>(hi) * -std::log1p(-p), 745.0)
+        << "the support must reach the underflow regime";
+    for (std::int64_t i = lo; i <= hi; ++i) {
+      double a = 0.0;
+      double b = cfg.size_pmf->pmf(i) * fc::misranking_exact(i, i, p);
+      for (std::int64_t j = lo; j < i; ++j) {
+        a += cfg.size_pmf->pmf(j) * fc::misranking_exact(j, i, p);
+      }
+      for (std::int64_t j = i + 1; j <= hi; ++j) {
+        b += cfg.size_pmf->pmf(j) * fc::misranking_exact(i, j, p);
+      }
+      const auto r = static_cast<std::size_t>(i - lo);
+      EXPECT_NEAR(a_sums[r], a, 1e-10 * a) << "p=" << p << " i=" << i;
+      EXPECT_NEAR(b_sums[r], b, 1e-10 * b) << "p=" << p << " i=" << i;
+    }
+    cfg.num_threads = 4;
+    const fc::DiscreteModelContext parallel(cfg);
+    EXPECT_EQ(a_sums, parallel.smaller_pair_sums()) << "p=" << p;
+    EXPECT_EQ(b_sums, parallel.larger_pair_sums()) << "p=" << p;
+  }
+}
+
+// With the underflowing rows zeroed, the metric was a sawtooth in p
+// (it rose from 0.9981 to 1.0025 across p = 0.95660..0.95669, then fell
+// to 0.9960): every size crossing the underflow threshold dropped out of
+// the sums. The metric must decrease with p across that stretch.
+TEST(DiscreteModelContext, MetricDecreasesAcrossUnderflowThreshold) {
+  fc::DiscreteModelConfig cfg;
+  cfg.n = 20000;
+  cfg.t = 10;
+  cfg.size_pmf = pareto_pmf(9.6, 2.0);
+  cfg.max_size = 600;
+  cfg.tail_tolerance = 1e-4;
+  double previous = std::numeric_limits<double>::infinity();
+  for (int step = 0; step <= 70; ++step) {
+    cfg.p = 0.9566 + 1e-5 * step;
+    const double metric = fc::evaluate_discrete_ranking_model(cfg).metric;
+    EXPECT_LT(metric, previous) << "p=" << cfg.p;
+    previous = metric;
+  }
+}
+
 // The discrete model is the ground truth the continuous quadrature
 // approximates; at modest scale the two must land close together.
 TEST(DiscreteModelContext, AgreesWithContinuousModel) {
@@ -163,7 +220,7 @@ TEST(DiscreteModelContext, WindowedKSumBoundedError) {
   EXPECT_NEAR(re.metric, rw.metric, bound * pair_count);
 }
 
-// Discrete planner overload: bisection against the exact model.
+// Discrete planner overload: the search against the exact model.
 TEST(DiscreteModelPlanner, FindsFeasibleRate) {
   fc::DiscreteModelConfig cfg;
   cfg.n = 2000;
