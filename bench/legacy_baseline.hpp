@@ -118,7 +118,7 @@ class LegacyBernoulli {
 /// rates x bins x runs grid, a fresh std::binomial_distribution per flow
 /// per run for the thinning, and one full compute_rank_metrics call per
 /// run (re-sorting the run-invariant true ranking every time). This is
-/// the single-threaded baseline the SweepEngine + RankMetricsContext +
+/// the single-threaded baseline the TaskPool + RankMetricsContext +
 /// util::binomial_sample path in sim::run_binned_simulation is measured
 /// against (BM_BinnedSimSweep vs BM_BinnedSimSweepSeedPath).
 inline flowrank::sim::SimResult legacy_run_binned_simulation(

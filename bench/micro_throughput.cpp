@@ -548,14 +548,9 @@ BENCHMARK(BM_ShortPipelinesSpawn)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The hash-once kernel behind the ring pipeline: one FlowKeyHash per
 // packet, reused for shard selection, table probing and hash-threshold
-// sampling. One row per compiled-in kernel (registered from main below,
-// since availability is a runtime question) — all rows are bit-identical
-// in output, so the deltas are pure kernel speed. This measurement is
-// what sets the dispatch default in hash_batch.cpp: on x86-64 the SSE2
-// kernel's emulated 64-bit lane multiplies lose to scalar imul, so
-// hash_batch() runs the scalar loop and the vector rows document why.
-void BM_HashBatch(benchmark::State& state,
-                  flowrank::flowtable::HashBatchImpl impl) {
+// sampling. The row keeps its /scalar name so it lines up with the
+// BM_HashBatch/scalar row already recorded in BENCH_micro.json.
+void BM_HashBatch(benchmark::State& state) {
   constexpr std::size_t kKeys = 1 << 16;
   std::vector<flowrank::packet::FlowKey> keys(kKeys);
   auto engine = flowrank::util::make_engine(11);
@@ -566,29 +561,13 @@ void BM_HashBatch(benchmark::State& state,
   }
   std::vector<std::uint64_t> hashes(kKeys);
   for (auto _ : state) {
-    flowrank::flowtable::hash_batch_with(impl, keys, /*salt=*/0, hashes);
+    flowrank::flowtable::hash_batch(keys, /*salt=*/0, hashes);
     benchmark::DoNotOptimize(hashes.data());
   }
-  state.SetLabel(std::string(flowrank::flowtable::hash_batch_impl_name(impl)));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kKeys));
 }
-
-// One BM_HashBatch row per kernel this binary can run, e.g.
-// BM_HashBatch/scalar and BM_HashBatch/sse2 on x86-64. The row whose
-// label matches hash_batch_impl_name(hash_batch_impl()) is the one the
-// ingest path actually uses.
-void register_hash_batch_benchmarks() {
-  using flowrank::flowtable::HashBatchImpl;
-  for (const auto impl :
-       {HashBatchImpl::kScalar, HashBatchImpl::kSse2, HashBatchImpl::kNeon}) {
-    if (!flowrank::flowtable::hash_batch_impl_available(impl)) continue;
-    const std::string name =
-        "BM_HashBatch/" +
-        std::string(flowrank::flowtable::hash_batch_impl_name(impl));
-    benchmark::RegisterBenchmark(name.c_str(), &BM_HashBatch, impl);
-  }
-}
+BENCHMARK(BM_HashBatch)->Name("BM_HashBatch/scalar");
 
 void BM_SamplerSelectBatch(benchmark::State& state) {
   const auto packets = make_ingest_batch(1 << 16);
@@ -730,13 +709,14 @@ flowrank::sim::SimConfig sweep_config() {
   return cfg;
 }
 
-// The whole count-path Monte-Carlo sweep on the SweepEngine at 1, 2 and 4
-// threads. Results are bit-identical at every thread count (asserted in
-// tests/test_sweep_engine.cpp); only wall time changes. On a single-vCPU
-// runner the thread counts time-slice one core, so the honest column to
-// compare there is the frozen PR 2 path below; on a multi-core host the
-// sweep shows the parallel speedup directly. UseRealTime for the same
-// reason as BM_ShardedIngest: workers run off the benchmark's CPU clock.
+// The whole count-path Monte-Carlo sweep on the shared TaskPool at 1, 2
+// and 4 threads. Results are bit-identical at every thread count
+// (asserted in tests/test_parallel_sweeps.cpp); only wall time changes.
+// On a single-vCPU runner the thread counts time-slice one core, so the
+// honest column to compare there is the frozen PR 2 path below; on a
+// multi-core host the sweep shows the parallel speedup directly.
+// UseRealTime for the same reason as BM_ShardedIngest: workers run off
+// the benchmark's CPU clock.
 void BM_BinnedSimSweep(benchmark::State& state) {
   const auto& trace = sweep_trace();
   auto cfg = sweep_config();
@@ -856,7 +836,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("flowrank_build_type", FLOWRANK_BUILD_TYPE);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  register_hash_batch_benchmarks();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -98,7 +98,7 @@ void dot_in_order(double& acc, const double* row, const double* cdf,
 // multiplies and adds (mulpd/addpd and their AVX forms) compute each lane
 // exactly as the scalar instructions do, so every kernel below produces
 // bit-identical accumulators and the kernel choice is a pure speed
-// decision, resolved once per process (the hash_batch dispatch pattern).
+// decision, resolved once per process by a CPU-feature probe.
 // x86-64 always has the SSE2 pair path; the AVX2 path is used when the
 // CPU supports it. The function-level target attribute keeps the rest of
 // the build on the default ISA, and since FMA is deliberately NOT enabled

@@ -4,8 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "flowrank/exec/task_pool.hpp"
 #include "flowrank/metrics/rank_metrics.hpp"
-#include "flowrank/sim/sweep_engine.hpp"
 #include "flowrank/util/binomial_sample.hpp"
 
 namespace flowrank::core {
@@ -73,8 +73,10 @@ McModelResult run_mc_model(const RankingModelConfig& config, int runs,
                              m.top_set_recall};
   };
 
-  sim::SweepEngine pool(sim::SweepEngine::resolve_thread_count(num_threads));
-  pool.parallel_for(outputs.size(), run_one);
+  const std::size_t threads = exec::TaskPool::resolve_parallelism(num_threads);
+  exec::TaskPool& pool = exec::TaskPool::shared();
+  pool.ensure_workers(threads - 1);
+  pool.parallel_for(outputs.size(), run_one, threads);
 
   McModelResult result;
   for (const RunOutput& out : outputs) {

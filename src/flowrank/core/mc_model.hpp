@@ -27,8 +27,8 @@ struct McModelResult {
 
 /// Runs `runs` independent populations (sizes and sampling redrawn each
 /// run). Deterministic in `seed`, including across `num_threads`: each run
-/// owns its own derived RNG stream and result slot, runs execute on a
-/// sim::SweepEngine pool, and per-run partials are folded in run order —
+/// owns its own derived RNG stream and result slot, runs execute on the
+/// shared exec::TaskPool, and per-run partials are folded in run order —
 /// so any thread count reproduces the sequential aggregates bit for bit
 /// (num_threads: 1 = sequential, 0 = all hardware threads; requires
 /// config.size_dist->sample() to be safe for concurrent calls with

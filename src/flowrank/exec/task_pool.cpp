@@ -40,7 +40,7 @@ struct ForJob {
 };
 
 /// Claims and runs indices until none are left. Runs on helpers and on the
-/// calling thread alike; identical to the pre-extraction SweepEngine loop.
+/// calling thread alike.
 void drain(ForJob& job) {
   for (;;) {
     std::size_t index;

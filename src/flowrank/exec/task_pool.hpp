@@ -1,10 +1,7 @@
 // The one concurrency substrate of the repo.
 //
-// Before this layer existed the stack carried two independent thread
-// pools: sim::SweepEngine's fork-join workers and ingest::ShardedPipeline's
-// per-run std::thread-per-shard machinery. Both workloads are the same
-// shape underneath — a driver thread hands independent units of work to a
-// set of long-lived workers — so both now run on this pool:
+// Two workloads share it, both of the same shape — a driver thread hands
+// independent units of work to a set of long-lived workers:
 //
 //  * parallel_for() is the fork-join primitive (Monte-Carlo grids): task
 //    indices are claimed dynamically, the caller participates, and the
@@ -12,7 +9,10 @@
 //    caller's business and is easy to keep: a task that depends only on
 //    its own index (its own RNG stream, its own result slot) yields
 //    bit-identical results at any worker count, which is exactly how
-//    sim::SweepEngine uses it.
+//    run_binned_simulation, run_mc_model and the experiment grids use it.
+//    Callers resolve their thread count with resolve_parallelism, grow
+//    the shared pool with ensure_workers(threads - 1) and pass `threads`
+//    as max_parallelism.
 //
 //  * submit() is the streaming primitive (ingest shards): fire-and-forget
 //    tasks that drain a shard's SPSC ring and return. Tasks must be
@@ -24,8 +24,8 @@
 //    a successor instead of looping forever (see
 //    ingest/sharded_pipeline.cpp for the retire protocol).
 //
-// The process-wide shared() pool persists across engine instances and
-// pipeline runs: repeated short pipelines and sweeps reuse parked workers
+// The process-wide shared() pool persists across sweeps and pipeline
+// runs: repeated short pipelines and sweeps reuse parked workers
 // instead of paying thread start-up per run. Workers are added on demand
 // (ensure_workers) and only retire at process exit.
 #pragma once

@@ -1,15 +1,6 @@
 #include "flowrank/flowtable/hash_batch.hpp"
 
 #include <cstddef>
-#include <stdexcept>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define FLOWRANK_HASH_BATCH_HAVE_SSE2 1
-#include <emmintrin.h>
-#elif defined(__aarch64__)
-#define FLOWRANK_HASH_BATCH_HAVE_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace flowrank::flowtable {
 
@@ -20,193 +11,15 @@ constexpr std::uint64_t kMix1 = 0x9e3779b97f4a7c15ULL;
 constexpr std::uint64_t kMix2 = 0xbf58476d1ce4e5b9ULL;
 constexpr std::uint64_t kMix3 = 0x94d049bb133111ebULL;
 
-// The vector paths load FlowKey pairs straight into 128-bit lanes.
-static_assert(sizeof(packet::FlowKey) == 16 &&
-                  offsetof(packet::FlowKey, hi) == 0 &&
-                  offsetof(packet::FlowKey, lo) == 8,
-              "hash_batch vector loads assume FlowKey is {hi, lo} packed "
-              "into 16 bytes");
+}  // namespace
 
-void hash_batch_scalar(const packet::FlowKey* keys, std::size_t count,
-                       std::uint64_t salt, std::uint64_t* out) noexcept {
-  for (std::size_t i = 0; i < count; ++i) {
+void hash_batch(std::span<const packet::FlowKey> keys, std::uint64_t salt,
+                std::span<std::uint64_t> out) noexcept {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
     std::uint64_t z = keys[i].hi ^ (keys[i].lo * kMix1) ^ salt;
     z = (z ^ (z >> 30)) * kMix2;
     z = (z ^ (z >> 27)) * kMix3;
     out[i] = z ^ (z >> 31);
-  }
-}
-
-#if defined(FLOWRANK_HASH_BATCH_HAVE_SSE2)
-
-// 64x64 -> low-64 multiply per lane. SSE2 has no 64-bit mullo (that
-// arrives with AVX-512DQ), so compose it from 32x32 -> 64 partial
-// products: lo*lo + ((lo*hi + hi*lo) << 32), exactly the scalar
-// product modulo 2^64.
-inline __m128i mullo64_sse2(__m128i a, __m128i b) noexcept {
-  const __m128i a_hi = _mm_srli_epi64(a, 32);
-  const __m128i b_hi = _mm_srli_epi64(b, 32);
-  const __m128i lo_lo = _mm_mul_epu32(a, b);
-  const __m128i cross =
-      _mm_add_epi64(_mm_mul_epu32(a, b_hi), _mm_mul_epu32(a_hi, b));
-  return _mm_add_epi64(lo_lo, _mm_slli_epi64(cross, 32));
-}
-
-void hash_batch_sse2(const packet::FlowKey* keys, std::size_t count,
-                     std::uint64_t salt, std::uint64_t* out) noexcept {
-  const __m128i mix1 = _mm_set1_epi64x(static_cast<long long>(kMix1));
-  const __m128i mix2 = _mm_set1_epi64x(static_cast<long long>(kMix2));
-  const __m128i mix3 = _mm_set1_epi64x(static_cast<long long>(kMix3));
-  const __m128i salt2 = _mm_set1_epi64x(static_cast<long long>(salt));
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    // Two consecutive keys are {hi0, lo0} {hi1, lo1}; unpack into a
-    // {hi0, hi1} lane pair and a {lo0, lo1} lane pair.
-    const __m128i k0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i));
-    const __m128i k1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i + 1));
-    const __m128i hi = _mm_unpacklo_epi64(k0, k1);
-    const __m128i lo = _mm_unpackhi_epi64(k0, k1);
-    __m128i z = _mm_xor_si128(_mm_xor_si128(hi, mullo64_sse2(lo, mix1)), salt2);
-    z = mullo64_sse2(_mm_xor_si128(z, _mm_srli_epi64(z, 30)), mix2);
-    z = mullo64_sse2(_mm_xor_si128(z, _mm_srli_epi64(z, 27)), mix3);
-    z = _mm_xor_si128(z, _mm_srli_epi64(z, 31));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), z);
-  }
-  hash_batch_scalar(keys + i, count - i, salt, out + i);
-}
-
-#endif  // FLOWRANK_HASH_BATCH_HAVE_SSE2
-
-#if defined(FLOWRANK_HASH_BATCH_HAVE_NEON)
-
-// Same 32-bit partial-product composition as the SSE2 path; vmull_u32
-// supplies the 32x32 -> 64 widening multiplies.
-inline uint64x2_t mullo64_neon(uint64x2_t a, uint64x2_t b) noexcept {
-  const uint32x2_t a_lo = vmovn_u64(a);
-  const uint32x2_t b_lo = vmovn_u64(b);
-  const uint32x2_t a_hi = vshrn_n_u64(a, 32);
-  const uint32x2_t b_hi = vshrn_n_u64(b, 32);
-  const uint64x2_t lo_lo = vmull_u32(a_lo, b_lo);
-  const uint64x2_t cross =
-      vaddq_u64(vmull_u32(a_lo, b_hi), vmull_u32(a_hi, b_lo));
-  return vaddq_u64(lo_lo, vshlq_n_u64(cross, 32));
-}
-
-void hash_batch_neon(const packet::FlowKey* keys, std::size_t count,
-                     std::uint64_t salt, std::uint64_t* out) noexcept {
-  const uint64x2_t mix1 = vdupq_n_u64(kMix1);
-  const uint64x2_t mix2 = vdupq_n_u64(kMix2);
-  const uint64x2_t mix3 = vdupq_n_u64(kMix3);
-  const uint64x2_t salt2 = vdupq_n_u64(salt);
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const uint64x2_t k0 =
-        vld1q_u64(reinterpret_cast<const std::uint64_t*>(keys + i));
-    const uint64x2_t k1 =
-        vld1q_u64(reinterpret_cast<const std::uint64_t*>(keys + i + 1));
-    const uint64x2_t hi = vzip1q_u64(k0, k1);
-    const uint64x2_t lo = vzip2q_u64(k0, k1);
-    uint64x2_t z = veorq_u64(veorq_u64(hi, mullo64_neon(lo, mix1)), salt2);
-    z = mullo64_neon(veorq_u64(z, vshrq_n_u64(z, 30)), mix2);
-    z = mullo64_neon(veorq_u64(z, vshrq_n_u64(z, 27)), mix3);
-    z = veorq_u64(z, vshrq_n_u64(z, 31));
-    vst1q_u64(out + i, z);
-  }
-  hash_batch_scalar(keys + i, count - i, salt, out + i);
-}
-
-#endif  // FLOWRANK_HASH_BATCH_HAVE_NEON
-
-using HashBatchFn = void (*)(const packet::FlowKey*, std::size_t,
-                             std::uint64_t, std::uint64_t*) noexcept;
-
-struct Dispatch {
-  HashBatchImpl impl;
-  HashBatchFn fn;
-};
-
-/// Probes once per process. The default is SCALAR even where the
-/// vector kernels are compiled in: without a native 64-bit lane
-/// multiply (AVX-512DQ's vpmullq / SVE's 64-bit mul), each of the
-/// three SplitMix multiplies costs 3 widening multiplies plus
-/// shift/add fix-up per lane pair, and BM_HashBatch measures the SSE2
-/// kernel at ~0.6x the scalar one (426 vs 689 M keys/s, gcc 12 -O3
-/// x86-64) — scalar imul is one fully-pipelined uop per element. The
-/// vector kernels stay compiled, bit-identity-tested and selectable
-/// via hash_batch_with so a future native-mullo kernel can flip the
-/// default on measurement, not on ISA availability.
-Dispatch probe_dispatch() noexcept {
-  return {HashBatchImpl::kScalar, &hash_batch_scalar};
-}
-
-const Dispatch& active_dispatch() noexcept {
-  static const Dispatch dispatch = probe_dispatch();
-  return dispatch;
-}
-
-}  // namespace
-
-HashBatchImpl hash_batch_impl() noexcept { return active_dispatch().impl; }
-
-std::string_view hash_batch_impl_name(HashBatchImpl impl) noexcept {
-  switch (impl) {
-    case HashBatchImpl::kSse2:
-      return "sse2";
-    case HashBatchImpl::kNeon:
-      return "neon";
-    case HashBatchImpl::kScalar:
-      break;
-  }
-  return "scalar";
-}
-
-bool hash_batch_impl_available(HashBatchImpl impl) noexcept {
-  switch (impl) {
-    case HashBatchImpl::kScalar:
-      return true;
-    case HashBatchImpl::kSse2:
-#if defined(FLOWRANK_HASH_BATCH_HAVE_SSE2)
-      return __builtin_cpu_supports("sse2");
-#else
-      return false;
-#endif
-    case HashBatchImpl::kNeon:
-#if defined(FLOWRANK_HASH_BATCH_HAVE_NEON)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-void hash_batch(std::span<const packet::FlowKey> keys, std::uint64_t salt,
-                std::span<std::uint64_t> out) noexcept {
-  active_dispatch().fn(keys.data(), keys.size(), salt, out.data());
-}
-
-void hash_batch_with(HashBatchImpl impl, std::span<const packet::FlowKey> keys,
-                     std::uint64_t salt, std::span<std::uint64_t> out) {
-  if (!hash_batch_impl_available(impl)) {
-    throw std::invalid_argument(
-        "hash_batch_with: implementation not compiled into this binary");
-  }
-  switch (impl) {
-    case HashBatchImpl::kScalar:
-      hash_batch_scalar(keys.data(), keys.size(), salt, out.data());
-      return;
-    case HashBatchImpl::kSse2:
-#if defined(FLOWRANK_HASH_BATCH_HAVE_SSE2)
-      hash_batch_sse2(keys.data(), keys.size(), salt, out.data());
-#endif
-      return;
-    case HashBatchImpl::kNeon:
-#if defined(FLOWRANK_HASH_BATCH_HAVE_NEON)
-      hash_batch_neon(keys.data(), keys.size(), salt, out.data());
-#endif
-      return;
   }
 }
 

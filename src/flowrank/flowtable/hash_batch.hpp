@@ -3,60 +3,29 @@
 // The scale-up ingest path computes each packet's 64-bit key hash
 // exactly once, at the driver, and carries it with the record so shard
 // selection, flow-table probing and hash-threshold sampling all reuse
-// it (see docs/ARCHITECTURE.md "Partition at source"). hash_batch() is
-// that one computation over a whole batch: the packet::FlowKeyHash
-// SplitMix finalizer over two 64-bit words, with SSE2 (x86-64) and
-// NEON (aarch64) two-lane kernels alongside the scalar loop. The
-// dispatcher currently picks scalar everywhere — emulated 64-bit lane
-// multiplies lose to pipelined scalar imul (measured in BM_HashBatch;
-// rationale in hash_batch.cpp) — so the vector kernels are opt-in
-// until a native-mullo ISA kernel exists.
-//
-// Every path is bit-identical: the vector lanes implement the same
-// multiply/xor/shift chain modulo 2^64 that the scalar kernel does, so
-// the dispatch choice is unobservable in results — tests compare all
-// compiled-in implementations against packet::FlowKeyHash on random
-// keys (tests/test_hash_batch.cpp).
+// it (see docs/PERFORMANCE.md "Scale-up ingest"). hash_batch() is that
+// one computation over a whole batch: the packet::FlowKeyHash SplitMix
+// finalizer over two 64-bit words, as a plain scalar loop. Two-lane
+// SSE2/NEON kernels measured 0.63x this loop (no native 64-bit lane
+// multiply), so there is no vector path.
 //
 // The optional salt reproduces sampler::FlowSampler's salted variant:
 // folding `salt` into the first mixing step with salt == 0 yields
 // exactly FlowKeyHash, and with the sampler's salt yields exactly
-// FlowSampler::selects' pre-threshold value.
+// FlowSampler::selects' pre-threshold value (tests/test_hash_batch.cpp).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 
 #include "flowrank/packet/flow_key.hpp"
 
 namespace flowrank::flowtable {
 
-/// Which hash_batch implementation is in use / requested in tests.
-enum class HashBatchImpl { kScalar, kSse2, kNeon };
-
-/// The implementation the runtime dispatcher selected for this process
-/// (probed once; fastest *measured* kernel, not widest ISA — see
-/// probe_dispatch in hash_batch.cpp).
-[[nodiscard]] HashBatchImpl hash_batch_impl() noexcept;
-
-/// "scalar" | "sse2" | "neon" — stamped into benchmark counters/docs.
-[[nodiscard]] std::string_view hash_batch_impl_name(HashBatchImpl impl) noexcept;
-
-/// True when `impl` was compiled into this binary (kScalar always is).
-[[nodiscard]] bool hash_batch_impl_available(HashBatchImpl impl) noexcept;
-
-/// out[i] = SplitMix(keys[i], salt) for the whole batch, using the
-/// dispatched implementation. salt == 0 gives packet::FlowKeyHash
-/// bit-for-bit. Requires out.size() >= keys.size().
+/// out[i] = SplitMix(keys[i], salt) for the whole batch. salt == 0 gives
+/// packet::FlowKeyHash bit-for-bit. Requires out.size() >= keys.size().
 void hash_batch(std::span<const packet::FlowKey> keys, std::uint64_t salt,
                 std::span<std::uint64_t> out) noexcept;
-
-/// hash_batch pinned to one implementation — the test hook for proving
-/// cross-path bit-identity. Throws std::invalid_argument when `impl`
-/// was not compiled in (query hash_batch_impl_available first).
-void hash_batch_with(HashBatchImpl impl, std::span<const packet::FlowKey> keys,
-                     std::uint64_t salt, std::span<std::uint64_t> out);
 
 /// FlowTable's open-addressing slots reserve hash 0 as "empty", so a
 /// key whose mix lands on 0 is remapped to an arbitrary odd constant.

@@ -38,17 +38,6 @@ ShardedPipeline::ShardedPipeline(ShardedPipelineConfig config)
   if (config_.chunk_packets < 1) {
     throw std::invalid_argument("ShardedPipeline: chunk_packets >= 1");
   }
-  if (config_.split_sampler.enabled) {
-    const SplitSamplerConfig& sp = config_.split_sampler;
-    if (sp.source_stream >= config_.num_streams ||
-        sp.sampled_stream >= config_.num_streams ||
-        sp.source_stream == sp.sampled_stream) {
-      throw std::invalid_argument(
-          "ShardedPipeline: split_sampler streams must be distinct and "
-          "< num_streams");
-    }
-    split_sampler_.emplace(sp.rate, sp.seed);  // validates rate in [0, 1]
-  }
   if (config_.pool == nullptr) config_.pool = &exec::TaskPool::shared();
   // Grow the pool once so every shard can drain concurrently; workers are
   // parked between pipelines, so repeated short runs spawn nothing.
@@ -57,7 +46,6 @@ ShardedPipeline::ShardedPipeline(ShardedPipelineConfig config)
   merged_.resize(config_.num_streams);
   pending_.resize(config_.num_streams);
   for (auto& per_shard : pending_) per_shard.resize(config_.num_shards);
-  stream_packet_counts_.assign(config_.num_streams, 0);
   shards_.reserve(config_.num_shards);
   for (std::size_t s = 0; s < config_.num_shards; ++s) {
     // The free ring holds a couple more buffers than the chunk ring so a
@@ -91,24 +79,6 @@ void ShardedPipeline::classify_chunk(Shard& shard, const Chunk& chunk) {
   try {
     shard.classifiers[chunk.stream].add_batch(chunk.data.packets,
                                               chunk.data.hashes);
-    const SplitSamplerConfig& sp = config_.split_sampler;
-    if (split_sampler_ && chunk.stream == sp.source_stream) {
-      // Gated per-shard sampling: thin this shard's slice of the source
-      // stream by the carried global indices (a pure per-index decision,
-      // so the union over shards is the same set at any shard count) and
-      // classify the survivors — hashes ride along, no re-hash.
-      Batch& sampled = shard.sampled_scratch;
-      sampled.clear();
-      const Batch& data = chunk.data;
-      for (std::size_t i = 0; i < data.packets.size(); ++i) {
-        if (split_sampler_->selects(data.indices[i])) {
-          sampled.packets.push_back(data.packets[i]);
-          sampled.hashes.push_back(data.hashes[i]);
-        }
-      }
-      shard.classifiers[sp.sampled_stream].add_batch(sampled.packets,
-                                                     sampled.hashes);
-    }
   } catch (...) {
     util::MutexLock lock(error_mutex_);
     if (!first_error_) first_error_ = std::current_exception();
@@ -255,7 +225,7 @@ void ShardedPipeline::add_batch(std::size_t stream,
   }
   if (batch.empty()) return;
 
-  // Partition at source: one SIMD batch hash per packet, computed here
+  // Partition at source: one batch hash per packet, computed here
   // and carried with the record. Shard selection below and every
   // downstream FlowTable probe reuse it; no stage re-hashes a key.
   const std::size_t n = batch.size();
@@ -267,29 +237,19 @@ void ShardedPipeline::add_batch(std::size_t stream,
   }
   flowtable::hash_batch_table_ready(scratch_keys_, scratch_hashes_);
 
-  const bool stamp_indices =
-      split_sampler_.has_value() && stream == config_.split_sampler.source_stream;
-  const std::uint64_t index_base = stream_packet_counts_[stream];
   auto& pending = pending_[stream];
   if (config_.num_shards == 1) {
     Batch& dst = pending[0];
     dst.packets.insert(dst.packets.end(), batch.begin(), batch.end());
     dst.hashes.insert(dst.hashes.end(), scratch_hashes_.begin(),
                       scratch_hashes_.end());
-    if (stamp_indices) {
-      for (std::size_t i = 0; i < n; ++i) {
-        dst.indices.push_back(index_base + i);
-      }
-    }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
       Batch& dst = pending[scratch_hashes_[i] % config_.num_shards];
       dst.packets.push_back(batch[i]);
       dst.hashes.push_back(scratch_hashes_[i]);
-      if (stamp_indices) dst.indices.push_back(index_base + i);
     }
   }
-  stream_packet_counts_[stream] += n;
   for (std::size_t s = 0; s < config_.num_shards; ++s) {
     if (pending[s].packets.size() >= config_.chunk_packets) {
       flush_pending(stream, s);

@@ -1,8 +1,8 @@
 // Sharded multi-threaded ingest (the ROADMAP's line-rate scaling step).
 //
-// The inherently sequential stages — pulling the packet stream and (in the
-// default configuration) running the skip-based sampler, whose state
-// machine must see every packet in order — stay on the driver thread.
+// The inherently sequential stages — pulling the packet stream and running
+// the skip-based sampler, whose state machine must see every packet in
+// order — stay on the driver thread.
 // Everything downstream is embarrassingly parallel per flow: the driver
 // partitions each time-ordered batch by flow-key hash % num_shards, so
 // every flow's packets land on exactly one shard, and each shard worker
@@ -13,9 +13,9 @@
 // classification of the same stream, at any shard count.
 //
 // Partition at source: the 64-bit key hash is computed exactly once per
-// packet, at the driver, through the SIMD batch kernel
-// (flowtable::hash_batch), and carried alongside the record. Shard
-// selection consumes it here, and the per-shard FlowTable probes with it
+// packet, at the driver, through the batch kernel
+// (flowtable::hash_batch_table_ready), and carried alongside the record.
+// Shard selection consumes it here, and the per-shard FlowTable probes with it
 // directly (the hashed add_batch overload), so no stage downstream ever
 // re-hashes a key.
 //
@@ -54,7 +54,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -63,7 +62,6 @@
 #include "flowrank/flowtable/flow_table.hpp"
 #include "flowrank/ingest/spsc_ring.hpp"
 #include "flowrank/packet/records.hpp"
-#include "flowrank/sampler/packet_sampler.hpp"
 #include "flowrank/util/sync.hpp"
 #include "flowrank/util/thread_annotations.hpp"
 
@@ -86,25 +84,6 @@ struct OverloadStats {
   std::uint64_t queue_full_events = 0;  ///< enqueues that found a full ring
   std::uint64_t shed_chunks = 0;        ///< chunks dropped under kShed
   std::uint64_t shed_packets = 0;       ///< packets inside those chunks
-};
-
-/// The gated per-shard sampler (ISSUE 9 layer 3): when enabled, the
-/// driver stops running a sequential sampler in front of the partition
-/// point and instead stamps each source-stream packet with its global
-/// stream index; every shard then thins its own substream with
-/// sampler::SplitStreamSampler (a pure per-index decision) and
-/// classifies the survivors into `sampled_stream`. Selection is
-/// independent of the partitioning, so the sampled classification is
-/// bit-identical across shard counts — but it is a DIFFERENT canonical
-/// stream than BernoulliSampler's geometric skips at the same (rate,
-/// seed), so this ships off by default behind the `sampler-split` spec
-/// key (see docs/PERFORMANCE.md "Scale-up ingest").
-struct SplitSamplerConfig {
-  bool enabled = false;
-  double rate = 1.0;        ///< per-packet selection probability, [0, 1]
-  std::uint64_t seed = 0;   ///< master seed (stream derived internally)
-  std::size_t source_stream = 0;   ///< stream whose packets are thinned
-  std::size_t sampled_stream = 1;  ///< stream the survivors classify into
 };
 
 struct ShardedPipelineConfig {
@@ -148,9 +127,6 @@ struct ShardedPipelineConfig {
   std::function<void(std::size_t shard, std::size_t stream, std::size_t bin,
                      const flowtable::FlowTable& table)>
       on_shard_bin;
-  /// Gated per-shard split sampler; disabled (canonical Bernoulli path
-  /// untouched) by default.
-  SplitSamplerConfig split_sampler;
 };
 
 /// Driver-side facade over the shard workers. Not thread-safe itself: one
@@ -171,7 +147,7 @@ class ShardedPipeline {
   ShardedPipeline& operator=(const ShardedPipeline&) = delete;
 
   /// Partitions a time-ordered batch of `stream` by flow-key hash (one
-  /// SIMD hash per packet, carried with the record from here on) and
+  /// hash per packet, carried with the record from here on) and
   /// enqueues the per-shard slices. Blocks when a shard's ring is full.
   /// Batches of each stream must arrive in non-decreasing timestamp order.
   void add_batch(std::size_t stream,
@@ -213,17 +189,14 @@ class ShardedPipeline {
 
  private:
   /// One partitioned slice: records plus their carried table-ready key
-  /// hashes (parallel vectors), and — only when the split sampler is on —
-  /// each record's global stream index.
+  /// hashes (parallel vectors).
   struct Batch {
     std::vector<packet::PacketRecord> packets;
     std::vector<std::uint64_t> hashes;
-    std::vector<std::uint64_t> indices;
 
     void clear() noexcept {
       packets.clear();
       hashes.clear();
-      indices.clear();
     }
   };
 
@@ -263,14 +236,11 @@ class ShardedPipeline {
     /// Exclusive hand-off, not mutual exclusion: FR_GUARDED_BY cannot
     /// express it — TSan checks it dynamically.
     std::vector<flowtable::BinnedClassifier> classifiers;
-    /// Split-sampler thinning scratch (drain task only, same hand-off).
-    Batch sampled_scratch;
   };
 
   /// Pops and classifies chunks until the ring is empty, then retires.
   void drain_shard(std::size_t shard_index);
-  /// Classifies one chunk (and, under the split sampler, thins + feeds
-  /// the sampled stream). Errors land in first_error_.
+  /// Classifies one chunk. Errors land in first_error_.
   void classify_chunk(Shard& shard, const Chunk& chunk);
   /// Hands pending_[stream][shard] to the worker and replaces it with a
   /// recycled buffer.
@@ -291,19 +261,14 @@ class ShardedPipeline {
   ShardedPipelineConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Driver-side staging: pending_[stream][shard] accumulates partitioned
-  /// packets (and carried hashes/indices) until chunk_packets are ready.
+  /// packets (and carried hashes) until chunk_packets are ready.
   std::vector<std::vector<Batch>> pending_;
   /// Driver-local recycled buffers (shed chunks land here; take_buffer
   /// checks it before the shard's free ring).
   std::vector<Batch> driver_spares_;
-  /// Per-stream packets seen so far: the global index base the split
-  /// sampler stamps from.
-  std::vector<std::uint64_t> stream_packet_counts_;
   /// add_batch workspace for the batch key/hash computation.
   std::vector<packet::FlowKey> scratch_keys_;
   std::vector<std::uint64_t> scratch_hashes_;
-  /// Engaged iff config_.split_sampler.enabled.
-  std::optional<sampler::SplitStreamSampler> split_sampler_;
 
   mutable util::Mutex merged_mutex_;
   /// merged_[stream][bin]: concatenated per-shard flow snapshots, built

@@ -186,7 +186,7 @@ bool FlowSampler::offer(const packet::PacketRecord& pkt) {
 void FlowSampler::select(std::span<const packet::PacketRecord> batch,
                          std::vector<std::uint32_t>& out_indices) {
   // Stateless hash-threshold test, no RNG at all. The salted hashes run
-  // through the batch SIMD kernel — folding salt_ into the first mixing
+  // through the batch hash kernel — folding salt_ into the first mixing
   // step reproduces selects() bit for bit (tests/test_hash_batch.cpp),
   // so this path and offer() still agree exactly.
   const std::size_t n = batch.size();
@@ -206,38 +206,6 @@ void FlowSampler::select(std::span<const packet::PacketRecord> batch,
 std::string FlowSampler::name() const {
   std::ostringstream os;
   os << "flow-sampling(q=" << q_ << ", " << packet::to_string(def_) << ")";
-  return os.str();
-}
-
-SplitStreamSampler::SplitStreamSampler(double p, std::uint64_t seed)
-    : p_(p), seed_(util::derive_seed(seed, 0x5117u)) {
-  if (!(p >= 0.0 && p <= 1.0)) {
-    throw std::invalid_argument("SplitStreamSampler: p in [0,1]");
-  }
-  // Same threshold mapping as FlowSampler: p onto the full 64-bit range,
-  // with p=1 selecting everything.
-  threshold_ = p >= 1.0 ? ~0ULL
-                        : static_cast<std::uint64_t>(
-                              p * 18446744073709551615.0);  // 2^64 - 1
-}
-
-bool SplitStreamSampler::offer(const packet::PacketRecord&) {
-  return selects(position_++);
-}
-
-void SplitStreamSampler::select(std::span<const packet::PacketRecord> batch,
-                                std::vector<std::uint32_t>& out_indices) {
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (selects(position_ + i)) {
-      out_indices.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  position_ += batch.size();
-}
-
-std::string SplitStreamSampler::name() const {
-  std::ostringstream os;
-  os << "split-bernoulli(p=" << p_ << ")";
   return os.str();
 }
 

@@ -11,6 +11,11 @@
 // keep per-packet cost near zero. offer() remains as a per-packet
 // compatibility shim over the same internal state machine, so the two
 // paths select bit-identical packet sets for the same seed.
+//
+// BernoulliSampler is the one sampler of the packet path (the packet-level
+// simulation, the continuous monitor, the fleet agents). Its skip stream
+// is sequential, so it runs on the driver thread in front of the sharded
+// ingest; at ~0.3 ns/pkt that costs under 1 % of an ingest pass.
 #pragma once
 
 #include <cstdint>
@@ -158,50 +163,9 @@ class FlowSampler final : public PacketSampler {
   packet::FlowDefinition def_;
   std::uint64_t salt_;
   std::uint64_t threshold_;
-  // select() batch workspace: keys + salted hashes for the SIMD kernel.
+  // select() batch workspace: keys + salted hashes for hash_batch.
   std::vector<packet::FlowKey> scratch_keys_;
   std::vector<std::uint64_t> scratch_hashes_;
-};
-
-/// Counter-split Bernoulli sampling: packet number n of a stream is
-/// selected iff a SplitMix-derived hash of (seed, n) falls under the
-/// rate threshold.
-///
-/// This is the gated per-shard ingest sampler. Selection is a pure
-/// per-packet function of the packet's global stream index, so any
-/// partitioning of the stream — one shard or many — selects exactly the
-/// same packets: each ingest shard can thin its own substream in
-/// parallel (no sequential skip-stream in front of the parallel region)
-/// while staying bit-identical across shard counts. The selected set is
-/// canonically DIFFERENT from BernoulliSampler's geometric-skip stream
-/// at the same (rate, seed), which is why the pipeline gate enabling it
-/// ships off by default, like the PR 3 binomial switch (see
-/// docs/PERFORMANCE.md "Scale-up ingest").
-class SplitStreamSampler final : public PacketSampler {
- public:
-  /// Throws std::invalid_argument unless 0 <= p <= 1.
-  SplitStreamSampler(double p, std::uint64_t seed);
-
-  /// The pure per-index decision. Pipeline shards call this with the
-  /// stream index carried alongside each partitioned record; offer()/
-  /// select() below are the same decision driven by an internal
-  /// position counter (for drivers that see the stream in order).
-  [[nodiscard]] bool selects(std::uint64_t index) const noexcept {
-    return util::mix_stream(seed_, index) <= threshold_;
-  }
-
-  void select(std::span<const packet::PacketRecord> batch,
-              std::vector<std::uint32_t>& out_indices) override;
-  [[nodiscard]] bool offer(const packet::PacketRecord& pkt) override;
-  [[nodiscard]] double rate() const noexcept override { return p_; }
-  void reset() override { position_ = 0; }
-  [[nodiscard]] std::string name() const override;
-
- private:
-  double p_;
-  std::uint64_t seed_;
-  std::uint64_t threshold_;
-  std::uint64_t position_ = 0;  ///< next stream index to examine
 };
 
 /// Binomial thinning of a packet count: the count-level equivalent of

@@ -15,7 +15,6 @@
 #include "flowrank/flowtable/binned_classifier.hpp"
 #include "flowrank/ingest/sharded_pipeline.hpp"
 #include "flowrank/sampler/packet_sampler.hpp"
-#include "flowrank/sim/sweep_engine.hpp"
 #include "flowrank/trace/packet_stream.hpp"
 #include "flowrank/util/binomial_sample.hpp"
 #include "flowrank/util/rng.hpp"
@@ -53,8 +52,8 @@ SimResult run_binned_simulation(const trace::FlowTrace& trace,
   // own splitmix-mixed RNG stream (the previous shift-packed mix
   // ((rate_idx << 40) ^ (run << 20) ^ b) reused streams once a trace had
   // >= 2^20 bins, correlating Monte-Carlo runs) and writes its own
-  // BinStats slot, so the SweepEngine may execute them on any thread in
-  // any order and the result is still bit-identical to the sequential
+  // BinStats slot, so the shared TaskPool may execute them on any thread
+  // in any order and the result is still bit-identical to the sequential
   // walk. Within a cell, runs stay in run order: RunningStats folds are
   // order-sensitive in floating point.
   struct Cell {
@@ -111,8 +110,10 @@ SimResult run_binned_simulation(const trace::FlowTrace& trace,
     }
   };
 
-  SweepEngine pool(SweepEngine::resolve_thread_count(config.num_threads));
-  pool.parallel_for(cells.size(), run_cell);
+  const std::size_t threads = exec::TaskPool::resolve_parallelism(config.num_threads);
+  exec::TaskPool& pool = exec::TaskPool::shared();
+  pool.ensure_workers(threads - 1);
+  pool.parallel_for(cells.size(), run_cell, threads);
   return result;
 }
 
@@ -243,16 +244,7 @@ std::vector<PacketBinResult> run_packet_level_estimated(
   // either way: the sampler sees the identical packet sequence, and
   // hash-sharding assigns every flow wholly to one shard.
   constexpr std::size_t kBatch = 4096;
-  // The gated split sampler selects by global stream index instead of a
-  // sequential skip countdown; driver-side (select_into over in-order
-  // batches) and shard-side (carried indices) evaluation of it pick the
-  // identical set. Both samplers are constructed — they are cheap and
-  // stateless until offered packets — and `sampler` picks the active one.
-  sampler::BernoulliSampler bernoulli(sampling_rate, run_seed);
-  sampler::SplitStreamSampler split(sampling_rate, run_seed);
-  sampler::PacketSampler& sampler =
-      config.sampler_split ? static_cast<sampler::PacketSampler&>(split)
-                           : bernoulli;
+  sampler::BernoulliSampler sampler(sampling_rate, run_seed);
   trace::PacketStream stream(trace);
   std::vector<packet::PacketRecord> batch, selected;
   batch.reserve(kBatch);
@@ -284,21 +276,9 @@ std::vector<PacketBinResult> run_packet_level_estimated(
     pipe_cfg.num_streams = classify_sampled ? 2 : 1;
     pipe_cfg.bin_ns = bin_ns;
     pipe_cfg.table_options = table_opts;
-    // Under the gate, the shards thin stream 0 themselves (by carried
-    // global index) and classify the survivors into stream 1 — no
-    // driver-side selection pass at all. Tracker stages still select on
-    // the driver (the trackers are order-sensitive driver state), where
-    // the same split sampler picks the same set.
-    const bool shards_thin = config.sampler_split && classify_sampled;
-    if (shards_thin) {
-      pipe_cfg.split_sampler.enabled = true;
-      pipe_cfg.split_sampler.rate = sampling_rate;
-      pipe_cfg.split_sampler.seed = run_seed;
-    }
     ingest::ShardedPipeline pipeline(pipe_cfg);
     while (stream.next_batch(batch, kBatch) > 0) {
       pipeline.add_batch(0, batch);
-      if (shards_thin) continue;
       sampler.select_into(batch, selected);
       feed_trackers(selected);
       if (classify_sampled) pipeline.add_batch(1, selected);

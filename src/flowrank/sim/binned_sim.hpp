@@ -33,20 +33,11 @@ struct SimConfig {
   packet::FlowDefinition definition = packet::FlowDefinition::kFiveTuple;
   metrics::TiePolicy tie_policy = metrics::TiePolicy::kPaper;
   std::uint64_t seed = 1;
-  /// Worker threads for the (rate, bin) Monte-Carlo grid (sim::SweepEngine);
-  /// every cell has its own RNG stream (util::mix_streams), so results are
-  /// bit-identical at any thread count. 1 = sequential, 0 = all hardware
-  /// threads.
+  /// Worker threads for the (rate, bin) Monte-Carlo grid (on the shared
+  /// exec::TaskPool); every cell has its own RNG stream
+  /// (util::mix_streams), so results are bit-identical at any thread
+  /// count. 1 = sequential, 0 = all hardware threads.
   std::size_t num_threads = 1;
-  /// Gated (off by default): replace the packet path's sequential
-  /// geometric-skip BernoulliSampler with the counter-split
-  /// sampler::SplitStreamSampler, letting ingest shards thin their own
-  /// substreams in parallel (ingest::SplitSamplerConfig). Still Bernoulli
-  /// sampling and still bit-identical across shard counts — but a
-  /// DIFFERENT canonical selected set at the same (rate, seed) than the
-  /// skip stream, so enabling it changes packet-path results. Spec key
-  /// `sampler-split`; see docs/PERFORMANCE.md "Scale-up ingest".
-  bool sampler_split = false;
 };
 
 /// Per-bin aggregates over runs at one sampling rate.
@@ -72,10 +63,11 @@ struct SimResult {
 /// Runs the count-path simulation over a generated flow trace.
 /// Deterministic in (trace.config.seed, config.seed) — including across
 /// `config.num_threads`: the (rate, bin) grid cells are independent tasks
-/// on a SweepEngine pool, each seeded by its own mix_streams stream, with
-/// per-cell results folded back in (rate, bin, run) order, so any thread
-/// count reproduces the sequential output bit for bit. Bins whose original
-/// flow population is smaller than top_t are skipped (stats left empty).
+/// on the shared exec::TaskPool, each seeded by its own mix_streams
+/// stream, with per-cell results folded back in (rate, bin, run) order, so
+/// any thread count reproduces the sequential output bit for bit. Bins
+/// whose original flow population is smaller than top_t are skipped (stats
+/// left empty).
 [[nodiscard]] SimResult run_binned_simulation(const trace::FlowTrace& trace,
                                               const SimConfig& config);
 

@@ -14,8 +14,8 @@
 #include "flowrank/core/misranking.hpp"
 #include "flowrank/core/optimal_rate.hpp"
 #include "flowrank/dist/discretized.hpp"
+#include "flowrank/exec/task_pool.hpp"
 #include "flowrank/sim/spec_detail.hpp"
-#include "flowrank/sim/sweep_engine.hpp"
 
 namespace flowrank::sim {
 
@@ -715,10 +715,7 @@ std::vector<std::pair<std::string, std::string>> experiment_echo(
     add("rates", rates);
     // threads/shards are deliberately absent: they never change result
     // values (the engines' bit-identity contract), so result files stay
-    // byte-identical at any parallelism. The split-sampler gate DOES
-    // change values (different canonical sampled stream), so it is
-    // echoed whenever it is on.
-    if (spec.sampler_split) add("sampler-split", "on");
+    // byte-identical at any parallelism.
     if (spec.model == ExperimentModel::kMc) {
       add("runs", std::to_string(spec.runs));
     } else {
@@ -903,7 +900,7 @@ std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink)
   // in the run metadata so result files document the sharing.
   DiscreteContextCache discrete_contexts;
   if (spec.model == ExperimentModel::kExact && spec.exact_discrete) {
-    const std::size_t threads = SweepEngine::resolve_thread_count(base.num_threads);
+    const std::size_t threads = exec::TaskPool::resolve_parallelism(base.num_threads);
     for (std::size_t index = 0; index < cells; ++index) {
       const auto values = cell_values(axes, index);
       ExperimentSpec cell = base;
@@ -946,10 +943,15 @@ std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink)
     // contexts are immutable once built), so the grid runs on the shared
     // pool and the sink's reorder buffer restores grid order — output
     // bytes are identical at any thread count.
-    SweepEngine pool(SweepEngine::resolve_thread_count(base.num_threads));
-    pool.parallel_for(cells, [&](std::size_t index) {
-      sink.emit(index, exact_cell_row(base, axes, index, discrete_contexts));
-    });
+    const std::size_t threads = exec::TaskPool::resolve_parallelism(base.num_threads);
+    exec::TaskPool& pool = exec::TaskPool::shared();
+    pool.ensure_workers(threads - 1);
+    pool.parallel_for(
+        cells,
+        [&](std::size_t index) {
+          sink.emit(index, exact_cell_row(base, axes, index, discrete_contexts));
+        },
+        threads);
     rows = cells;
   } else if (spec.model == ExperimentModel::kMc) {
     // Cells sharing a trace configuration reuse one materialized trace

@@ -199,9 +199,9 @@ const std::vector<std::string>& base_mode_keys() {
       "dist",      "duration",    "epoch-gap",       "epochs",
       "flow-rate", "flow-rate-scale", "mode",        "name",
       "onoff",     "packet-size", "path",            "preset",
-      "rates",     "runs",        "sampler-split",   "seed",
-      "shards",    "t",           "threads",         "ties",
-      "trace",     "trace-seed"};
+      "rates",     "runs",        "seed",            "shards",
+      "t",         "threads",     "ties",            "trace",
+      "trace-seed"};
   return keys;
 }
 
@@ -293,15 +293,6 @@ void apply_entry(ScenarioSpec& spec, const std::string& key, const std::string& 
     spec.on_off = parse_onoff(value);
   } else if (key == "churn") {
     spec.churn = parse_churn(value);
-  } else if (key == "sampler-split") {
-    if (value == "on" || value == "true" || value == "1") {
-      spec.sampler_split = true;
-    } else if (value == "off" || value == "false" || value == "0") {
-      spec.sampler_split = false;
-    } else {
-      throw std::invalid_argument(
-          "scenario: sampler-split must be on|off, got '" + value + "'");
-    }
   } else if (key == "bin") {
     spec.bin_seconds = parse_double(key, value);
   } else if (key == "t") {
@@ -682,7 +673,6 @@ SimConfig make_sim_config(const ScenarioSpec& spec) {
   config.tie_policy = spec.tie_policy;
   config.seed = spec.seed;
   config.num_threads = spec.num_threads;
-  config.sampler_split = spec.sampler_split;
   return config;
 }
 

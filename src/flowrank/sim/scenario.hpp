@@ -38,9 +38,6 @@
 //   path        = count                # count|packet
 //   threads     = 0                    # count-path grid workers (0 = all hw)
 //   shards      = 0                    # packet-path ingest shards (0 = all hw)
-//   sampler-split = off                # on: gated per-shard split sampler
-//                                      # (changes the canonical sampled stream;
-//                                      # see docs/PERFORMANCE.md "Scale-up ingest")
 //
 // Continuous-monitor keys (mode=monitor runs the spec through
 // flowrank::monitor::MonitorLoop via the experiment engine; requires
@@ -179,9 +176,6 @@ struct ScenarioSpec {
   ExecutionPath path = ExecutionPath::kCount;
   std::size_t num_threads = 0;  ///< count-path grid workers, 0 = all hw
   std::size_t num_shards = 0;   ///< packet-path shards, 0 = all hw
-  /// Gated per-shard split sampler ("sampler-split" key); changes the
-  /// canonical sampled stream, so it defaults off (SimConfig::sampler_split).
-  bool sampler_split = false;
   MonitorOptions monitor;       ///< continuous-monitor keys (mode=monitor)
   AggregateOptions aggregate;   ///< multi-vantage keys (mode=aggregate)
 };

@@ -266,7 +266,7 @@ TEST(DiscreteModelContext, ValidationErrors) {
     EXPECT_THROW(fc::DiscreteModelContext{bad}, std::invalid_argument);
   }
   const fc::DiscreteModelContext context(cfg);
-  EXPECT_THROW(context.evaluate(2000, 0), std::invalid_argument);
-  EXPECT_THROW(context.evaluate(2000, 2001), std::invalid_argument);
-  EXPECT_NO_THROW(context.evaluate(2000, 2000));
+  EXPECT_THROW((void)context.evaluate(2000, 0), std::invalid_argument);
+  EXPECT_THROW((void)context.evaluate(2000, 2001), std::invalid_argument);
+  EXPECT_NO_THROW((void)context.evaluate(2000, 2000));
 }

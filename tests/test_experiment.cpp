@@ -137,16 +137,19 @@ TEST(EstimatorGrammar, ParsesAllKinds) {
 }
 
 TEST(EstimatorGrammar, Rejections) {
-  EXPECT_THROW(fsim::parse_estimator("count_min:slots=4"), std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("space_saving:slots=0"), std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("space_saving:slots=-1"),
+  EXPECT_THROW((void)fsim::parse_estimator("count_min:slots=4"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("space_saving:slots=1.5"),
+  EXPECT_THROW((void)fsim::parse_estimator("space_saving:slots=0"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("sample_and_hold:slots=-8"),
+  EXPECT_THROW((void)fsim::parse_estimator("space_saving:slots=-1"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("space_saving:bogus=1"), std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("sample_and_hold:hold=2"),
+  EXPECT_THROW((void)fsim::parse_estimator("space_saving:slots=1.5"),
+               std::invalid_argument);
+  EXPECT_THROW((void)fsim::parse_estimator("sample_and_hold:slots=-8"),
+               std::invalid_argument);
+  EXPECT_THROW((void)fsim::parse_estimator("space_saving:bogus=1"),
+               std::invalid_argument);
+  EXPECT_THROW((void)fsim::parse_estimator("sample_and_hold:hold=2"),
                std::invalid_argument);
 }
 

@@ -1,9 +1,8 @@
-// Tests for the SIMD batch hash kernel (flowtable::hash_batch): every
-// compiled-in implementation must be bit-identical to the scalar
-// FlowKeyHash it replaces, with and without salt, because the carried
-// hash feeds shard selection, FlowTable probing and hash-threshold
-// sampling — a single differing bit would silently fork the canonical
-// results.
+// Tests for the batch hash kernel (flowtable::hash_batch): it must be
+// bit-identical to the per-key FlowKeyHash, with and without salt,
+// because the carried hash feeds shard selection, FlowTable probing and
+// hash-threshold sampling — a single differing bit would silently fork
+// the canonical results.
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -37,32 +36,14 @@ std::vector<fp::FlowKey> random_keys(std::size_t n, std::uint64_t seed) {
   return keys;
 }
 
-std::vector<ftab::HashBatchImpl> available_impls() {
-  std::vector<ftab::HashBatchImpl> impls;
-  for (const auto impl :
-       {ftab::HashBatchImpl::kScalar, ftab::HashBatchImpl::kSse2,
-        ftab::HashBatchImpl::kNeon}) {
-    if (ftab::hash_batch_impl_available(impl)) impls.push_back(impl);
-  }
-  return impls;
-}
-
 }  // namespace
 
-TEST(HashBatch, EveryImplMatchesScalarFlowKeyHashUnsalted) {
-  // Odd length so the SIMD paths exercise their scalar tail.
+TEST(HashBatch, MatchesFlowKeyHashUnsalted) {
   const auto keys = random_keys(1001, 42);
-  std::vector<std::uint64_t> expected(keys.size());
+  std::vector<std::uint64_t> out(keys.size());
+  ftab::hash_batch(keys, /*salt=*/0, out);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    expected[i] = fp::FlowKeyHash{}(keys[i]);
-  }
-  for (const auto impl : available_impls()) {
-    std::vector<std::uint64_t> out(keys.size());
-    ftab::hash_batch_with(impl, keys, /*salt=*/0, out);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(out[i], expected[i])
-          << "impl=" << ftab::hash_batch_impl_name(impl) << " key " << i;
-    }
+    ASSERT_EQ(out[i], fp::FlowKeyHash{}(keys[i])) << "key " << i;
   }
 }
 
@@ -78,14 +59,11 @@ TEST(HashBatch, SaltedBatchMatchesFlowSamplerDecisions) {
     const std::uint64_t salt = flowrank::util::derive_seed(123, 0xF10Du);
     const auto threshold =
         q >= 1.0 ? ~0ULL : static_cast<std::uint64_t>(q * 18446744073709551615.0);
-    for (const auto impl : available_impls()) {
-      std::vector<std::uint64_t> out(keys.size());
-      ftab::hash_batch_with(impl, keys, salt, out);
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        ASSERT_EQ(out[i] <= threshold, sampler.selects(keys[i]))
-            << "impl=" << ftab::hash_batch_impl_name(impl) << " q=" << q
-            << " key " << i;
-      }
+    std::vector<std::uint64_t> out(keys.size());
+    ftab::hash_batch(keys, salt, out);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(out[i] <= threshold, sampler.selects(keys[i]))
+          << "q=" << q << " key " << i;
     }
   }
 }
@@ -102,23 +80,6 @@ TEST(HashBatch, TableReadyRemapsOnlyTheEmptySentinel) {
   for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(ready[i], ftab::table_ready_hash(raw[i])) << "key " << i;
     EXPECT_NE(ready[i], 0u);  // never the kEmptyHash sentinel
-  }
-}
-
-TEST(HashBatch, RuntimeDispatchPicksAnAvailableImpl) {
-  const auto active = ftab::hash_batch_impl();
-  EXPECT_TRUE(ftab::hash_batch_impl_available(active));
-  EXPECT_FALSE(std::string(ftab::hash_batch_impl_name(active)).empty());
-  // Scalar is always compiled in and always requestable.
-  EXPECT_TRUE(ftab::hash_batch_impl_available(ftab::HashBatchImpl::kScalar));
-  // Requesting an impl the host cannot run fails loudly, not silently.
-  for (const auto impl :
-       {ftab::HashBatchImpl::kSse2, ftab::HashBatchImpl::kNeon}) {
-    if (ftab::hash_batch_impl_available(impl)) continue;
-    std::vector<fp::FlowKey> keys(4);
-    std::vector<std::uint64_t> out(4);
-    EXPECT_THROW(ftab::hash_batch_with(impl, keys, 0, out),
-                 std::invalid_argument);
   }
 }
 

@@ -1,12 +1,10 @@
-// Tests for the Monte-Carlo sweep engine: pool mechanics, and the
-// bit-identity guarantee — run_binned_simulation and run_mc_model must
-// produce exactly the sequential results at any thread count (every grid
-// cell / run owns an independent RNG stream and result slot; folding is
-// in deterministic order). These suites also run under ThreadSanitizer in
-// CI next to the Sharded* ingest tests.
-#include <atomic>
+// Tests for the parallel Monte-Carlo sweeps: run_binned_simulation and
+// run_mc_model must produce exactly the sequential results at any thread
+// count (every grid cell / run owns an independent RNG stream and result
+// slot on the shared exec::TaskPool; folding is in deterministic order).
+// Pool mechanics are tested in tests/test_task_pool.cpp. These suites
+// also run under ThreadSanitizer in CI next to the Sharded* ingest tests.
 #include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,71 +12,11 @@
 #include "flowrank/core/mc_model.hpp"
 #include "flowrank/dist/pareto.hpp"
 #include "flowrank/sim/binned_sim.hpp"
-#include "flowrank/sim/sweep_engine.hpp"
 
 namespace fc = flowrank::core;
 namespace fp = flowrank::packet;
 namespace fsim = flowrank::sim;
 namespace ft = flowrank::trace;
-
-// ---------------------------------------------------------------------------
-// SweepEngine mechanics
-// ---------------------------------------------------------------------------
-
-TEST(SweepEngine, RunsEveryIndexExactlyOnce) {
-  for (std::size_t threads : {1u, 2u, 4u, 7u}) {
-    fsim::SweepEngine pool(threads);
-    EXPECT_EQ(pool.num_threads(), threads);
-    std::vector<std::atomic<int>> hits(257);
-    for (auto& h : hits) h.store(0);
-    pool.parallel_for(hits.size(), [&](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
-    }
-  }
-}
-
-TEST(SweepEngine, PoolPersistsAcrossJobs) {
-  fsim::SweepEngine pool(4);
-  std::atomic<std::uint64_t> total{0};
-  for (int job = 0; job < 50; ++job) {
-    pool.parallel_for(20, [&](std::size_t i) {
-      total.fetch_add(i + 1, std::memory_order_relaxed);
-    });
-  }
-  EXPECT_EQ(total.load(), 50u * (20u * 21u / 2u));
-}
-
-TEST(SweepEngine, EmptyJobIsANoOp) {
-  fsim::SweepEngine pool(3);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not run"; });
-}
-
-TEST(SweepEngine, TaskExceptionPropagatesAndPoolSurvives) {
-  fsim::SweepEngine pool(4);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [&](std::size_t i) {
-                          if (i == 37) throw std::runtime_error("cell 37");
-                          ran.fetch_add(1, std::memory_order_relaxed);
-                        }),
-      std::runtime_error);
-  // The pool stays usable after a failed job.
-  std::atomic<int> after{0};
-  pool.parallel_for(16, [&](std::size_t) {
-    after.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(after.load(), 16);
-}
-
-TEST(SweepEngine, InvalidAndDefaultThreadCounts) {
-  EXPECT_THROW(fsim::SweepEngine{0}, std::invalid_argument);
-  EXPECT_GE(fsim::SweepEngine::resolve_thread_count(0), 1u);
-  EXPECT_EQ(fsim::SweepEngine::resolve_thread_count(5), 5u);
-}
 
 // ---------------------------------------------------------------------------
 // Bit-identity of the parallel sweeps

@@ -279,6 +279,10 @@ TEST(ScenarioSpec, UnknownKeysAndValuesFailLoudly) {
   const char* argv[] = {"test", "--ties", "strict"};
   const flowrank::util::Cli cli(3, argv);
   EXPECT_THROW(fsim::apply_scenario_overrides(spec, cli), std::invalid_argument);
+  // A retired key is unknown like any other: a spec that still sets it
+  // must fail loudly, not run on the default sampler.
+  EXPECT_THROW(fsim::apply_scenario_entry(spec, "sampler-split", "on"),
+               std::invalid_argument);
 }
 
 TEST(ScenarioSpec, ParseErrorsReportFileLineAndKey) {
@@ -546,6 +550,7 @@ TEST(ScenarioSpec, UnknownKeyHintNamesActiveModeKeys) {
   EXPECT_NE(batch.find("unknown key 'bogus-key'"), std::string::npos) << batch;
   EXPECT_NE(batch.find("mode=batch"), std::string::npos) << batch;
   EXPECT_NE(batch.find("rates"), std::string::npos) << batch;
+  EXPECT_NE(batch.find("churn"), std::string::npos) << batch;
   EXPECT_EQ(batch.find("chan.drop"), std::string::npos) << batch;
   EXPECT_EQ(batch.find("fault.corrupt"), std::string::npos) << batch;
 
@@ -624,27 +629,4 @@ TEST(ScenarioSpec, ChurnTraceKeysParseAndBuildTheSource) {
   fsim::ScenarioSpec bad;
   EXPECT_THROW(fsim::apply_scenario_entry(bad, "churn", "populaton=10"),
                std::invalid_argument);
-}
-
-TEST(ScenarioSpec, SamplerSplitKeyParsesAndReachesSimConfig) {
-  fsim::ScenarioSpec spec;
-  EXPECT_FALSE(spec.sampler_split);  // gated off by default
-  fsim::apply_scenario_entry(spec, "sampler-split", "on");
-  EXPECT_TRUE(spec.sampler_split);
-  EXPECT_TRUE(fsim::make_sim_config(spec).sampler_split);
-  fsim::apply_scenario_entry(spec, "sampler-split", "off");
-  EXPECT_FALSE(spec.sampler_split);
-  EXPECT_FALSE(fsim::make_sim_config(spec).sampler_split);
-  EXPECT_THROW(fsim::apply_scenario_entry(spec, "sampler-split", "maybe"),
-               std::invalid_argument);
-
-  // Both new keys show up in the unknown-key hint for batch mode.
-  try {
-    fsim::apply_scenario_entry(spec, "bogus-key", "1");
-    ADD_FAILURE() << "unknown key accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("churn"), std::string::npos) << what;
-    EXPECT_NE(what.find("sampler-split"), std::string::npos) << what;
-  }
 }

@@ -503,131 +503,3 @@ TEST(ShardedSim, RejectsAbsurdShardCounts) {
                    trace, 0.5, cfg, 1, flowrank::exec::TaskPool::kMaxParallelism + 1),
                std::invalid_argument);
 }
-
-// --- gated per-shard split sampler (ISSUE 9 layer 3) ---------------------
-
-TEST(SplitSampler, OfferSelectAndIndexPathsAgree) {
-  // One sampler, three access paths — per-packet offer(), batched
-  // select(), and the pipeline's index-carried selects(index) — must
-  // pick the identical set for the same seed.
-  flowrank::sampler::SplitStreamSampler by_offer(0.3, 99);
-  flowrank::sampler::SplitStreamSampler by_select(0.3, 99);
-  flowrank::sampler::SplitStreamSampler by_index(0.3, 99);
-  std::vector<fp::PacketRecord> batch;
-  for (int i = 0; i < 1000; ++i) batch.push_back(make_packet(i, 100 * i));
-  std::vector<std::uint32_t> selected;
-  by_select.select(batch, selected);
-  std::size_t cursor = 0;
-  for (std::uint64_t i = 0; i < batch.size(); ++i) {
-    const bool offered = by_offer.offer(batch[i]);
-    EXPECT_EQ(offered, by_index.selects(i)) << "index " << i;
-    const bool in_select =
-        cursor < selected.size() && selected[cursor] == i;
-    if (in_select) ++cursor;
-    EXPECT_EQ(offered, in_select) << "index " << i;
-  }
-  EXPECT_EQ(cursor, selected.size());
-  EXPECT_NEAR(static_cast<double>(selected.size()) / batch.size(), 0.3, 0.05);
-}
-
-TEST(ShardedPipeline, SplitSamplerMatchesDriverSideSelectionAtAnyShardCount) {
-  // The pipeline thins the source stream per shard by carried global
-  // index; a driver-side SplitStreamSampler walking the same stream in
-  // order must describe the identical sampled classification — at every
-  // shard count, since selection is independent of the partitioning.
-  const auto trace = make_boundary_heavy_trace();
-  const ftab::FlowTable::Options opts{fp::FlowDefinition::kFiveTuple, 0};
-  const std::int64_t bin_ns = 2'500'000'000;
-
-  // Reference: inline classification of the driver-selected subset.
-  std::vector<FlowFootprint> expected;
-  {
-    auto classifier = ftab::BinnedClassifier::with_table_view(
-        opts, bin_ns, [&](std::size_t bin, const ftab::FlowTable& table) {
-          if (expected.size() <= bin) expected.resize(bin + 1);
-          expected[bin] = footprint(table);
-        });
-    flowrank::sampler::SplitStreamSampler sampler(0.25, 4242);
-    ftr::PacketStream stream(trace);
-    std::vector<fp::PacketRecord> batch, selected;
-    while (stream.next_batch(batch, 4096) > 0) {
-      sampler.select_into(batch, selected);
-      classifier.add_batch(selected);
-    }
-    classifier.finish();
-  }
-  ASSERT_GE(expected.size(), 2u);
-
-  for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
-    fing::ShardedPipelineConfig cfg;
-    cfg.num_shards = shards;
-    cfg.num_streams = 2;
-    cfg.bin_ns = bin_ns;
-    cfg.table_options = opts;
-    cfg.split_sampler.enabled = true;
-    cfg.split_sampler.rate = 0.25;
-    cfg.split_sampler.seed = 4242;
-    fing::ShardedPipeline pipeline(cfg);
-    ftr::PacketStream stream(trace);
-    std::vector<fp::PacketRecord> batch;
-    while (stream.next_batch(batch, 4096) > 0) pipeline.add_batch(0, batch);
-    pipeline.finish();
-    ASSERT_EQ(pipeline.bin_count(1), expected.size()) << shards << " shards";
-    for (std::size_t b = 0; b < expected.size(); ++b) {
-      EXPECT_EQ(footprint(pipeline.bin_flows(1, b)), expected[b])
-          << shards << " shards, bin " << b;
-    }
-  }
-}
-
-TEST(ShardedPipeline, SplitSamplerConfigValidation) {
-  fing::ShardedPipelineConfig cfg;
-  cfg.num_shards = 1;
-  cfg.num_streams = 2;
-  cfg.bin_ns = 1000;
-  cfg.table_options = {fp::FlowDefinition::kFiveTuple, 0};
-  cfg.split_sampler.enabled = true;
-  cfg.split_sampler.rate = 1.5;  // out of range
-  EXPECT_THROW(fing::ShardedPipeline{cfg}, std::invalid_argument);
-  cfg.split_sampler.rate = 0.5;
-  cfg.split_sampler.sampled_stream = 0;  // == source_stream
-  EXPECT_THROW(fing::ShardedPipeline{cfg}, std::invalid_argument);
-  cfg.split_sampler.sampled_stream = 2;  // >= num_streams
-  EXPECT_THROW(fing::ShardedPipeline{cfg}, std::invalid_argument);
-}
-
-TEST(ShardedSim, SplitSamplerGateBitIdenticalAcrossShardCounts) {
-  // The gated path has its own identity proof: same metrics at every
-  // shard count — and a canonically DIFFERENT sampled stream than the
-  // default geometric-skip Bernoulli at the same (rate, seed), which is
-  // exactly why it ships off by default.
-  const auto trace = make_boundary_heavy_trace();
-  fsim::SimConfig cfg;
-  cfg.bin_seconds = 2.5;
-  cfg.top_t = 5;
-  cfg.sampling_rates = {0.2};
-  cfg.seed = 17;
-  const auto ungated = fsim::run_packet_level_once(trace, 0.2, cfg, 77);
-  cfg.sampler_split = true;
-  const auto reference = fsim::run_packet_level_once(trace, 0.2, cfg, 77);
-  ASSERT_EQ(reference.size(), ungated.size());
-  bool differs = false;
-  for (std::size_t b = 0; b < reference.size(); ++b) {
-    differs = differs ||
-              reference[b].ranking_swapped != ungated[b].ranking_swapped ||
-              reference[b].top_set_recall != ungated[b].top_set_recall;
-  }
-  EXPECT_TRUE(differs) << "split sampler unexpectedly reproduced the skip stream";
-  for (const std::size_t shards : {2u, 4u, 7u}) {
-    const auto sharded = fsim::run_packet_level_once(trace, 0.2, cfg, 77, shards);
-    ASSERT_EQ(sharded.size(), reference.size());
-    for (std::size_t b = 0; b < reference.size(); ++b) {
-      EXPECT_EQ(sharded[b].ranking_swapped, reference[b].ranking_swapped)
-          << shards << " shards, bin " << b;
-      EXPECT_EQ(sharded[b].detection_swapped, reference[b].detection_swapped)
-          << shards << " shards, bin " << b;
-      EXPECT_EQ(sharded[b].top_set_recall, reference[b].top_set_recall)
-          << shards << " shards, bin " << b;
-    }
-  }
-}

@@ -1,8 +1,8 @@
 // Tests for the shared execution layer: pool mechanics (parallel_for
 // claiming, submit/wait_idle, worker growth, the parallelism sanity cap)
-// and the cooperative-task properties both engines rely on. These suites
-// run under ThreadSanitizer in CI next to the Sharded*/SweepEngine*
-// suites.
+// and the cooperative-task properties the Monte-Carlo sweeps and the
+// sharded ingest rely on. These suites run under ThreadSanitizer in CI
+// next to the Sharded* and *Sweep suites.
 #include <atomic>
 #include <mutex>
 #include <stdexcept>
@@ -16,15 +16,19 @@ namespace fex = flowrank::exec;
 
 TEST(TaskPool, ParallelForRunsEveryIndexExactlyOnce) {
   fex::TaskPool pool(3);
-  for (std::size_t parallelism : {1u, 2u, 4u, 7u}) {
-    std::vector<std::atomic<int>> hits(257);
-    for (auto& h : hits) h.store(0);
-    pool.parallel_for(
-        hits.size(),
-        [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); },
-        parallelism);
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " parallelism " << parallelism;
+  // count == 0 is the empty job: a no-op that must not call fn at all.
+  for (std::size_t count : {0u, 257u}) {
+    for (std::size_t parallelism : {1u, 2u, 4u, 7u}) {
+      std::vector<std::atomic<int>> hits(257);
+      for (auto& h : hits) h.store(0);
+      pool.parallel_for(
+          count,
+          [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); },
+          parallelism);
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].load(), i < count ? 1 : 0)
+            << "index " << i << " count " << count << " parallelism " << parallelism;
+      }
     }
   }
 }
@@ -81,8 +85,9 @@ TEST(TaskPool, ParallelForExceptionPropagatesAndPoolSurvives) {
 TEST(TaskPool, ParallelismCapFailsFast) {
   EXPECT_THROW(fex::TaskPool{fex::TaskPool::kMaxParallelism + 1},
                std::invalid_argument);
-  EXPECT_THROW(fex::TaskPool::resolve_parallelism(fex::TaskPool::kMaxParallelism + 1),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)fex::TaskPool::resolve_parallelism(fex::TaskPool::kMaxParallelism + 1),
+      std::invalid_argument);
   fex::TaskPool pool(1);
   EXPECT_THROW(pool.ensure_workers(fex::TaskPool::kMaxParallelism + 1),
                std::invalid_argument);
