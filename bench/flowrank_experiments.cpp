@@ -8,12 +8,18 @@
 //   flowrank_experiments --spec ... --out results.jsonl        # format by extension
 //   flowrank_experiments --spec ... --out out.csv --format csv
 //   flowrank_experiments --spec ... --sweep-rate "0.01..0.5 log 4" --threads 0
+//   flowrank_experiments --duration 24 --flow-rate 30 --trace-seed 5 \
+//       --export-trace scenarios/tiny_sprint.frt1
 //
 // Every spec key doubles as a `--key value` override and every sweep axis
 // as `--sweep-<param>`, so checked-in specs can be rescaled, re-seeded or
-// re-gridded from the command line without editing them (exactly like the
-// scenario files they extend). See src/flowrank/sim/experiment.hpp for
-// the spec grammar and docs/ARCHITECTURE.md for the engine.
+// re-gridded from the command line without editing them. See
+// src/flowrank/sim/experiment.hpp for the spec grammar and
+// docs/ARCHITECTURE.md for the engine.
+//
+// `--export-trace out.frt1` materializes the spec's trace source and
+// writes its flow records instead of running the experiment — the
+// declarative way to produce replay files (see scenarios/README.md).
 #include <algorithm>
 #include <exception>
 #include <filesystem>
@@ -23,6 +29,7 @@
 #include <vector>
 
 #include "flowrank/sim/experiment.hpp"
+#include "flowrank/trace/trace_io.hpp"
 #include "flowrank/util/cli.hpp"
 
 namespace {
@@ -66,16 +73,12 @@ int main(int argc, char** argv) {
 
     // Strict option validation: a typoed key must not silently run a
     // default experiment.
-    const auto& scenario = flowrank::sim::scenario_keys();
-    const auto& experiment = flowrank::sim::experiment_keys();
+    const auto& keys = flowrank::sim::experiment_keys();
     for (const auto& name : cli.option_names()) {
       const bool driver = name == "spec" || name == "out" || name == "format" ||
-                          name == "list" || name == "dir";
+                          name == "list" || name == "dir" || name == "export-trace";
       const bool sweep = name.rfind("sweep-", 0) == 0 && name.size() > 6;
-      if (driver || sweep ||
-          std::find(scenario.begin(), scenario.end(), name) != scenario.end() ||
-          std::find(experiment.begin(), experiment.end(), name) !=
-              experiment.end()) {
+      if (driver || sweep || std::find(keys.begin(), keys.end(), name) != keys.end()) {
         continue;
       }
       throw std::invalid_argument("unknown option --" + name +
@@ -94,6 +97,14 @@ int main(int argc, char** argv) {
     }
 
     const auto spec = flowrank::sim::experiment_from_cli(cli);
+    const std::string export_path = cli.get_string("export-trace", "");
+    if (!export_path.empty()) {
+      const auto trace = flowrank::sim::make_trace_source(spec)->flows();
+      flowrank::trace::save_flow_records(export_path, trace.flows);
+      std::cout << "wrote " << trace.flows.size() << " flows to " << export_path
+                << "\n";
+      return 0;
+    }
     auto sink = flowrank::report::make_sink(cli.get_string("out", "-"),
                                             cli.get_string("format", ""));
     const std::size_t rows = flowrank::sim::run_experiment(spec, *sink.sink);

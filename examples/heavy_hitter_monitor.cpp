@@ -7,7 +7,7 @@
 // rolling measurement windows, inverts each window's sampled counts by
 // the effective sampling rate, folds them into EWMA-smoothed per-flow
 // estimates and emits periodic top-t snapshots with rank-churn deltas
-// and full fault/shed accounting. Every scenario key works here too —
+// and full fault/shed accounting. Every spec key works here too —
 // the spec grammar's monitor/fault.* keys configure the loop, so e.g.
 //
 //   example_heavy_hitter_monitor --rates 0.05 --bin 30 --t 10 \
@@ -23,7 +23,7 @@
 // flight, folds the current window, the final snapshot is emitted and the
 // sink is flushed + closed — no torn output, even mid-trace.
 //
-// Usage: example_heavy_hitter_monitor [--scenario file.scn]
+// Usage: example_heavy_hitter_monitor [--spec file.spec]
 //        [--rates 0.05] [--bin 60] [--t 10] [--shards 4]
 //        [--overload shed] [--budget N] [--fault.* ...]
 //        [--out snapshots.csv|.jsonl]
@@ -34,7 +34,7 @@
 
 #include "flowrank/monitor/monitor_loop.hpp"
 #include "flowrank/report/result_sink.hpp"
-#include "flowrank/sim/scenario.hpp"
+#include "flowrank/sim/experiment.hpp"
 #include "flowrank/util/cli.hpp"
 #include "flowrank/util/error.hpp"
 #include "flowrank/util/table.hpp"
@@ -61,11 +61,11 @@ int main(int argc, char** argv) {
   try {
     const util::Cli cli(argc, argv);
 
-    // The full scenario grammar (file + --key overrides), forced into
+    // The full spec grammar (file + --key overrides), forced into
     // monitor mode. The batch defaults carry a 4-rate grid; a monitor
     // watches one live stream, so default to one moderate rate unless the
     // spec or CLI picked one.
-    sim::ScenarioSpec spec = sim::scenario_from_cli(cli);
+    sim::ExperimentSpec spec = sim::experiment_from_cli(cli);
     spec.monitor.enabled = true;
     if (spec.sampling_rates.size() != 1) spec.sampling_rates = {0.05};
     if (spec.name == "scenario") spec.name = "heavy-hitter monitor";

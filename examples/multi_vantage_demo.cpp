@@ -24,7 +24,7 @@
 // window closed, the victim reaped as SIGKILLed, at least one quarantine,
 // and degraded final coverage.
 //
-// Usage: multi_vantage_demo [--scenario file.scn] [--agents 3]
+// Usage: multi_vantage_demo [--spec file.spec] [--agents 3]
 //        [--duration 20] [--bin 2] [--rates 0.5] [--deadline-ms 250]
 //        [--quarantine-after 2] [--kill-agent 1] [--kill-after-window 1]
 //        [--out windows.jsonl]
@@ -49,7 +49,7 @@
 #include "flowrank/packet/flow_key.hpp"
 #include "flowrank/report/result_sink.hpp"
 #include "flowrank/sampler/packet_sampler.hpp"
-#include "flowrank/sim/scenario.hpp"
+#include "flowrank/sim/experiment.hpp"
 #include "flowrank/trace/bin_counts.hpp"
 #include "flowrank/trace/packet_stream.hpp"
 #include "flowrank/util/bytes.hpp"
@@ -202,9 +202,9 @@ int main(int argc, char** argv) {
   try {
     const util::Cli cli(argc, argv);
 
-    // Full scenario grammar, forced into aggregate mode. The batch
+    // Full spec grammar, forced into aggregate mode. The batch
     // defaults carry a 4-rate grid; each agent samples one live stream.
-    sim::ScenarioSpec spec = sim::scenario_from_cli(cli);
+    sim::ExperimentSpec spec = sim::experiment_from_cli(cli);
     spec.aggregate.enabled = true;
     if (spec.sampling_rates.size() != 1) spec.sampling_rates = {0.5};
     if (spec.name == "scenario") spec.name = "multi-vantage demo";

@@ -15,62 +15,18 @@
 #include "flowrank/core/optimal_rate.hpp"
 #include "flowrank/dist/discretized.hpp"
 #include "flowrank/exec/task_pool.hpp"
-#include "flowrank/sim/spec_detail.hpp"
 
 namespace flowrank::sim {
 
 namespace {
 
-using detail::parse_double;
-using detail::split;
-using detail::trim;
-
 /// Doubles in spec echoes use the sinks' own cell formatting, so echoed
 /// values round-trip exactly like result cells.
 std::string format_value(double value) { return report::Value(value).text(); }
 
-/// The sweepable parameter names, and which are integer-valued (formatted
-/// as integers in result rows).
-constexpr const char* kSweepParams[] = {"rate", "t",        "n",  "beta",
-                                        "bin",  "duration", "s1", "s2"};
-
-bool is_sweep_param(const std::string& param) {
-  for (const char* known : kSweepParams) {
-    if (param == known) return true;
-  }
-  return false;
-}
-
+/// Integer-valued sweep params are formatted as integers in result rows.
 bool integer_axis(const std::string& param) {
   return param == "t" || param == "n" || param == "s1" || param == "s2";
-}
-
-/// Replaces or appends the axis for `param` (last declaration wins, so a
-/// CLI --sweep-rate override replaces the file's rate grid in place).
-void set_axis(ExperimentSpec& spec, const std::string& param,
-              const std::string& grammar) {
-  if (!is_sweep_param(param)) {
-    throw std::invalid_argument("experiment: unknown sweep parameter '" + param +
-                                "' (rate|t|n|beta|bin|duration|s1|s2)");
-  }
-  SweepAxis axis{param, parse_sweep_values(grammar), grammar};
-  for (auto& existing : spec.sweeps) {
-    if (existing.param == param) {
-      existing = std::move(axis);
-      return;
-    }
-  }
-  spec.sweeps.push_back(std::move(axis));
-}
-
-/// True for "sweep <param>" (file form) and "sweep-<param>" (CLI form);
-/// extracts the parameter name.
-bool sweep_key(const std::string& key, std::string& param_out) {
-  if (key.size() < 7 || key.compare(0, 5, "sweep") != 0) return false;
-  const char sep = key[5];
-  if (sep != ' ' && sep != '\t' && sep != '-') return false;
-  param_out = trim(key.substr(6));
-  return !param_out.empty();
 }
 
 const char* model_name(ExperimentModel model) {
@@ -351,285 +307,6 @@ report::Row exact_cell_row(const ExperimentSpec& spec,
 
 }  // namespace
 
-std::vector<double> parse_sweep_values(const std::string& grammar) {
-  const std::string text = trim(grammar);
-  const auto range = text.find("..");
-  if (range == std::string::npos) {
-    // Explicit list: v1,v2,v3 (any order, e.g. the descending beta grids).
-    std::vector<double> values;
-    for (const auto& item : split(text, ',')) {
-      values.push_back(parse_double("sweep", item));
-    }
-    if (values.empty()) throw std::invalid_argument("sweep: empty value list");
-    return values;
-  }
-
-  // Range form: <lo>..<hi> log|lin <count>.
-  std::istringstream rest(text.substr(range + 2));
-  const double lo = parse_double("sweep", text.substr(0, range));
-  std::string hi_text, kind, count_text;
-  rest >> hi_text >> kind >> count_text;
-  std::string extra;
-  if (rest >> extra) {
-    throw std::invalid_argument("sweep: trailing '" + extra + "' in '" + text + "'");
-  }
-  if (hi_text.empty() || kind.empty() || count_text.empty()) {
-    throw std::invalid_argument(
-        "sweep: expected '<lo>..<hi> log|lin <count>', got '" + text + "'");
-  }
-  const double hi = parse_double("sweep", hi_text);
-  const double count_d = parse_double("sweep", count_text);
-  const int count = static_cast<int>(count_d);
-  if (count_d != count || count < 2) {
-    throw std::invalid_argument("sweep: count must be an integer >= 2");
-  }
-  if (!(lo < hi)) throw std::invalid_argument("sweep: range needs lo < hi");
-
-  std::vector<double> values(static_cast<std::size_t>(count));
-  if (kind == "log") {
-    if (!(lo > 0.0)) throw std::invalid_argument("sweep: log range needs lo > 0");
-    // Same construction as the historical figure rate grids (bench
-    // log_spaced): equal log steps with the endpoint pinned exactly.
-    const double step = (std::log(hi) - std::log(lo)) / (count - 1);
-    for (int i = 0; i < count; ++i) {
-      values[static_cast<std::size_t>(i)] = std::exp(std::log(lo) + step * i);
-    }
-  } else if (kind == "lin") {
-    const double step = (hi - lo) / (count - 1);
-    for (int i = 0; i < count; ++i) {
-      values[static_cast<std::size_t>(i)] = lo + step * i;
-    }
-  } else {
-    throw std::invalid_argument("sweep: spacing must be log|lin, got '" + kind + "'");
-  }
-  values.back() = hi;
-  return values;
-}
-
-EstimatorStage parse_estimator(const std::string& grammar) {
-  const std::string text = trim(grammar);
-  const auto colon = text.find(':');
-  const std::string kind = trim(text.substr(0, colon));
-  std::map<std::string, double> args;
-  if (colon != std::string::npos) {
-    for (const auto& item : split(text.substr(colon + 1), ',')) {
-      const auto eq = item.find('=');
-      if (eq == std::string::npos) {
-        throw std::invalid_argument("estimator: expected key=value, got '" + item +
-                                    "'");
-      }
-      args[trim(item.substr(0, eq))] =
-          parse_double("estimator", trim(item.substr(eq + 1)));
-    }
-  }
-  const auto take = [&args](const std::string& key, double fallback) {
-    const auto it = args.find(key);
-    if (it == args.end()) return fallback;
-    const double value = it->second;
-    args.erase(it);
-    return value;
-  };
-  const auto take_slots = [&take](double fallback) {
-    const double value = take("slots", fallback);
-    if (!(value >= 0.0) || value != std::floor(value) || value > 1e9) {
-      throw std::invalid_argument(
-          "estimator: slots must be a non-negative integer");
-    }
-    return static_cast<std::size_t>(value);
-  };
-
-  EstimatorStage stage;
-  if (kind == "none") {
-    stage.kind = EstimatorStage::Kind::kNone;
-  } else if (kind == "inversion") {
-    stage.kind = EstimatorStage::Kind::kInversion;
-  } else if (kind == "tcp_seq") {
-    stage.kind = EstimatorStage::Kind::kTcpSeq;
-  } else if (kind == "sample_and_hold") {
-    stage.kind = EstimatorStage::Kind::kSampleAndHold;
-    stage.slots = take_slots(1024.0);  // 0 = unbounded table
-    stage.hold_probability = take("hold", 0.1);
-    if (!(stage.hold_probability > 0.0 && stage.hold_probability <= 1.0)) {
-      throw std::invalid_argument("estimator: sample_and_hold hold in (0,1]");
-    }
-  } else if (kind == "space_saving") {
-    stage.kind = EstimatorStage::Kind::kSpaceSaving;
-    stage.slots = take_slots(1024.0);
-    if (stage.slots < 1) {
-      throw std::invalid_argument("estimator: space_saving slots >= 1");
-    }
-  } else {
-    throw std::invalid_argument(
-        "estimator: unknown kind '" + kind +
-        "' (none | inversion | tcp_seq | sample_and_hold | space_saving)");
-  }
-  if (!args.empty()) {
-    throw std::invalid_argument("estimator: unknown parameter '" +
-                                args.begin()->first + "'");
-  }
-  return stage;
-}
-
-const std::vector<std::string>& experiment_keys() {
-  static const std::vector<std::string> keys = {
-      "counting", "description", "estimator", "exact-pairwise", "max-size",
-      "metric",   "model",       "n",         "pairwise",       "rate",
-      "tail-tol", "target",      "window"};
-  return keys;
-}
-
-void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
-                            const std::string& value) {
-  std::string sweep_param;
-  if (sweep_key(key, sweep_param)) {
-    set_axis(spec, sweep_param, value);
-  } else if (key == "model") {
-    if (value == "exact") {
-      spec.model = ExperimentModel::kExact;
-    } else if (value == "mc") {
-      spec.model = ExperimentModel::kMc;
-    } else if (value == "packet") {
-      spec.model = ExperimentModel::kPacket;
-    } else {
-      throw std::invalid_argument("experiment: model must be exact|mc|packet, got '" +
-                                  value + "'");
-    }
-    // The scenario layer's path knob follows the model (the packet model
-    // IS the scenario packet path; the shim keeps old specs working).
-    spec.path = spec.model == ExperimentModel::kPacket ? ExecutionPath::kPacket
-                                                       : ExecutionPath::kCount;
-  } else if (key == "metric") {
-    if (value == "ranking") {
-      spec.metric = ExactMetric::kRanking;
-    } else if (value == "detection") {
-      spec.metric = ExactMetric::kDetection;
-    } else if (value == "optimal_rate") {
-      spec.metric = ExactMetric::kOptimalRate;
-    } else if (value == "gaussian_error") {
-      spec.metric = ExactMetric::kGaussianError;
-    } else {
-      throw std::invalid_argument(
-          "experiment: metric must be ranking|detection|optimal_rate|"
-          "gaussian_error, got '" + value + "'");
-    }
-  } else if (key == "description") {
-    spec.description = value;
-  } else if (key == "n") {
-    spec.exact_n = std::llround(parse_double(key, value));
-    if (spec.exact_n < 1) throw std::invalid_argument("experiment: n >= 1");
-  } else if (key == "rate") {
-    spec.exact_rate = parse_double(key, value);
-    if (!(spec.exact_rate > 0.0 && spec.exact_rate <= 1.0)) {
-      throw std::invalid_argument("experiment: rate in (0,1]");
-    }
-  } else if (key == "target") {
-    spec.optimal_target = parse_double(key, value);
-    if (!(spec.optimal_target > 0.0 && spec.optimal_target < 1.0)) {
-      throw std::invalid_argument("experiment: target in (0,1)");
-    }
-  } else if (key == "pairwise") {
-    if (value == "gaussian") {
-      spec.pairwise = core::PairwiseModel::kGaussian;
-    } else if (value == "hybrid") {
-      spec.pairwise = core::PairwiseModel::kHybrid;
-    } else {
-      throw std::invalid_argument("experiment: pairwise must be gaussian|hybrid");
-    }
-  } else if (key == "counting") {
-    if (value == "paper") {
-      spec.counting = core::PairCounting::kPaper;
-    } else if (value == "unordered") {
-      spec.counting = core::PairCounting::kUnordered;
-    } else {
-      throw std::invalid_argument("experiment: counting must be paper|unordered");
-    }
-  } else if (key == "exact-pairwise") {
-    if (value == "gaussian") {
-      spec.pairwise = core::PairwiseModel::kGaussian;
-      spec.exact_discrete = false;
-    } else if (value == "hybrid") {
-      spec.pairwise = core::PairwiseModel::kHybrid;
-      spec.exact_discrete = false;
-    } else if (value == "exact-discrete") {
-      spec.exact_discrete = true;
-    } else {
-      throw std::invalid_argument(
-          "experiment: exact-pairwise must be gaussian|hybrid|exact-discrete");
-    }
-  } else if (key == "max-size") {
-    const double parsed = parse_double(key, value);
-    spec.exact_max_size = std::llround(parsed);
-    if (parsed != static_cast<double>(spec.exact_max_size) ||
-        spec.exact_max_size < 2 || spec.exact_max_size > 8192) {
-      // The table build is O(max-size^2) memory and O(max-size^3) work;
-      // the cap keeps a typo from asking for terabytes. The C++ API
-      // (core::DiscreteContextConfig) is uncapped.
-      throw std::invalid_argument(
-          "experiment: max-size must be an integer in [2, 8192]");
-    }
-  } else if (key == "tail-tol") {
-    spec.exact_tail_tol = parse_double(key, value);
-    if (!(spec.exact_tail_tol > 0.0 && spec.exact_tail_tol < 1.0)) {
-      throw std::invalid_argument("experiment: tail-tol in (0,1)");
-    }
-  } else if (key == "window") {
-    // Dual-keyed: monitor mode reads `window` as seconds
-    // (monitor.window_s), the exact-discrete model as a skipped-pmf-mass
-    // tolerance. Both fields are set here; check_axes and the model's
-    // own range check keep the two meanings from ever mixing in one run.
-    spec.exact_window = parse_double(key, value);
-    apply_scenario_entry(spec, key, value);
-  } else if (key == "estimator") {
-    spec.estimator = parse_estimator(value);
-    spec.estimator_grammar = value;
-  } else {
-    try {
-      apply_scenario_entry(spec, key, value);
-    } catch (const std::invalid_argument& err) {
-      // The scenario layer only knows its own keys; extend its
-      // unknown-key message with the experiment-level vocabulary so a
-      // typo'd spec lists every accepted key.
-      const std::string what = err.what();
-      if (what.find("unknown key") == std::string::npos) throw;
-      std::string keys;
-      for (const auto& known : experiment_keys()) {
-        keys += (keys.empty() ? "" : "|") + known;
-      }
-      throw std::invalid_argument(what + "; experiment keys add " + keys +
-                                  " and sweep <param>");
-    }
-  }
-}
-
-ExperimentSpec parse_experiment_file(const std::string& path) {
-  ExperimentSpec spec;
-  parse_spec_file(path, [&spec](const std::string& key, const std::string& value) {
-    apply_experiment_entry(spec, key, value);
-  });
-  return spec;
-}
-
-void apply_experiment_overrides(ExperimentSpec& spec, const util::Cli& cli) {
-  for (const std::string& key : experiment_keys()) {
-    if (cli.has(key)) apply_experiment_entry(spec, key, cli.get_string(key, ""));
-  }
-  apply_scenario_overrides(spec, cli);
-  for (const std::string& name : cli.option_names()) {
-    std::string param;
-    if (sweep_key(name, param)) {
-      set_axis(spec, param, cli.get_string(name, ""));
-    }
-  }
-}
-
-ExperimentSpec experiment_from_cli(const util::Cli& cli) {
-  ExperimentSpec spec;
-  const std::string file = cli.get_string("spec", "");
-  if (!file.empty()) spec = parse_experiment_file(file);
-  apply_experiment_overrides(spec, cli);
-  return spec;
-}
-
 std::vector<std::pair<std::string, std::string>> experiment_echo(
     const ExperimentSpec& spec) {
   std::vector<std::pair<std::string, std::string>> echo;
@@ -709,8 +386,9 @@ std::vector<std::pair<std::string, std::string>> experiment_echo(
       if (axis.param == "rate") effective_rates = &axis.values;
     }
     std::string rates;
-    for (std::size_t i = 0; i < effective_rates->size(); ++i) {
-      rates += (i ? "," : "") + format_value((*effective_rates)[i]);
+    for (const double rate : *effective_rates) {
+      if (!rates.empty()) rates += ',';
+      rates += format_value(rate);
     }
     add("rates", rates);
     // threads/shards are deliberately absent: they never change result

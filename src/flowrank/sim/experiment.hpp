@@ -1,10 +1,47 @@
-// The unified experiment layer: every paper figure, ablation sweep and
+// The experiment layer: every paper figure, ablation sweep, scenario and
 // estimator-augmented workload is one declarative ExperimentSpec executed
 // by one engine, with rows streamed to a report::ResultSink — experiments
 // are data, not binaries.
 //
-// An ExperimentSpec extends ScenarioSpec (all scenario keys keep working)
-// with a model axis and a sweep grammar:
+// The paper's evaluation is one pipeline — trace → sample → bin → rank —
+// run over many workloads. An ExperimentSpec describes one workload (trace
+// source, distribution family, arrival model, rate grid, bin length, tie
+// policy, model, sweeps, threads/shards) parsed from a key=value file or
+// CLI options, so a new workload is a new text file, not a new C++ driver.
+//
+// Spec format (every key doubles as a `--<key>` CLI override). '#' starts
+// a comment at line start or after whitespace; a '#' embedded in a token
+// (e.g. a file path) is part of the value:
+//
+//   name        = bursty ON/OFF arrivals
+//   description = one-liner shown by flowrank_experiments --list
+//   model       = mc                   # exact | mc | packet (see below)
+//   trace       = synthetic            # synthetic | churn | a .frt1 path to replay
+//   preset      = sprint_5tuple        # sprint_5tuple|sprint_prefix24|abilene|custom
+//   beta        = 1.5                  # preset Pareto tail index
+//   dist        = pareto:mean=9.6,beta=1.5   # custom preset; '|' mixes components
+//   duration    = 240                  # trace seconds
+//   flow-rate   = 80                   # flows/s (0 = preset default)
+//   flow-rate-scale = 1.0              # multiplier on the above
+//   trace-seed  = 7
+//   packet-size = 500
+//   epochs      = 1                    # >1 concatenates epochs back to back
+//   epoch-gap   = 0                    # idle seconds between epochs
+//   onoff       = on=2,off=8,on-factor=4,off-factor=0.1   # bursty arrivals
+//   churn       = population=1000,rate=50,packets=16,flow-duration=1,tcp=0.9
+//                                      # trace=churn knobs: bounded unique-flow
+//                                      # population, slot replacements/s
+//   bin         = 30                   # measurement interval seconds
+//   t           = 10                   # flows to rank/detect
+//   rates       = 0.01,0.1,0.5
+//   runs        = 15                   # mc-model Monte-Carlo runs
+//   seed        = 7                    # sampling seed
+//   ties        = paper                # paper|lenient
+//   definition  = 5tuple               # 5tuple|prefix24
+//   threads     = 0                    # grid workers (0 = all hw)
+//   shards      = 0                    # packet-model ingest shards (0 = all hw)
+//
+// The model axis selects the engine:
 //
 //   model = exact | mc | packet
 //     exact  — the analytic models (quadrature ranking/detection,
@@ -46,19 +83,67 @@
 //   estimator = inversion | tcp_seq
 //             | sample_and_hold:slots=K[,hold=H] | space_saving:slots=K
 //
-// Monitor mode (`mode = monitor` plus the scenario monitor/fault.* keys)
-// turns a model=packet experiment into one continuous MonitorLoop run
-// whose rows are periodic top-t snapshots with fault/shed accounting
-// (see flowrank/monitor/monitor_loop.hpp). No sweeps, one sampling rate.
+// Continuous-monitor keys (mode=monitor turns a model=packet spec into one
+// flowrank::monitor::MonitorLoop run whose rows are periodic top-t
+// snapshots with fault/shed accounting; no sweeps, one sampling rate):
+//
+//   mode        = monitor              # batch|monitor|aggregate
+//   window      = 30                   # monitor window seconds (0 = use bin)
+//   snapshot-every = 2                 # windows per emitted snapshot
+//   overload    = shed                 # block|shed full-queue policy
+//   ewma        = 0.3                  # smoothing weight on newest window, (0,1]
+//   budget      = 100000               # sampled packets/window before shed degrades
+//   watchdog-ms = 50                   # source-stall deadline ms (0 = off)
+//   on-stall    = rotate               # rotate|fail
+//   fault.corrupt     = 0.01           # corrupt-record fraction injected
+//   fault.truncate    = 0.01           # truncated-record fraction injected
+//   fault.stall-every = 32             # stall before every k-th batch
+//   fault.stall-ms    = 40             # injected stall length
+//   fault.burst-flows = 2000           # flash-crowd flows per burst
+//   fault.burst-every = 5              # burst cadence, trace seconds
+//   fault.burst-duration = 0.25        # burst width, seconds
+//   fault.seed        = 99             # injection seed
+//
+// Multi-vantage aggregation keys (mode=aggregate turns a model=packet spec
+// into one agg::run_fleet run, one row per aggregation window; no sweeps,
+// one sampling rate; bin = the aggregation window):
+//
+//   mode        = aggregate
+//   agents      = 3                    # vantage agents
+//   split       = flow                 # flow (disjoint) | packet (overlapping)
+//   deadline-ms = 250                  # per-window summary deadline
+//   quarantine-after = 3               # consecutive bad windows -> quarantine
+//   readmit-after    = 1               # clean probes -> readmission
+//   summary     = table                # table|spacesaving per-agent summary
+//   summary-slots    = 1024            # sketch capacity (summary=spacesaving)
+//   union-capacity   = 0               # merged-union slot budget (0 = exact)
+//   chan.drop        = 0.1             # summary-channel fault fractions
+//   chan.corrupt     = 0.05
+//   chan.delay       = 0.05
+//   chan.delay-windows = 1
+//   chan.duplicate   = 0.05
+//   chan.outage-agent = 2              # deterministic full outage for one agent
+//   chan.outage-from  = 4              # ...starting at this window
+//   chan.outage-windows = 0            # ...for this many windows (0 = to end)
+//   chan.seed        = 99
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "flowrank/agg/fleet_run.hpp"
 #include "flowrank/core/ranking_model.hpp"
+#include "flowrank/dist/flow_size_distribution.hpp"
+#include "flowrank/monitor/monitor_loop.hpp"
 #include "flowrank/report/result_sink.hpp"
-#include "flowrank/sim/scenario.hpp"
+#include "flowrank/sim/binned_sim.hpp"
+#include "flowrank/trace/fault_injection.hpp"
+#include "flowrank/trace/flow_churn.hpp"
+#include "flowrank/trace/trace_source.hpp"
+#include "flowrank/util/cli.hpp"
 
 namespace flowrank::sim {
 
@@ -75,12 +160,78 @@ struct SweepAxis {
   std::string grammar;  ///< original grammar text, echoed into metadata
 };
 
-/// One experiment, as data. Scenario keys (trace source, bin, rates,
-/// seeds, threads/shards, ...) are inherited; defaults run a laptop-scale
+/// Continuous-monitor knobs (the `mode = monitor` key family). Executed
+/// by flowrank::monitor::MonitorLoop through the experiment engine.
+struct MonitorOptions {
+  bool enabled = false;     ///< mode = monitor
+  double window_s = 0.0;    ///< window seconds; 0 = use the spec's bin
+  std::size_t snapshot_every = 1;
+  bool shed = false;        ///< overload = shed (vs the default block)
+  double ewma_alpha = 1.0;  ///< EWMA weight on the newest window, (0, 1]
+  std::uint64_t window_packet_budget = 0;  ///< sampled packets per window
+  std::uint32_t watchdog_ms = 0;  ///< source-stall deadline (0 = off)
+  bool fail_on_stall = false;     ///< on-stall = fail (vs rotate)
+  trace::FaultSpec fault;         ///< fault.* injection knobs
+};
+
+/// Multi-vantage aggregation knobs (the `mode = aggregate` key family).
+/// Executed by agg::run_fleet through the experiment engine; the spec's
+/// bin is the aggregation window.
+struct AggregateOptions {
+  bool enabled = false;  ///< mode = aggregate
+  std::size_t agents = 3;
+  agg::FleetSplit split = agg::FleetSplit::kFlow;
+  std::uint32_t deadline_ms = 250;
+  std::size_t quarantine_after = 3;
+  std::size_t readmit_after = 1;
+  agg::SummaryKind summary = agg::SummaryKind::kFlowTable;
+  std::size_t summary_slots = 1024;
+  std::size_t union_capacity = 0;
+  agg::SummaryFaultSpec chan;  ///< chan.* summary-channel fault knobs
+};
+
+/// One experiment, as data. Defaults run a laptop-scale Sprint 5-tuple
 /// mc experiment.
-struct ExperimentSpec : ScenarioSpec {
-  ExperimentModel model = ExperimentModel::kMc;
+struct ExperimentSpec {
+  std::string name = "scenario";
   std::string description;  ///< one-liner shown by flowrank_experiments --list
+  ExperimentModel model = ExperimentModel::kMc;
+
+  // --- trace source -------------------------------------------------------
+  /// "synthetic", "churn" (bounded unique-flow population with slot
+  /// turnover; see the `churn` key), or a path to an FRT1 flow-trace file
+  /// to replay.
+  std::string trace = "synthetic";
+  /// Synthetic preset: sprint_5tuple | sprint_prefix24 | abilene | custom.
+  std::string preset = "sprint_5tuple";
+  double beta = 1.5;       ///< preset Pareto tail index
+  std::string dist;        ///< dist grammar; required for preset=custom
+  double duration_s = 240.0;
+  double flow_rate_per_s = 0.0;  ///< 0 = preset default
+  double flow_rate_scale = 1.0;
+  std::uint64_t trace_seed = 7;
+  std::uint32_t packet_size_bytes = 500;
+  std::size_t epochs = 1;  ///< >1: concatenated epochs (seeds trace_seed + k)
+  double epoch_gap_s = 0.0;
+  trace::OnOffArrivals on_off;  ///< "onoff" key enables + fills this
+  /// trace=churn knobs (the "churn" key); duration/flow-rate/packet-size/
+  /// trace-seed come from the shared keys above.
+  trace::FlowChurnConfig churn;
+
+  // --- measurement + metrics ---------------------------------------------
+  double bin_seconds = 60.0;
+  std::size_t top_t = 10;
+  std::vector<double> sampling_rates{0.001, 0.01, 0.1, 0.5};
+  int runs = 15;
+  std::uint64_t seed = 7;
+  metrics::TiePolicy tie_policy = metrics::TiePolicy::kPaper;
+  packet::FlowDefinition definition = packet::FlowDefinition::kFiveTuple;
+
+  // --- execution ----------------------------------------------------------
+  std::size_t num_threads = 0;  ///< grid workers, 0 = all hw
+  std::size_t num_shards = 0;   ///< packet-model shards, 0 = all hw
+  MonitorOptions monitor;       ///< continuous-monitor keys (mode=monitor)
+  AggregateOptions aggregate;   ///< multi-vantage keys (mode=aggregate)
 
   // --- exact-model knobs ---------------------------------------------------
   ExactMetric metric = ExactMetric::kRanking;
@@ -108,6 +259,18 @@ struct ExperimentSpec : ScenarioSpec {
   std::vector<SweepAxis> sweeps;  ///< row-major, declaration order
 };
 
+// --- grammar -----------------------------------------------------------------
+
+/// Parses a dist grammar string into a distribution:
+///   pareto:mean=9.6,beta=1.5          (or min= instead of mean=)
+///   bounded_pareto:min=4,beta=3,max=2000
+///   exponential:mean=9.6[,min=1]
+///   weibull:mean=9.6,shape=0.6[,min=1]
+/// Components joined with '|' (each may carry weight=W, default 1) form a
+/// dist::Mixture. Throws std::invalid_argument on grammar errors.
+[[nodiscard]] std::shared_ptr<const dist::FlowSizeDistribution> parse_dist(
+    const std::string& grammar);
+
 /// Parses one sweep grammar ("1e-4..1e-2 log 12", "0..1 lin 5",
 /// "10,30,100"). Log/lin grids pin the last value to `hi` exactly (the
 /// same convention as the historical figure rate grids). Throws
@@ -118,25 +281,56 @@ struct ExperimentSpec : ScenarioSpec {
 /// stage. Throws std::invalid_argument on grammar errors.
 [[nodiscard]] EstimatorStage parse_estimator(const std::string& grammar);
 
-/// Experiment-only keys (scenario keys come on top), sorted.
+/// Every spec key (the `--key` override names), sorted. Sweep axes come
+/// on top as `sweep <param>` / `--sweep-<param>`.
 [[nodiscard]] const std::vector<std::string>& experiment_keys();
 
-/// Applies one key=value entry: experiment keys, `sweep <param>` axes,
-/// scenario keys. Throws std::invalid_argument on unknown keys.
+/// Applies one key=value entry onto the spec — the single source of truth
+/// for the key set; files and CLI overrides both route through here.
+/// Throws std::invalid_argument on an unknown key or a bad value; the
+/// unknown-key message lists the keys valid for the spec's active mode.
 void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
                             const std::string& value);
 
-/// Parses a key=value experiment file (same format as scenario files;
-/// `sweep <param> = <grammar>` declares an axis, later declarations of
-/// the same param replace earlier ones).
+/// Parses a key=value spec file (`sweep <param> = <grammar>` declares an
+/// axis; later declarations of the same param replace earlier ones).
+/// Entry errors are rethrown as flowrank::Error(kSpec) tagged "path:line"
+/// and naming the offending key; a missing file is Error(kIo).
 [[nodiscard]] ExperimentSpec parse_experiment_file(const std::string& path);
 
-/// Applies CLI overrides: every experiment/scenario key as `--key`, every
-/// sweep axis as `--sweep-<param>`.
+/// Applies CLI overrides: every spec key as `--key`, every sweep axis as
+/// `--sweep-<param>`.
 void apply_experiment_overrides(ExperimentSpec& spec, const util::Cli& cli);
 
 /// Spec from CLI alone: `--spec file` (if given) then overrides.
 [[nodiscard]] ExperimentSpec experiment_from_cli(const util::Cli& cli);
+
+// --- builders ------------------------------------------------------------------
+
+/// The flow-size distribution the spec describes (preset or custom).
+[[nodiscard]] std::shared_ptr<const dist::FlowSizeDistribution>
+make_size_distribution(const ExperimentSpec& spec);
+
+/// The trace source the spec describes (synthetic / churn / file replay /
+/// concatenated epochs; fault-wrapped in monitor mode).
+[[nodiscard]] std::shared_ptr<const trace::TraceSource> make_trace_source(
+    const ExperimentSpec& spec);
+
+/// The SimConfig the spec describes (threads resolved, 0 = all hw).
+[[nodiscard]] SimConfig make_sim_config(const ExperimentSpec& spec);
+
+/// The MonitorConfig the spec describes. Requires mode=monitor and
+/// exactly one sampling rate (the monitor has one live stream, not a
+/// rate grid); throws std::invalid_argument otherwise.
+[[nodiscard]] monitor::MonitorConfig make_monitor_config(const ExperimentSpec& spec);
+
+/// The FleetConfig the spec describes. Requires mode=aggregate and
+/// exactly one sampling rate (each agent samples one live stream);
+/// throws std::invalid_argument otherwise. The spec's bin is the
+/// aggregation window.
+[[nodiscard]] agg::FleetConfig make_fleet_config(const ExperimentSpec& spec);
+
+// --- engine --------------------------------------------------------------------
 
 /// The full canonical key = value echo of a spec (what the sink's
 /// run-metadata header records): every knob, in a fixed order, sweeps

@@ -1,8 +1,8 @@
 // Tests for the unified experiment layer: sweep/estimator grammars, spec
 // files + CLI overrides, engine parity with the underlying models on all
 // three model axes, estimator stages under sampling (bit-identical to
-// direct estimator calls at shards {1, 4}), and the scenario_runner
-// shim's --export-trace path.
+// direct estimator calls at shards {1, 4}), and the trace export that
+// flowrank_experiments --export-trace performs.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -555,30 +555,29 @@ TEST(EstimatorStage, TcpSeqSmoke) {
   }
 }
 
-// --- scenario_runner shim regression ---------------------------------------
+// --- trace export (flowrank_experiments --export-trace) ---------------------
 
-TEST(ScenarioShim, ExportTraceRoundTrips) {
-  fsim::ScenarioSpec spec;
-  fsim::apply_scenario_entry(spec, "preset", "sprint_5tuple");
-  fsim::apply_scenario_entry(spec, "duration", "20");
-  fsim::apply_scenario_entry(spec, "flow-rate", "50");
-  fsim::apply_scenario_entry(spec, "trace-seed", "5");
+TEST(TraceExport, ExportTraceRoundTrips) {
+  fsim::ExperimentSpec spec;
+  fsim::apply_experiment_entry(spec, "preset", "sprint_5tuple");
+  fsim::apply_experiment_entry(spec, "duration", "20");
+  fsim::apply_experiment_entry(spec, "flow-rate", "50");
+  fsim::apply_experiment_entry(spec, "trace-seed", "5");
   const std::string path = ::testing::TempDir() + "export_regression.frt1";
-  const std::size_t written = fsim::export_scenario_trace(spec, path);
-  EXPECT_GT(written, 0u);
+  const auto synthetic = fsim::make_trace_source(spec)->flows();
+  ft::save_flow_records(path, synthetic.flows);
+  EXPECT_GT(synthetic.flows.size(), 0u);
 
   // The exported file replays through the file trace source with the
   // same flow population the synthetic source generated.
-  const auto synthetic = fsim::make_trace_source(spec)->flows();
-  EXPECT_EQ(written, synthetic.flows.size());
   const auto loaded = ft::load_flow_records(path);
   ASSERT_EQ(loaded.size(), synthetic.flows.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
     EXPECT_EQ(loaded[i].packets, synthetic.flows[i].packets);
   }
 
-  fsim::ScenarioSpec replay;
-  fsim::apply_scenario_entry(replay, "trace", path);
+  fsim::ExperimentSpec replay;
+  fsim::apply_experiment_entry(replay, "trace", path);
   const auto replayed = fsim::make_trace_source(replay)->flows();
   EXPECT_EQ(replayed.flows.size(), synthetic.flows.size());
   EXPECT_EQ(replayed.total_packets(), synthetic.total_packets());

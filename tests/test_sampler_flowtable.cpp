@@ -1,4 +1,4 @@
-// Tests for packet samplers, smart sampling, flow table and binning.
+// Tests for packet samplers, flow table and binning.
 #include <cmath>
 #include <map>
 
@@ -7,7 +7,6 @@
 #include "flowrank/flowtable/binned_classifier.hpp"
 #include "flowrank/flowtable/flow_table.hpp"
 #include "flowrank/sampler/packet_sampler.hpp"
-#include "flowrank/sampler/smart_sampler.hpp"
 #include "flowrank/numeric/stats.hpp"
 #include "flowrank/trace/flow_trace_generator.hpp"
 #include "flowrank/trace/packet_stream.hpp"
@@ -139,39 +138,6 @@ TEST(Samplers, InvalidArguments) {
                std::invalid_argument);
   auto engine = flowrank::util::make_engine(1);
   EXPECT_THROW((void)fs::thin_count(10, -0.5, engine), std::invalid_argument);
-}
-
-TEST(SmartSampler, KeepsAllLargeFlows) {
-  fs::SmartSampler smart(/*z=*/100.0, /*seed=*/6);
-  std::vector<fp::FlowRecord> flows(50);
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    flows[i].packets = 100 + i;  // all at or above threshold
-  }
-  const auto sampled = smart.sample(flows);
-  EXPECT_EQ(sampled.size(), flows.size());
-  for (const auto& s : sampled) {
-    EXPECT_DOUBLE_EQ(s.estimated_packets, static_cast<double>(s.flow.packets));
-  }
-}
-
-TEST(SmartSampler, SmallFlowEstimatesAreUnbiased) {
-  // E[estimate] = P(select) * z = (x/z) * z = x for x < z.
-  fs::SmartSampler smart(/*z=*/200.0, /*seed=*/7);
-  std::vector<fp::FlowRecord> flows(40000);
-  for (auto& f : flows) f.packets = 50;
-  const auto sampled = smart.sample(flows);
-  const double total_estimate =
-      static_cast<double>(sampled.size()) * 200.0;  // each estimate is z
-  const double true_total = 40000.0 * 50.0;
-  EXPECT_NEAR(total_estimate / true_total, 1.0, 0.05);
-}
-
-TEST(SmartSampler, SelectionProbabilityShape) {
-  fs::SmartSampler smart(100.0, 8);
-  EXPECT_DOUBLE_EQ(smart.selection_probability(50.0), 0.5);
-  EXPECT_DOUBLE_EQ(smart.selection_probability(100.0), 1.0);
-  EXPECT_DOUBLE_EQ(smart.selection_probability(500.0), 1.0);
-  EXPECT_THROW(fs::SmartSampler(0.0, 1), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 // Tests for the workload layer: pluggable trace sources (synthetic, FRT1
 // file replay, multi-epoch concatenation), the ON/OFF bursty arrival
-// model, the mixture flow-size distribution, and declarative
-// sim::ScenarioSpec parsing (file + CLI overrides) driving the pipeline
-// end to end with no per-scenario C++.
+// model, the mixture flow-size distribution, and the declarative spec
+// grammar (file + CLI overrides) with its trace/monitor/fleet builders;
+// every checked-in spec under scenarios/ must parse.
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,7 +17,8 @@
 
 #include "flowrank/dist/mixture.hpp"
 #include "flowrank/dist/pareto.hpp"
-#include "flowrank/sim/scenario.hpp"
+#include "flowrank/report/result_sink.hpp"
+#include "flowrank/sim/experiment.hpp"
 #include "flowrank/trace/packet_stream.hpp"
 #include "flowrank/trace/trace_io.hpp"
 #include "flowrank/trace/trace_source.hpp"
@@ -224,10 +228,10 @@ TEST(TraceSource, ConcatRejectsDegenerateInput) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario specs
+// Spec grammar
 // ---------------------------------------------------------------------------
 
-TEST(ScenarioSpec, ParseDistGrammar) {
+TEST(SpecGrammar, ParseDistGrammar) {
   const auto pareto = fsim::parse_dist("pareto:mean=9.6,beta=1.5");
   EXPECT_NEAR(pareto->mean(), 9.6, 1e-9);
   const auto mix = fsim::parse_dist(
@@ -237,60 +241,78 @@ TEST(ScenarioSpec, ParseDistGrammar) {
   EXPECT_THROW((void)fsim::parse_dist("pareto:mean=5,typo=1"), std::invalid_argument);
 }
 
-TEST(ScenarioSpec, FileParsingAndCliOverrides) {
-  const std::string path = write_temp("scenario_parse.scn",
+TEST(SpecGrammar, FileParsingAndCliOverrides) {
+  const std::string path = write_temp("spec_parse.spec",
                                       "# comment\n"
                                       "name   = parse test\n"
                                       "preset = abilene\n"
                                       "bin    = 15    # trailing comment\n"
                                       "rates  = 0.01,0.1\n"
                                       "ties   = lenient\n"
-                                      "path   = packet\n"
+                                      "model  = packet\n"
                                       "onoff  = on=1,off=4\n"
                                       "definition = prefix24\n");
-  auto spec = fsim::parse_scenario_file(path);
+  auto spec = fsim::parse_experiment_file(path);
   EXPECT_EQ(spec.name, "parse test");
   EXPECT_EQ(spec.preset, "abilene");
   EXPECT_DOUBLE_EQ(spec.bin_seconds, 15.0);
   ASSERT_EQ(spec.sampling_rates.size(), 2u);
   EXPECT_DOUBLE_EQ(spec.sampling_rates[1], 0.1);
   EXPECT_EQ(spec.tie_policy, flowrank::metrics::TiePolicy::kLenient);
-  EXPECT_EQ(spec.path, fsim::ExecutionPath::kPacket);
+  EXPECT_EQ(spec.model, fsim::ExperimentModel::kPacket);
   EXPECT_TRUE(spec.on_off.enabled);
   EXPECT_DOUBLE_EQ(spec.on_off.mean_off_s, 4.0);
   EXPECT_EQ(spec.definition, flowrank::packet::FlowDefinition::kDstPrefix24);
 
-  const char* argv[] = {"test", "--bin", "30", "--path", "count"};
+  const char* argv[] = {"test", "--bin", "30", "--model", "mc"};
   const flowrank::util::Cli cli(5, argv);
-  fsim::apply_scenario_overrides(spec, cli);
+  fsim::apply_experiment_overrides(spec, cli);
   EXPECT_DOUBLE_EQ(spec.bin_seconds, 30.0);
-  EXPECT_EQ(spec.path, fsim::ExecutionPath::kCount);
+  EXPECT_EQ(spec.model, fsim::ExperimentModel::kMc);
   std::remove(path.c_str());
 }
 
-TEST(ScenarioSpec, UnknownKeysAndValuesFailLoudly) {
-  const std::string path =
-      write_temp("scenario_bad_key.scn", "not_a_key = 1\n");
-  EXPECT_THROW((void)fsim::parse_scenario_file(path), std::runtime_error);
+TEST(SpecGrammar, UnknownKeysAndValuesFailLoudly) {
+  const std::string path = write_temp("spec_bad_key.spec", "not_a_key = 1\n");
+  EXPECT_THROW((void)fsim::parse_experiment_file(path), std::runtime_error);
   std::remove(path.c_str());
   ft::FlowTraceConfig cfg;  // silence unused-include warnings
   (void)cfg;
-  fsim::ScenarioSpec spec;
+  fsim::ExperimentSpec spec;
   const char* argv[] = {"test", "--ties", "strict"};
   const flowrank::util::Cli cli(3, argv);
-  EXPECT_THROW(fsim::apply_scenario_overrides(spec, cli), std::invalid_argument);
+  EXPECT_THROW(fsim::apply_experiment_overrides(spec, cli), std::invalid_argument);
   // A retired key is unknown like any other: a spec that still sets it
   // must fail loudly, not run on the default sampler.
-  EXPECT_THROW(fsim::apply_scenario_entry(spec, "sampler-split", "on"),
+  EXPECT_THROW(fsim::apply_experiment_entry(spec, "sampler-split", "on"),
                std::invalid_argument);
 }
 
-TEST(ScenarioSpec, ParseErrorsReportFileLineAndKey) {
+// `model = mc|packet` selects the engine; a `path` key must fail loudly,
+// not be accepted and then ignored.
+TEST(SpecGrammar, RetiredPathKeyIsUnknown) {
+  fsim::ExperimentSpec spec;
+  try {
+    fsim::apply_experiment_entry(spec, "path", "packet");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'path'"), std::string::npos)
+        << e.what();
+  }
+  const auto& keys = fsim::experiment_keys();
+  EXPECT_EQ(std::find(keys.begin(), keys.end(), "path"), keys.end());
+
+  const std::string file = write_temp("spec_path.spec", "path = packet\n");
+  EXPECT_THROW((void)fsim::parse_experiment_file(file), flowrank::Error);
+  std::remove(file.c_str());
+}
+
+TEST(SpecGrammar, ParseErrorsReportFileLineAndKey) {
   // A bad value on line 3 must name the file, the line and the key.
   const std::string path = write_temp(
-      "scenario_bad_line.scn", "name = x\nbin = 10\nrates = nope\n");
+      "spec_bad_line.spec", "name = x\nbin = 10\nrates = nope\n");
   try {
-    (void)fsim::parse_scenario_file(path);
+    (void)fsim::parse_experiment_file(path);
     FAIL() << "expected flowrank::Error(kSpec)";
   } catch (const flowrank::Error& e) {
     EXPECT_EQ(e.category(), flowrank::ErrorCategory::kSpec);
@@ -302,9 +324,9 @@ TEST(ScenarioSpec, ParseErrorsReportFileLineAndKey) {
 
   // A line with no '=' is a grammar error at that line.
   const std::string path2 =
-      write_temp("scenario_no_eq.scn", "name = x\njust words\n");
+      write_temp("spec_no_eq.spec", "name = x\njust words\n");
   try {
-    (void)fsim::parse_scenario_file(path2);
+    (void)fsim::parse_experiment_file(path2);
     FAIL() << "expected flowrank::Error(kSpec)";
   } catch (const flowrank::Error& e) {
     EXPECT_EQ(e.category(), flowrank::ErrorCategory::kSpec);
@@ -314,15 +336,15 @@ TEST(ScenarioSpec, ParseErrorsReportFileLineAndKey) {
 
   // A missing file is an io error, not a spec error.
   try {
-    (void)fsim::parse_scenario_file("/nonexistent/definitely_missing.scn");
+    (void)fsim::parse_experiment_file("/nonexistent/definitely_missing.spec");
     FAIL() << "expected flowrank::Error(kIo)";
   } catch (const flowrank::Error& e) {
     EXPECT_EQ(e.category(), flowrank::ErrorCategory::kIo);
   }
 }
 
-TEST(ScenarioSpec, MonitorKeysParseIntoMonitorOptions) {
-  const std::string path = write_temp("scenario_monitor.scn",
+TEST(SpecGrammar, MonitorKeysParseIntoMonitorOptions) {
+  const std::string path = write_temp("spec_monitor.spec",
                                       "mode = monitor\n"
                                       "window = 30\n"
                                       "snapshot-every = 2\n"
@@ -339,7 +361,7 @@ TEST(ScenarioSpec, MonitorKeysParseIntoMonitorOptions) {
                                       "fault.burst-every = 45\n"
                                       "fault.burst-duration = 0.5\n"
                                       "fault.seed = 7\n");
-  const fsim::ScenarioSpec spec = fsim::parse_scenario_file(path);
+  const fsim::ExperimentSpec spec = fsim::parse_experiment_file(path);
   std::remove(path.c_str());
 
   EXPECT_TRUE(spec.monitor.enabled);
@@ -360,99 +382,68 @@ TEST(ScenarioSpec, MonitorKeysParseIntoMonitorOptions) {
   EXPECT_EQ(spec.monitor.fault.seed, 7u);
   EXPECT_TRUE(spec.monitor.fault.any());
 
-  // Monitor keys reject bad values like every other scenario key.
-  fsim::ScenarioSpec s;
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "mode", "streaming"),
+  // Monitor keys reject bad values like every other spec key.
+  fsim::ExperimentSpec s;
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "mode", "streaming"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "overload", "panic"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "overload", "panic"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "ewma", "0"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "ewma", "0"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "on-stall", "retry"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "on-stall", "retry"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "fault.unknown", "1"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "fault.unknown", "1"),
                std::invalid_argument);
 
-  // Monitor runs go through the experiment engine / MonitorLoop, not the
-  // batch run_scenario driver.
-  fsim::ScenarioSpec mon;
-  fsim::apply_scenario_entry(mon, "mode", "monitor");
+  // A monitor run is a packet-model run: the engine refuses mode=monitor
+  // on the default mc model before writing any output.
+  fsim::ExperimentSpec mon;
+  fsim::apply_experiment_entry(mon, "mode", "monitor");
   mon.sampling_rates = {0.1};
-  EXPECT_THROW((void)fsim::run_scenario(mon), std::invalid_argument);
+  std::ostringstream out;
+  flowrank::report::CsvResultSink sink(out);
+  EXPECT_THROW((void)fsim::run_experiment(mon, sink), std::invalid_argument);
+  EXPECT_TRUE(out.str().empty());
 }
 
-TEST(ScenarioSpec, ThreadCapValidatedAtParseTime) {
-  fsim::ScenarioSpec spec;
+TEST(SpecGrammar, ThreadCapValidatedAtParseTime) {
+  fsim::ExperimentSpec spec;
   const char* argv[] = {"test", "--threads", "100000"};
   const flowrank::util::Cli cli(3, argv);
-  EXPECT_THROW(fsim::apply_scenario_overrides(spec, cli), std::invalid_argument);
+  EXPECT_THROW(fsim::apply_experiment_overrides(spec, cli), std::invalid_argument);
 }
 
-TEST(ScenarioSpec, CountPathRunsEndToEnd) {
-  fsim::ScenarioSpec spec;
-  spec.duration_s = 10.0;
-  spec.flow_rate_per_s = 40.0;
-  spec.bin_seconds = 5.0;
-  spec.top_t = 3;
-  spec.sampling_rates = {0.2, 0.5};
-  spec.runs = 3;
-  spec.num_threads = 2;
-  const auto result = fsim::run_scenario(spec);
-  ASSERT_EQ(result.count.series.size(), 2u);
-  EXPECT_EQ(result.count.series[0].bins.size(), 2u);
-  EXPECT_GT(result.flow_count, 0u);
-  EXPECT_GT(result.packet_count, result.flow_count);
-}
-
-TEST(ScenarioSpec, PacketPathMatchesDirectCall) {
-  fsim::ScenarioSpec spec;
-  spec.duration_s = 10.0;
-  spec.flow_rate_per_s = 60.0;
-  spec.trace_seed = 5;
-  spec.bin_seconds = 2.5;
-  spec.top_t = 3;
-  spec.sampling_rates = {0.3};
-  spec.path = fsim::ExecutionPath::kPacket;
-  spec.num_shards = 2;
-  const auto result = fsim::run_scenario(spec);
-  ASSERT_EQ(result.packet.size(), 1u);
-
-  const auto trace = fsim::make_trace_source(spec)->flows();
-  const auto direct = flowrank::sim::run_packet_level_once(
-      trace, 0.3, fsim::make_sim_config(spec), spec.seed, 1);
-  ASSERT_EQ(result.packet[0].size(), direct.size());
-  for (std::size_t b = 0; b < direct.size(); ++b) {
-    EXPECT_EQ(result.packet[0][b].ranking_swapped, direct[b].ranking_swapped);
-    EXPECT_EQ(result.packet[0][b].top_set_recall, direct[b].top_set_recall);
-  }
-}
-
-TEST(ScenarioSpec, FileReplayScenarioRunsEndToEnd) {
+TEST(SpecGrammar, FileReplaySpecRunsEndToEnd) {
   const auto trace = ft::generate_flow_trace(tiny_sprint(11));
-  const std::string frt1 = ::testing::TempDir() + "scenario_replay.frt1";
+  const std::string frt1 = ::testing::TempDir() + "spec_replay.frt1";
   ft::save_flow_records(frt1, trace.flows);
-  const std::string scn = write_temp("scenario_replay.scn",
-                                     "name = replay\n"
-                                     "trace = " + frt1 + "\n"
-                                     "path = packet\n"
-                                     "bin = 2.5\n"
-                                     "t = 3\n"
-                                     "rates = 0.5\n"
-                                     "shards = 2\n");
-  const auto spec = fsim::parse_scenario_file(scn);
-  const auto result = fsim::run_scenario(spec);
-  ASSERT_EQ(result.packet.size(), 1u);
-  EXPECT_EQ(result.flow_count, trace.flows.size());
+  const std::string file = write_temp("spec_replay.spec",
+                                      "name = replay\n"
+                                      "trace = " + frt1 + "\n"
+                                      "model = packet\n"
+                                      "bin = 2.5\n"
+                                      "t = 3\n"
+                                      "rates = 0.5\n"
+                                      "shards = 2\n");
+  const auto spec = fsim::parse_experiment_file(file);
+  std::ostringstream out;
+  flowrank::report::CsvResultSink sink(out);
+  const std::size_t rows = fsim::run_experiment(spec, sink);
+  // One row per (rate, bin): the 10 s recording in 2.5 s bins at one rate.
+  EXPECT_EQ(rows, 4u);
+  // The replayed population is the recorded one.
+  EXPECT_EQ(fsim::make_trace_source(spec)->flows().flows.size(), trace.flows.size());
+  EXPECT_NE(out.str().find("replay"), std::string::npos);
   std::remove(frt1.c_str());
-  std::remove(scn.c_str());
+  std::remove(file.c_str());
 }
 
 // ---------------------------------------------------------------------------
 // mode = aggregate (multi-vantage keys)
 // ---------------------------------------------------------------------------
 
-TEST(ScenarioSpec, AggregateKeysParseIntoAggregateOptions) {
-  const std::string path = write_temp("scenario_aggregate.scn",
+TEST(SpecGrammar, AggregateKeysParseIntoAggregateOptions) {
+  const std::string path = write_temp("spec_aggregate.spec",
                                       "mode = aggregate\n"
                                       "agents = 4\n"
                                       "split = packet\n"
@@ -471,7 +462,7 @@ TEST(ScenarioSpec, AggregateKeysParseIntoAggregateOptions) {
                                       "chan.outage-from = 5\n"
                                       "chan.outage-windows = 3\n"
                                       "chan.seed = 99\n");
-  const fsim::ScenarioSpec spec = fsim::parse_scenario_file(path);
+  const fsim::ExperimentSpec spec = fsim::parse_experiment_file(path);
   std::remove(path.c_str());
 
   EXPECT_TRUE(spec.aggregate.enabled);
@@ -495,50 +486,47 @@ TEST(ScenarioSpec, AggregateKeysParseIntoAggregateOptions) {
   EXPECT_EQ(spec.aggregate.chan.seed, 99u);
   EXPECT_TRUE(spec.aggregate.chan.any());
 
-  // Aggregate keys validate like every other scenario key.
-  fsim::ScenarioSpec s;
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "agents", "0"),
+  // Aggregate keys validate like every other spec key.
+  fsim::ExperimentSpec s;
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "agents", "0"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "split", "striped"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "split", "striped"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "summary", "countmin"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "summary", "countmin"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "quarantine-after", "0"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "quarantine-after", "0"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "readmit-after", "0"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "readmit-after", "0"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "summary-slots", "0"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "summary-slots", "0"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "chan.drop", "1.5"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "chan.drop", "1.5"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "chan.delay-windows", "0"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "chan.delay-windows", "0"),
                std::invalid_argument);
-  EXPECT_THROW(fsim::apply_scenario_entry(s, "chan.unknown", "1"),
+  EXPECT_THROW(fsim::apply_experiment_entry(s, "chan.unknown", "1"),
                std::invalid_argument);
 
   // Modes are mutually exclusive flags: the last mode key wins and
   // clears the others (a CLI override can re-mode a spec file).
-  fsim::ScenarioSpec agg_spec;
-  fsim::apply_scenario_entry(agg_spec, "mode", "aggregate");
-  fsim::apply_scenario_entry(agg_spec, "mode", "monitor");
+  fsim::ExperimentSpec agg_spec;
+  fsim::apply_experiment_entry(agg_spec, "mode", "aggregate");
+  fsim::apply_experiment_entry(agg_spec, "mode", "monitor");
   EXPECT_TRUE(agg_spec.monitor.enabled);
   EXPECT_FALSE(agg_spec.aggregate.enabled);
-  // Aggregate runs go through the experiment engine / agg::run_fleet,
-  // not the batch driver.
-  fsim::apply_scenario_entry(agg_spec, "mode", "aggregate");
+  fsim::apply_experiment_entry(agg_spec, "mode", "aggregate");
   EXPECT_FALSE(agg_spec.monitor.enabled);
-  agg_spec.sampling_rates = {0.1};
-  EXPECT_THROW((void)fsim::run_scenario(agg_spec), std::invalid_argument);
+  EXPECT_TRUE(agg_spec.aggregate.enabled);
 }
 
-// Satellite: an unknown key names the valid keys for the ACTIVE mode,
-// so a typo in an aggregate spec is not answered with monitor keys.
-TEST(ScenarioSpec, UnknownKeyHintNamesActiveModeKeys) {
+// An unknown key names the valid keys for the ACTIVE mode, so a typo in
+// an aggregate spec is not answered with monitor keys.
+TEST(SpecGrammar, UnknownKeyHintNamesActiveModeKeys) {
   const auto message_for = [](const char* mode) {
-    fsim::ScenarioSpec spec;
-    if (mode != nullptr) fsim::apply_scenario_entry(spec, "mode", mode);
+    fsim::ExperimentSpec spec;
+    if (mode != nullptr) fsim::apply_experiment_entry(spec, "mode", mode);
     try {
-      fsim::apply_scenario_entry(spec, "bogus-key", "1");
+      fsim::apply_experiment_entry(spec, "bogus-key", "1");
     } catch (const std::invalid_argument& e) {
       return std::string(e.what());
     }
@@ -568,18 +556,18 @@ TEST(ScenarioSpec, UnknownKeyHintNamesActiveModeKeys) {
   EXPECT_EQ(aggregate.find("watchdog-ms"), std::string::npos) << aggregate;
 }
 
-TEST(ScenarioSpec, MakeFleetConfigMapsSpecOntoFleet) {
-  fsim::ScenarioSpec spec;
-  fsim::apply_scenario_entry(spec, "mode", "aggregate");
-  fsim::apply_scenario_entry(spec, "agents", "5");
-  fsim::apply_scenario_entry(spec, "bin", "30");
-  fsim::apply_scenario_entry(spec, "t", "7");
-  fsim::apply_scenario_entry(spec, "shards", "2");
-  fsim::apply_scenario_entry(spec, "seed", "42");
-  fsim::apply_scenario_entry(spec, "rates", "0.25");
-  fsim::apply_scenario_entry(spec, "summary", "table");
-  fsim::apply_scenario_entry(spec, "union-capacity", "64");
-  fsim::apply_scenario_entry(spec, "chan.drop", "0.2");
+TEST(SpecGrammar, MakeFleetConfigMapsSpecOntoFleet) {
+  fsim::ExperimentSpec spec;
+  fsim::apply_experiment_entry(spec, "mode", "aggregate");
+  fsim::apply_experiment_entry(spec, "agents", "5");
+  fsim::apply_experiment_entry(spec, "bin", "30");
+  fsim::apply_experiment_entry(spec, "t", "7");
+  fsim::apply_experiment_entry(spec, "shards", "2");
+  fsim::apply_experiment_entry(spec, "seed", "42");
+  fsim::apply_experiment_entry(spec, "rates", "0.25");
+  fsim::apply_experiment_entry(spec, "summary", "table");
+  fsim::apply_experiment_entry(spec, "union-capacity", "64");
+  fsim::apply_experiment_entry(spec, "chan.drop", "0.2");
 
   const flowrank::agg::FleetConfig config = fsim::make_fleet_config(spec);
   EXPECT_EQ(config.agents, 5u);
@@ -592,24 +580,24 @@ TEST(ScenarioSpec, MakeFleetConfigMapsSpecOntoFleet) {
   EXPECT_DOUBLE_EQ(config.chan.drop_fraction, 0.2);
 
   // Not an aggregate spec -> no fleet config.
-  fsim::ScenarioSpec batch;
+  fsim::ExperimentSpec batch;
   batch.sampling_rates = {0.1};
   EXPECT_THROW((void)fsim::make_fleet_config(batch), std::invalid_argument);
   // The fleet runs one rate; a rate sweep is a batch concept.
-  fsim::ScenarioSpec multi;
-  fsim::apply_scenario_entry(multi, "mode", "aggregate");
+  fsim::ExperimentSpec multi;
+  fsim::apply_experiment_entry(multi, "mode", "aggregate");
   multi.sampling_rates = {0.1, 0.5};
   EXPECT_THROW((void)fsim::make_fleet_config(multi), std::invalid_argument);
 }
 
-TEST(ScenarioSpec, ChurnTraceKeysParseAndBuildTheSource) {
+TEST(SpecGrammar, ChurnTraceKeysParseAndBuildTheSource) {
   const std::string path = write_temp(
-      "scenario_churn.scn",
+      "spec_churn.spec",
       "trace = churn\n"
       "churn = population=200,rate=25,packets=8,flow-duration=0.5,tcp=0.8\n"
       "duration = 10\n"
       "rates = 0.1\n");
-  const fsim::ScenarioSpec spec = fsim::parse_scenario_file(path);
+  const fsim::ExperimentSpec spec = fsim::parse_experiment_file(path);
   std::remove(path.c_str());
   EXPECT_EQ(spec.trace, "churn");
   EXPECT_EQ(spec.churn.population, 200u);
@@ -626,7 +614,25 @@ TEST(ScenarioSpec, ChurnTraceKeysParseAndBuildTheSource) {
   EXPECT_FALSE(trace.flows.empty());
 
   // A typo inside the clause fails loudly.
-  fsim::ScenarioSpec bad;
-  EXPECT_THROW(fsim::apply_scenario_entry(bad, "churn", "populaton=10"),
+  fsim::ExperimentSpec bad;
+  EXPECT_THROW(fsim::apply_experiment_entry(bad, "churn", "populaton=10"),
                std::invalid_argument);
+}
+
+// Every checked-in spec parses: the workload suite under scenarios/ and
+// the paper-figure specs under scenarios/figures/.
+TEST(SpecGrammar, EveryCheckedInSpecParses) {
+  namespace fs = std::filesystem;
+  std::size_t parsed = 0;
+  for (const char* dir : {"scenarios", "scenarios/figures"}) {
+    for (const auto& entry : fs::directory_iterator(fs::path(FLOWRANK_SOURCE_DIR) / dir)) {
+      if (entry.path().extension() != ".spec") continue;
+      EXPECT_NO_THROW((void)fsim::parse_experiment_file(entry.path().string()))
+          << entry.path();
+      ++parsed;
+    }
+  }
+  // 8 workload specs + 19 figure specs at the time of writing; a glob
+  // that silently matched nothing must not pass.
+  EXPECT_GE(parsed, 27u);
 }
