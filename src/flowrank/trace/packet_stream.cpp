@@ -1,6 +1,7 @@
 #include "flowrank/trace/packet_stream.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -21,6 +22,11 @@ constexpr double kNsPerSec = 1e9;
 // is skipped over by the drains in between.
 constexpr int kBucketShift = 20;
 constexpr std::size_t kCalendarBuckets = 4096;
+constexpr std::int64_t kBucketNs = std::int64_t{1} << kBucketShift;
+
+// A drained bucket of at most this many packets is insertion-sorted; a
+// larger one is radix-sorted.
+constexpr std::size_t kInsertionSortMax = 64;
 
 // A finished flow's slot keeps its timestamp buffer for the next flow
 // unless the buffer outgrew this many packets (an elephant's).
@@ -37,6 +43,47 @@ std::int64_t bucket_of(std::int64_t ns) { return ns >> kBucketShift; }
 std::size_t ring_position(std::int64_t bucket) {
   return static_cast<std::size_t>(static_cast<std::uint64_t>(bucket) &
                                   (kCalendarBuckets - 1));
+}
+
+// A packet's sort key within its bucket: (offset << 32 | flow index). The
+// offset is below 2^kBucketShift, so the key orders by timestamp, then by
+// flow index.
+std::uint64_t pack_key(std::int64_t offset_ns, std::uint32_t flow_index) {
+  return (static_cast<std::uint64_t>(offset_ns) << 32) | flow_index;
+}
+
+// Stable sort on `key`: insertion sort for the few dozen packets a bucket
+// usually holds, else an LSD radix sort over 8-bit digits that skips the
+// digits every key shares.
+template <class Item>
+void stable_sort_by_key(std::vector<Item>& items, std::vector<Item>& scratch) {
+  const std::size_t n = items.size();
+  if (n <= kInsertionSortMax) {
+    for (std::size_t i = 1; i < n; ++i) {
+      const Item item = items[i];
+      std::size_t j = i;
+      for (; j > 0 && items[j - 1].key > item.key; --j) items[j] = items[j - 1];
+      items[j] = item;
+    }
+    return;
+  }
+  std::uint64_t all_and = ~std::uint64_t{0};
+  std::uint64_t all_or = 0;
+  for (const Item& item : items) {
+    all_and &= item.key;
+    all_or |= item.key;
+  }
+  const std::uint64_t varying = all_and ^ all_or;
+  scratch.resize(n);
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    std::array<std::uint32_t, 256> start{};
+    for (const Item& item : items) ++start[(item.key >> shift) & 0xff];
+    std::uint32_t sum = 0;
+    for (std::uint32_t& s : start) sum += std::exchange(s, sum);
+    for (const Item& item : items) scratch[start[(item.key >> shift) & 0xff]++] = item;
+    items.swap(scratch);
+  }
 }
 
 const FlowTrace& deref_checked(const std::shared_ptr<const FlowTrace>& trace) {
@@ -115,6 +162,7 @@ void PacketStream::drain(std::int64_t bucket) {
   // revolution later is filed back under the same ring position.
   std::vector<std::uint32_t>& filed = calendar_[ring_position(bucket)];
   draining_.swap(filed);
+  ready_base_ns_ = bucket * kBucketNs;
   for (const std::uint32_t slot : draining_) {
     LiveFlow& flow = slots_[slot];
     if (bucket_of(flow.timestamps[flow.cursor]) != bucket) {
@@ -123,7 +171,8 @@ void PacketStream::drain(std::int64_t bucket) {
     }
     const std::size_t size = flow.timestamps.size();
     do {
-      ready_.push_back(Pending{flow.timestamps[flow.cursor], flow.flow_index, flow.cursor});
+      ready_.push_back(Pending{
+          pack_key(flow.timestamps[flow.cursor] - ready_base_ns_, flow.flow_index), flow.cursor});
       ++flow.cursor;
     } while (flow.cursor < size && bucket_of(flow.timestamps[flow.cursor]) == bucket);
     if (flow.cursor < size) {
@@ -177,18 +226,16 @@ bool PacketStream::fill_ready() {
     ++bucket_;
     ++idle;
   }
-  std::sort(ready_.begin(), ready_.end(), [](const Pending& a, const Pending& b) {
-    if (a.timestamp_ns != b.timestamp_ns) return a.timestamp_ns < b.timestamp_ns;
-    if (a.flow_index != b.flow_index) return a.flow_index < b.flow_index;
-    return a.packet_index < b.packet_index;
-  });
+  // drain() pushed each flow's packets in cursor order, so a stable sort
+  // on (offset, flow index) leaves equal keys in packet-index order.
+  stable_sort_by_key(ready_, sort_scratch_);
   return true;
 }
 
 packet::PacketRecord PacketStream::record(const Pending& pending) const {
-  const auto& flow = trace_.flows[pending.flow_index];
+  const auto& flow = trace_.flows[static_cast<std::uint32_t>(pending.key)];
   packet::PacketRecord pkt;
-  pkt.timestamp_ns = pending.timestamp_ns;
+  pkt.timestamp_ns = ready_base_ns_ + static_cast<std::int64_t>(pending.key >> 32);
   pkt.tuple = flow.tuple;
   pkt.size_bytes = trace_.config.packet_size_bytes;
   if (flow.tuple.protocol == packet::Protocol::kTcp) {

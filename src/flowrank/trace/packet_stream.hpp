@@ -59,11 +59,12 @@ class PacketStream {
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
 
  private:
-  /// One packet of the bucket being emitted. Emission order is this key:
-  /// (timestamp, flow index, packet index).
+  /// One packet of the bucket being emitted. `key` packs (timestamp offset
+  /// in the bucket << 32 | flow index); a stable sort on it keeps each
+  /// flow's packets in cursor order, so the emission order is (timestamp,
+  /// flow index, packet index).
   struct Pending {
-    std::int64_t timestamp_ns;
-    std::uint32_t flow_index;
+    std::uint64_t key;
     std::uint32_t packet_index;
   };
   /// A flow with packets left to emit. Slots are recycled, so the stream
@@ -94,6 +95,8 @@ class PacketStream {
   std::vector<std::vector<std::uint32_t>> calendar_;
   std::vector<std::uint32_t> draining_;  ///< the bucket being drained
   std::vector<Pending> ready_;  ///< the drained bucket's packets, sorted
+  std::vector<Pending> sort_scratch_;  ///< radix sort's second buffer
+  std::int64_t ready_base_ns_ = 0;     ///< first nanosecond of ready_'s bucket
   std::size_t ready_pos_ = 0;   ///< next ready_ packet to emit
   std::uint64_t emitted_ = 0;
 };

@@ -300,6 +300,18 @@ std::vector<std::pair<std::string, ft::FlowTrace>> trace_families() {
     }
     families.emplace_back("equal_starts", make_trace(specs));
   }
+  // Crowded buckets: hundreds of packets per ~1 ms calendar bucket, so
+  // the bucket sort takes its radix path, including a zero-duration flow
+  // whose 300 packets share one timestamp.
+  {
+    std::vector<FlowSpec> specs;
+    for (int i = 0; i < 400; ++i) {
+      specs.push_back({1.0e-3 * i / 400.0, i % 4 == 0 ? 0.0 : 2.0e-3, 3,
+                       i % 3 == 0 ? fp::Protocol::kUdp : fp::Protocol::kTcp});
+      if (i == 150) specs.push_back({1.0e-3 * i / 400.0, 0.0, 300});
+    }
+    families.emplace_back("crowded", make_trace(specs));
+  }
   // A 10^6 s gap with nothing live, and live flows whose packets lie
   // ~10^5 s apart: the calendar must jump, not step ~10^9 empty buckets.
   families.emplace_back(

@@ -122,6 +122,74 @@ TEST(BinnedSim, CountPathConsistentWithPacketPath) {
   }
 }
 
+// The packet-versus-count edge. The packet model (PacketStream placement,
+// per-packet Bernoulli sampling) and the count path (multinomial bin
+// split, binomial thinning) induce the same law on each bin's metrics.
+// Every run re-draws both the placement, which the trace seed keys, and
+// the sampling, so the runs are i.i.d. on both sides and the confidence
+// interval of the gap between the two means follows from the run count.
+TEST(BinnedSim, PacketModelAgreesWithCountPathAcrossBetaAndRate) {
+  constexpr int kRuns = 48;
+  constexpr double kZ = 4.0;
+  for (const double beta : {1.5, 2.5}) {
+    auto trace_cfg = ft::FlowTraceConfig::sprint_5tuple(beta, 31);
+    trace_cfg.duration_s = 15.0;
+    trace_cfg.flow_rate_per_s = 200.0;
+    const auto base = ft::generate_flow_trace(trace_cfg);
+    std::size_t multi_bin_flows = 0;
+    for (const auto& flow : base.flows) {
+      multi_bin_flows += flow.packets > 1 && std::floor(flow.start_s / 5.0) !=
+                                                 std::floor(flow.end_s() / 5.0);
+    }
+    ASSERT_GT(multi_bin_flows, 50u) << "beta " << beta << ": placement would go untested";
+    for (const double rate : {0.01, 0.1}) {
+      flowrank::numeric::RunningStats count_ranking, count_detection;
+      flowrank::numeric::RunningStats packet_ranking, packet_detection;
+      for (int run = 0; run < kRuns; ++run) {
+        auto trace = base;
+        trace.config.seed = 1000 + static_cast<std::uint64_t>(run);
+        fsim::SimConfig cfg;
+        cfg.bin_seconds = 5.0;
+        cfg.top_t = 10;
+        cfg.sampling_rates = {rate};
+        cfg.runs = 1;
+        cfg.seed = 1 + static_cast<std::uint64_t>(run);
+        const auto counts = fsim::run_binned_simulation(trace, cfg);
+        const auto packets =
+            fsim::run_packet_level_once(trace, rate, cfg, 7000 + static_cast<std::uint64_t>(run));
+        const auto& bins = counts.series[0].bins;
+        ASSERT_EQ(bins.size(), 3u);
+        ASSERT_EQ(packets.size(), bins.size());
+        double cr = 0.0, cd = 0.0, pr = 0.0, pd = 0.0;
+        for (std::size_t b = 0; b < bins.size(); ++b) {
+          ASSERT_EQ(bins[b].ranking.count(), 1u) << "bin " << b << " not ranked";
+          cr += bins[b].ranking.mean();
+          cd += bins[b].detection.mean();
+          pr += packets[b].ranking_swapped;
+          pd += packets[b].detection_swapped;
+        }
+        const auto n = static_cast<double>(bins.size());
+        count_ranking.add(cr / n);
+        count_detection.add(cd / n);
+        packet_ranking.add(pr / n);
+        packet_detection.add(pd / n);
+      }
+      const auto agree = [&](const flowrank::numeric::RunningStats& count,
+                             const flowrank::numeric::RunningStats& packet,
+                             const char* metric) {
+        const double half_width =
+            kZ * std::sqrt((count.variance() + packet.variance()) / kRuns);
+        EXPECT_GT(count.mean(), 0.0) << metric;
+        EXPECT_LE(std::abs(count.mean() - packet.mean()), half_width)
+            << metric << " beta " << beta << " rate " << rate << ": count "
+            << count.mean() << " packet " << packet.mean();
+      };
+      agree(count_ranking, packet_ranking, "ranking");
+      agree(count_detection, packet_detection, "detection");
+    }
+  }
+}
+
 namespace {
 
 /// Hand-built trace of single-packet flows at exact timestamps (a
