@@ -10,6 +10,12 @@
 
 namespace flowrank::trace {
 
+namespace {
+// Separates the bin split's streams from PacketStream's placement streams,
+// which are keyed by the same (trace seed, seed, flow index) triple.
+constexpr std::uint64_t kBinSplitDomain = 0x81AC0000ULL;
+}  // namespace
+
 std::int64_t bin_length_ns(double bin_seconds) {
   if (!(bin_seconds > 0.0)) {
     throw std::invalid_argument("bin_length_ns: bin_seconds must be > 0");
@@ -63,11 +69,11 @@ BinnedCounts bin_flow_counts(const FlowTrace& trace, double bin_seconds,
       continue;
     }
 
-    // Only the multi-bin split draws, so only it seeds an engine: a lazy
-    // one, since the split takes one binomial per overlapped bin.
-    auto engine = util::make_lazy_engine(
-        trace.config.seed ^ (placement_seed * 0x9e3779b97f4a7c15ULL),
-        0x81AC0000ULL + fi);
+    // Only the multi-bin split draws: a counter-based stream keyed by
+    // (trace seed, placement seed, flow index) in the split's own domain,
+    // so nothing is seeded per flow.
+    util::CounterEngine engine(util::mix_stream(
+        util::mix_streams(trace.config.seed, placement_seed, fi), kBinSplitDomain));
 
     // Multinomial split across overlapped bins via sequential binomial
     // conditionals: P(bin b gets k of the remaining m) with probability
@@ -87,10 +93,6 @@ BinnedCounts bin_flow_counts(const FlowTrace& trace, double bin_seconds,
       // util::binomial_sample, not std::binomial_distribution: the std
       // distribution's algorithm is implementation-defined, so the same
       // seed would place packets differently under libstdc++ and libc++.
-      // Canonical-stream change (like the PR 3 BINV/BTPE switch): splits
-      // differ draw-by-draw from the old libstdc++ stream, but every
-      // consumer asserts conservation or distributional bands, not exact
-      // split values.
       const std::uint64_t here = util::binomial_sample(remaining, prob, engine);
       if (here > 0) out.bins[b].push_back(BinFlowCount{key, here});
       remaining -= here;

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -24,16 +23,28 @@ constexpr int kBucketShift = 20;
 constexpr std::size_t kCalendarBuckets = 4096;
 constexpr std::int64_t kBucketNs = std::int64_t{1} << kBucketShift;
 
-// A drained bucket of at most this many packets is insertion-sorted; a
-// larger one is radix-sorted.
+// Bucket sort geometry: a drained bucket of at most kInsertionSortMax
+// packets is insertion-sorted, after a counting pass on the top
+// kPresortBits bits of the offset once it holds more than kPresortMin; a
+// larger bucket is radix-sorted.
 constexpr std::size_t kInsertionSortMax = 64;
-
-// A finished flow's slot keeps its timestamp buffer for the next flow
-// unless the buffer outgrew this many packets (an elephant's).
-constexpr std::size_t kKeptTimestamps = 64;
+constexpr std::size_t kPresortMin = 12;
+constexpr int kPresortBits = 6;
 
 std::int64_t to_ns(double seconds) {
   return static_cast<std::int64_t>(std::llround(seconds * kNsPerSec));
+}
+
+// E_j of a flow's placement (see packet_stream.hpp).
+double spacing(std::uint64_t key, std::uint64_t j) {
+  return -std::log(util::unit_open_from_bits(util::counter_word(key, j)));
+}
+
+// A packet's offset from its flow's start: (P_k / S) · D_ns rounded half
+// up. The conversion truncates a non-negative value, so it is a floor; it
+// costs a fraction of std::llround's libm call.
+std::int64_t placed_offset(double prefix, double total, double duration_ns) {
+  return static_cast<std::int64_t>(prefix / total * duration_ns + 0.5);
 }
 
 // Floor division by the bucket width (an arithmetic shift), so negative
@@ -52,19 +63,43 @@ std::uint64_t pack_key(std::int64_t offset_ns, std::uint32_t flow_index) {
   return (static_cast<std::uint64_t>(offset_ns) << 32) | flow_index;
 }
 
-// Stable sort on `key`: insertion sort for the few dozen packets a bucket
-// usually holds, else an LSD radix sort over 8-bit digits that skips the
-// digits every key shares.
+template <class Item>
+void insertion_sort_by_key(std::vector<Item>& items) {
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    const Item item = items[i];
+    std::size_t j = i;
+    for (; j > 0 && items[j - 1].key > item.key; --j) items[j] = items[j - 1];
+    items[j] = item;
+  }
+}
+
+// One stable counting-sort pass on the digit (key >> shift) & mask, from
+// `items` through `scratch` (the two are swapped).
+template <class Item>
+void counting_pass(std::vector<Item>& items, std::vector<Item>& scratch, int shift,
+                   std::uint32_t mask) {
+  std::array<std::uint32_t, 256> start{};
+  for (const Item& item : items) ++start[(item.key >> shift) & mask];
+  std::uint32_t sum = 0;
+  for (std::uint32_t d = 0; d <= mask; ++d) sum += std::exchange(start[d], sum);
+  scratch.resize(items.size());
+  for (const Item& item : items) scratch[start[(item.key >> shift) & mask]++] = item;
+  items.swap(scratch);
+}
+
+// Stable sort on `key`. A bucket usually holds a few dozen packets in the
+// order their flows were filed: a counting pass on the offset's top bits
+// leaves them nearly sorted and an insertion sort finishes. A crowded
+// bucket takes an LSD radix sort over 8-bit digits that skips the digits
+// every key shares.
 template <class Item>
 void stable_sort_by_key(std::vector<Item>& items, std::vector<Item>& scratch) {
-  const std::size_t n = items.size();
-  if (n <= kInsertionSortMax) {
-    for (std::size_t i = 1; i < n; ++i) {
-      const Item item = items[i];
-      std::size_t j = i;
-      for (; j > 0 && items[j - 1].key > item.key; --j) items[j] = items[j - 1];
-      items[j] = item;
+  if (items.size() <= kInsertionSortMax) {
+    if (items.size() > kPresortMin) {
+      counting_pass(items, scratch, 32 + kBucketShift - kPresortBits,
+                    (1u << kPresortBits) - 1);
     }
+    insertion_sort_by_key(items);
     return;
   }
   std::uint64_t all_and = ~std::uint64_t{0};
@@ -74,15 +109,8 @@ void stable_sort_by_key(std::vector<Item>& items, std::vector<Item>& scratch) {
     all_or |= item.key;
   }
   const std::uint64_t varying = all_and ^ all_or;
-  scratch.resize(n);
   for (int shift = 0; shift < 64; shift += 8) {
-    if (((varying >> shift) & 0xff) == 0) continue;
-    std::array<std::uint32_t, 256> start{};
-    for (const Item& item : items) ++start[(item.key >> shift) & 0xff];
-    std::uint32_t sum = 0;
-    for (std::uint32_t& s : start) sum += std::exchange(s, sum);
-    for (const Item& item : items) scratch[start[(item.key >> shift) & 0xff]++] = item;
-    items.swap(scratch);
+    if (((varying >> shift) & 0xff) != 0) counting_pass(items, scratch, shift, 0xff);
   }
 }
 
@@ -94,7 +122,18 @@ const FlowTrace& deref_checked(const std::shared_ptr<const FlowTrace>& trace) {
 
 PacketStream::PacketStream(const FlowTrace& trace, std::uint64_t seed)
     : trace_(trace), seed_(seed), calendar_(kCalendarBuckets) {
-  for (std::size_t i = 1; i < trace_.flows.size(); ++i) {
+  for (std::size_t i = 0; i < trace_.flows.size(); ++i) {
+    if (trace_.flows[i].packets > std::numeric_limits<std::uint32_t>::max()) {
+      throw Error(ErrorCategory::kCorruptInput, "packet_stream",
+                  "flow " + std::to_string(i) + " has more than 2^32 - 1 packets");
+    }
+    // Placement converts (P_k / S) · D to an integer; a NaN or infinite
+    // duration has no such value.
+    if (!std::isfinite(trace_.flows[i].duration_s)) {
+      throw Error(ErrorCategory::kCorruptInput, "packet_stream",
+                  "flow " + std::to_string(i) + " has a non-finite duration_s");
+    }
+    if (i == 0) continue;
     // Negated so that a NaN start is rejected too.
     if (!(trace_.flows[i].start_s >= trace_.flows[i - 1].start_s)) {
       throw Error(ErrorCategory::kCorruptInput, "packet_stream",
@@ -113,27 +152,28 @@ PacketStream::PacketStream(std::shared_ptr<const FlowTrace> trace,
 PacketStream::PacketStream(const TraceSource& source, std::uint64_t seed)
     : PacketStream(std::make_shared<const FlowTrace>(source.flows()), seed) {}
 
-void PacketStream::place_packets(std::uint32_t flow_index,
-                                 std::vector<std::int64_t>& ts) const {
-  const auto& flow = trace_.flows[flow_index];
-  ts.resize(static_cast<std::size_t>(flow.packets));
-  const std::int64_t start_ns = to_ns(flow.start_s);
-  if (flow.packets == 1 || flow.duration_s <= 0.0) {
-    std::fill(ts.begin(), ts.end(), start_ns);
-    return;
-  }
-  // Stream-independent per-flow RNG: the same flow always gets the same
-  // packet placement for a given (trace seed, stream seed) pair.
-  auto engine = util::make_lazy_engine(
-      trace_.config.seed ^ (seed_ * 0x9e3779b97f4a7c15ULL), flow_index);
-  std::uniform_real_distribution<double> unif(0.0, flow.duration_s);
-  for (auto& t : ts) t = start_ns + to_ns(unif(engine));
-  std::sort(ts.begin(), ts.end());
+// Sets up `flow` for its packet 0: the total S (the n + 1 spacings summed
+// in index order) and P_0.
+void PacketStream::place_first(std::uint32_t flow_index, LiveFlow& flow) const {
+  const auto& record = trace_.flows[flow_index];
+  flow.flow_index = flow_index;
+  flow.packets = static_cast<std::uint32_t>(record.packets);
+  flow.cursor = 0;
+  flow.start_ns = to_ns(record.start_s);
+  flow.next_ns = flow.start_ns;
+  flow.duration_ns = 0.0;
+  if (record.packets == 1 || record.duration_s <= 0.0) return;
+  flow.duration_ns = record.duration_s * kNsPerSec;
+  flow.key = util::mix_streams(trace_.config.seed, seed_, flow_index);
+  double total = 0.0;
+  for (std::uint64_t j = 0; j <= record.packets; ++j) total += spacing(flow.key, j);
+  flow.total = total;
+  flow.prefix = spacing(flow.key, 0);
+  flow.next_ns = flow.start_ns + placed_offset(flow.prefix, total, flow.duration_ns);
 }
 
 void PacketStream::file(std::uint32_t slot) {
-  const LiveFlow& flow = slots_[slot];
-  calendar_[ring_position(bucket_of(flow.timestamps[flow.cursor]))].push_back(slot);
+  calendar_[ring_position(bucket_of(slots_[slot].next_ns))].push_back(slot);
 }
 
 void PacketStream::activate_through(std::int64_t bucket) {
@@ -145,14 +185,13 @@ void PacketStream::activate_through(std::int64_t bucket) {
     if (free_slots_.empty()) {
       slot = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
+      tuples_.emplace_back();
     } else {
       slot = free_slots_.back();
       free_slots_.pop_back();
     }
-    LiveFlow& flow = slots_[slot];
-    flow.flow_index = flow_index;
-    flow.cursor = 0;
-    place_packets(flow_index, flow.timestamps);
+    place_first(flow_index, slots_[slot]);
+    tuples_[slot] = trace_.flows[flow_index].tuple;
     file(slot);
   }
 }
@@ -165,24 +204,27 @@ void PacketStream::drain(std::int64_t bucket) {
   ready_base_ns_ = bucket * kBucketNs;
   for (const std::uint32_t slot : draining_) {
     LiveFlow& flow = slots_[slot];
-    if (bucket_of(flow.timestamps[flow.cursor]) != bucket) {
+    if (bucket_of(flow.next_ns) != bucket) {
       filed.push_back(slot);  // due in a later revolution
       continue;
     }
-    const std::size_t size = flow.timestamps.size();
+    // Emit every packet due in this bucket, placing each next one as the
+    // previous is pushed.
     do {
-      ready_.push_back(Pending{
-          pack_key(flow.timestamps[flow.cursor] - ready_base_ns_, flow.flow_index), flow.cursor});
-      ++flow.cursor;
-    } while (flow.cursor < size && bucket_of(flow.timestamps[flow.cursor]) == bucket);
-    if (flow.cursor < size) {
+      ready_.push_back(Pending{pack_key(flow.next_ns - ready_base_ns_, flow.flow_index),
+                               flow.cursor, slot});
+      if (++flow.cursor == flow.packets) break;
+      if (flow.duration_ns > 0.0) {
+        flow.prefix += spacing(flow.key, flow.cursor);
+        flow.next_ns =
+            flow.start_ns + placed_offset(flow.prefix, flow.total, flow.duration_ns);
+      }
+    } while (bucket_of(flow.next_ns) == bucket);
+    if (flow.cursor < flow.packets) {
       file(slot);
-      continue;
+    } else {
+      free_slots_.push_back(slot);
     }
-    if (flow.timestamps.capacity() > kKeptTimestamps) {
-      std::vector<std::int64_t>().swap(flow.timestamps);
-    }
-    free_slots_.push_back(slot);
   }
   draining_.clear();
 }
@@ -193,9 +235,7 @@ std::int64_t PacketStream::next_live_bucket() const {
     next = bucket_of(to_ns(trace_.flows[next_flow_].start_s));
   }
   for (const LiveFlow& flow : slots_) {
-    if (flow.cursor < flow.timestamps.size()) {
-      next = std::min(next, bucket_of(flow.timestamps[flow.cursor]));
-    }
+    if (flow.cursor < flow.packets) next = std::min(next, bucket_of(flow.next_ns));
   }
   return next;
 }
@@ -233,14 +273,14 @@ bool PacketStream::fill_ready() {
 }
 
 packet::PacketRecord PacketStream::record(const Pending& pending) const {
-  const auto& flow = trace_.flows[static_cast<std::uint32_t>(pending.key)];
+  const packet::FiveTuple& tuple = tuples_[pending.slot];
   packet::PacketRecord pkt;
   pkt.timestamp_ns = ready_base_ns_ + static_cast<std::int64_t>(pending.key >> 32);
-  pkt.tuple = flow.tuple;
+  pkt.tuple = tuple;
   pkt.size_bytes = trace_.config.packet_size_bytes;
-  if (flow.tuple.protocol == packet::Protocol::kTcp) {
-    pkt.tcp_seq = pending.packet_index * trace_.config.packet_size_bytes;
-  }
+  pkt.tcp_seq = tuple.protocol == packet::Protocol::kTcp
+                    ? pending.packet_index * trace_.config.packet_size_bytes
+                    : 0;
   return pkt;
 }
 
@@ -255,9 +295,10 @@ std::size_t PacketStream::next_batch(std::vector<packet::PacketRecord>& out,
   out.clear();
   while (out.size() < max_packets) {
     if (ready_pos_ == ready_.size() && !fill_ready()) break;
-    const std::size_t take =
-        std::min(max_packets - out.size(), ready_.size() - ready_pos_);
-    for (std::size_t i = 0; i < take; ++i) out.push_back(record(ready_[ready_pos_ + i]));
+    const std::size_t have = out.size();
+    const std::size_t take = std::min(max_packets - have, ready_.size() - ready_pos_);
+    out.resize(have + take);
+    for (std::size_t i = 0; i < take; ++i) out[have + i] = record(ready_[ready_pos_ + i]);
     ready_pos_ += take;
   }
   emitted_ += out.size();

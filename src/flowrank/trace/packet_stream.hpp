@@ -6,6 +6,24 @@
 // time order through a calendar queue over the live flows, so a 30-minute
 // trace streams in O(live flows) memory instead of materializing tens of
 // millions of packets.
+//
+// Placement (stream v2). A flow of n packets, duration D and start T is
+// keyed by key = util::mix_streams(trace seed, stream seed, flow index).
+// If n = 1 or D <= 0 every packet sits at T_ns = llround(T · 1e9).
+// Otherwise, with the n + 1 exponentials
+//   E_j = -log(util::unit_open_from_bits(util::counter_word(key, j))),
+//   j = 0..n,
+// summed in index order into the prefixes P_k = E_0 + ... + E_k and the
+// total S = E_0 + ... + E_n, packet k (k = 0..n-1) sits at
+//   T_ns + floor((P_k / S) · (D · 1e9) + 0.5),
+// each operation in double precision and in that order.
+// P_k / S for k < n are the order statistics of n i.i.d. U(0, 1) draws
+// (normalized exponential spacings), so this is the paper's uniform
+// placement, generated already sorted one packet at a time. Each live
+// flow keeps O(1) state: the pass over S at activation, then E_k again
+// from the counter as packet k comes due. Timestamps ascend within a
+// flow and lie in [T_ns, T_ns + floor(D · 1e9 + 0.5)]: the prefixes
+// ascend, P_{n-1} <= S, and every step after the sums is monotone.
 #pragma once
 
 #include <cstdint>
@@ -66,13 +84,21 @@ class PacketStream {
   struct Pending {
     std::uint64_t key;
     std::uint32_t packet_index;
+    std::uint32_t slot;  ///< the flow's LiveFlow, live until ready_ is spent
   };
-  /// A flow with packets left to emit. Slots are recycled, so the stream
-  /// holds one per live flow, not one per trace flow.
-  struct LiveFlow {
-    std::vector<std::int64_t> timestamps;  ///< ascending placement
+  /// A flow with packets left to emit: O(1) state, whatever its size, in
+  /// one cache line. Slots are recycled, so the stream holds one per live
+  /// flow, not one per trace flow.
+  struct alignas(64) LiveFlow {
+    std::int64_t next_ns = 0;   ///< timestamp of packet `cursor`
+    std::int64_t start_ns = 0;
+    double duration_ns = 0.0;   ///< 0 for a point flow: every packet at start
+    double prefix = 0.0;        ///< P_cursor
+    double total = 0.0;         ///< S
+    std::uint64_t key = 0;      ///< counter key of the placement stream
+    std::uint32_t cursor = 0;   ///< next packet; == packets once free
+    std::uint32_t packets = 0;
     std::uint32_t flow_index = 0;
-    std::uint32_t cursor = 0;  ///< next packet; >= timestamps.size() once free
   };
 
   [[nodiscard]] bool fill_ready();
@@ -80,7 +106,7 @@ class PacketStream {
   void drain(std::int64_t bucket);
   void file(std::uint32_t slot);
   [[nodiscard]] std::int64_t next_live_bucket() const;
-  void place_packets(std::uint32_t flow_index, std::vector<std::int64_t>& ts) const;
+  void place_first(std::uint32_t flow_index, LiveFlow& flow) const;
   [[nodiscard]] packet::PacketRecord record(const Pending& pending) const;
 
   std::shared_ptr<const FlowTrace> owned_;  ///< null for the reference ctor
@@ -89,6 +115,7 @@ class PacketStream {
   std::size_t next_flow_ = 0;  ///< next trace flow not yet activated
   std::int64_t bucket_ = 0;    ///< next calendar bucket to drain
   std::vector<LiveFlow> slots_;
+  std::vector<packet::FiveTuple> tuples_;  ///< per slot: its flow's tuple
   std::vector<std::uint32_t> free_slots_;  ///< all of slots_ when none is live
   /// Ring of buckets; a live flow is filed under the bucket of its next
   /// packet (ring position = bucket mod ring size).

@@ -190,7 +190,7 @@ std::uint64_t binomial_sample(std::uint64_t n, double p, Engine& engine) {
   return sample_binomial(n, p, engine);
 }
 
-std::uint64_t binomial_sample(std::uint64_t n, double p, LazyEngine& engine) {
+std::uint64_t binomial_sample(std::uint64_t n, double p, CounterEngine& engine) {
   return sample_binomial(n, p, engine);
 }
 

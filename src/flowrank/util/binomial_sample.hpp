@@ -39,10 +39,10 @@ namespace flowrank::util {
 [[nodiscard]] std::uint64_t binomial_sample(std::uint64_t n, double p,
                                             Engine& engine);
 
-/// The same stream drawn from a LazyEngine (equal to the Engine it stands
-/// in for), for callers that seed one engine per few draws.
+/// The same algorithm over a CounterEngine's words, for callers that draw
+/// a few variates per key.
 [[nodiscard]] std::uint64_t binomial_sample(std::uint64_t n, double p,
-                                            LazyEngine& engine);
+                                            CounterEngine& engine);
 
 /// The n·p' threshold between the inversion and squeeze-accept branches
 /// (exposed so tests can straddle it exactly).

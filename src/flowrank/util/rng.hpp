@@ -10,7 +10,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <random>
 
 namespace flowrank::util {
@@ -152,57 +151,40 @@ class Engine {
   return Engine{derive_seed(master, stream)};
 }
 
-/// Drop-in for Engine{seed} on streams that draw only a few numbers.
-///
-/// Its output equals Engine{seed} draw for draw. Constructing an Engine
-/// runs the 312-step seeding recurrence (Engine::seed_step), and its first
-/// draw then twists all 312 words. But twisted word i (i < 156) reads only
-/// seeded words i, i+1 and i+156, so draw i needs the recurrence run only
-/// through word i+156: the first draw costs 156 serial multiply steps,
-/// each later one a single step. A per-flow placement of ~10 draws thus
-/// skips most of the seeding and the whole twist. From draw 157 on, the
-/// twist reads words it has itself rewritten, so the engine hands over to
-/// a real Engine advanced past the draws already served.
-class LazyEngine {
+/// Counter-based SplitMix64: word `index` of the stream keyed by `key`,
+/// computed directly. It equals the (index + 1)-th output of splitmix64()
+/// started from state `key`, so nothing is seeded and no state is carried:
+/// a stream is regenerated from any position for the price of one mixing
+/// step (the counter-based idea of Salmon et al., "Parallel random
+/// numbers: as easy as 1, 2, 3", SC 2011). Derive keys with mix_streams().
+[[nodiscard]] constexpr std::uint64_t counter_word(std::uint64_t key,
+                                                   std::uint64_t index) noexcept {
+  std::uint64_t state = key + index * 0x9e3779b97f4a7c15ULL;
+  return splitmix64(state);
+}
+
+/// Uniform on (0, 1] from the top 53 bits of a word: never 0, so always a
+/// valid log() argument.
+[[nodiscard]] constexpr double unit_open_from_bits(std::uint64_t word) noexcept {
+  return static_cast<double>((word >> 11) + 1) * 0x1.0p-53;
+}
+
+/// A URBG over counter_word(key, 0), counter_word(key, 1), ...: an engine
+/// with nothing to seed, for streams that draw only a few numbers.
+class CounterEngine {
  public:
-  using result_type = Engine::result_type;
-  static constexpr result_type min() noexcept { return Engine::min(); }
-  static constexpr result_type max() noexcept { return Engine::max(); }
+  using result_type = std::uint64_t;
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-  explicit LazyEngine(result_type seed) noexcept : seed_(seed) { words_[0] = seed; }
+  explicit constexpr CounterEngine(std::uint64_t key) noexcept : key_(key) {}
 
-  result_type operator()() {
-    if (drawn_ == kLazyDraws) {
-      if (!fallback_) {
-        fallback_.emplace(seed_);
-        fallback_->discard(kLazyDraws);
-      }
-      return (*fallback_)();
-    }
-    const std::size_t i = drawn_++;
-    for (; seeded_ <= i + Engine::kShift; ++seeded_) {
-      words_[seeded_] = Engine::seed_step(words_[seeded_ - 1], seeded_);
-    }
-    return Engine::temper(
-        Engine::twist_word(words_[i], words_[i + 1], words_[i + Engine::kShift]));
-  }
+  constexpr result_type operator()() noexcept { return counter_word(key_, index_++); }
 
  private:
-  // The first n - m twisted words read only seeded words.
-  static constexpr std::size_t kLazyDraws = Engine::kStateWords - Engine::kShift;
-
-  result_type seed_;
-  std::size_t drawn_ = 0;   ///< draws served
-  std::size_t seeded_ = 1;  ///< words_[0, seeded_) hold seeded words
-  std::array<std::uint64_t, Engine::kStateWords> words_{};  ///< seeded words, on demand
-  std::optional<Engine> fallback_;  ///< engaged at draw kLazyDraws + 1
+  std::uint64_t key_;
+  std::uint64_t index_ = 0;
 };
-
-/// make_engine() as a LazyEngine: the same stream for (master, stream).
-[[nodiscard]] inline LazyEngine make_lazy_engine(std::uint64_t master,
-                                                 std::uint64_t stream = 0) {
-  return LazyEngine{derive_seed(master, stream)};
-}
 
 /// Uniform draw on (0, 1]: always a valid ccdf value to invert and a
 /// valid log() argument (uniform_real_distribution yields [0, 1)).

@@ -1,8 +1,8 @@
 // Tests for the Monte-Carlo count path's building blocks: util::Engine's
 // identity with std::mt19937_64, BinomialThinner's identity with the
 // one-shot binomial_sample, bin_flow_counts' input contract, and digests
-// of run_binned_simulation captured before the threshold-counting rank
-// metrics, flat binning, tabled thinning and in-repo engine went in.
+// of run_binned_simulation (the count path's rewrite kept them bit for
+// bit; the stream-v2 bin split re-captured them).
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -255,8 +255,11 @@ std::uint64_t sim_digest(double beta) {
 
 }  // namespace
 
-TEST(BinnedSimGolden, DigestsMatchCaptureBeforeCountPathRewrite) {
-  EXPECT_EQ(sim_digest(1.2), 0x92547d39fd4bcd9bULL);
-  EXPECT_EQ(sim_digest(1.5), 0xe20231c2b11da784ULL);
-  EXPECT_EQ(sim_digest(2.5), 0x3f076dacab6e4460ULL);
+// Captured when bin_flow_counts' multi-bin split moved to the
+// counter-based generator (stream v2); 5 s bins over a 20 s trace split
+// flows, so the split's stream reaches every digest.
+TEST(BinnedSimGolden, DigestsMatchStreamV2Capture) {
+  EXPECT_EQ(sim_digest(1.2), 0x080969139185b387ULL);
+  EXPECT_EQ(sim_digest(1.5), 0x67182d482f06b9d0ULL);
+  EXPECT_EQ(sim_digest(2.5), 0x3bf4d25dd06b95a3ULL);
 }

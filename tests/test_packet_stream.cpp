@@ -1,29 +1,29 @@
-// Tests for the batch trace expander: LazyEngine's identity with
-// mt19937_64, the calendar-queue PacketStream against the per-packet
-// min-heap merge it replaced (kept below, verbatim, as the oracle), input
-// validation, and digests of streams captured from the heap expander.
+// Tests for the trace expander: the counter-based generator's known
+// answers, the calendar-queue PacketStream against a brute-force placement
+// of every packet by the stream-v2 definition plus one global sort, the
+// placement's statistics (KS tests against the uniform order statistics),
+// input validation, and digests of the stream.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
-#include <queue>
-#include <random>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "flowrank/numeric/incbeta.hpp"
 #include "flowrank/packet/records.hpp"
 #include "flowrank/trace/bin_counts.hpp"
 #include "flowrank/trace/flow_churn.hpp"
 #include "flowrank/trace/flow_trace_generator.hpp"
 #include "flowrank/trace/packet_stream.hpp"
-#include "flowrank/util/binomial_sample.hpp"
 #include "flowrank/util/error.hpp"
 #include "flowrank/util/rng.hpp"
 
@@ -34,8 +34,8 @@ namespace fu = flowrank::util;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Oracle: the per-packet min-heap expander PacketStream used to be, copied
-// verbatim (class renamed; only the reference constructor and next()).
+// Oracle: every packet placed straight from the stream-v2 definition in
+// packet_stream.hpp, then one global sort by (timestamp, flow, packet).
 // ---------------------------------------------------------------------------
 
 constexpr double kNsPerSec = 1e9;
@@ -44,127 +44,54 @@ std::int64_t to_ns(double seconds) {
   return static_cast<std::int64_t>(std::llround(seconds * kNsPerSec));
 }
 
-class HeapPacketStream {
- public:
-  HeapPacketStream(const ft::FlowTrace& trace, std::uint64_t seed = 0)
-      : trace_(trace), seed_(seed) {
-    slot_of_flow_.resize(trace_.flows.size());
-    // Prime the heap with the first flow(s) so next() has work to do.
-    if (!trace_.flows.empty()) {
-      activate_flows_until(to_ns(trace_.flows.front().start_s));
-    }
+/// The timestamps of one flow's packets, in packet-index order.
+std::vector<std::int64_t> oracle_timestamps(const ft::FlowTrace& trace, std::uint64_t seed,
+                                            std::uint32_t flow_index) {
+  const fp::FlowRecord& flow = trace.flows[flow_index];
+  const std::int64_t start_ns = to_ns(flow.start_s);
+  const std::size_t n = flow.packets;
+  std::vector<std::int64_t> ts(n, start_ns);
+  if (n == 1 || flow.duration_s <= 0.0) return ts;
+  const std::uint64_t key = fu::mix_streams(trace.config.seed, seed, flow_index);
+  std::vector<double> spacings(n + 1);
+  for (std::size_t j = 0; j <= n; ++j) {
+    spacings[j] = -std::log(fu::unit_open_from_bits(fu::counter_word(key, j)));
   }
+  double total = 0.0;
+  for (const double e : spacings) total += e;
+  const double duration_ns = flow.duration_s * kNsPerSec;
+  double prefix = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    prefix += spacings[k];
+    ts[k] = start_ns + static_cast<std::int64_t>(std::floor(prefix / total * duration_ns + 0.5));
+  }
+  return ts;
+}
 
-  std::optional<fp::PacketRecord> next() {
-    // Make sure any flow that starts before the current head packet is live.
-    while (true) {
-      if (heap_.empty()) {
-        if (next_flow_ >= trace_.flows.size()) return std::nullopt;
-        activate_flows_until(to_ns(trace_.flows[next_flow_].start_s));
-        continue;
-      }
-      const std::int64_t head_ts = heap_.top().timestamp_ns;
-      if (next_flow_ < trace_.flows.size() &&
-          to_ns(trace_.flows[next_flow_].start_s) <= head_ts) {
-        activate_flows_until(head_ts);
-        continue;
-      }
-      break;
-    }
-
-    const PendingPacket head = heap_.top();
-    heap_.pop();
-    const auto& flow = trace_.flows[head.flow_index];
-    auto& active = active_[slot_of_flow_[head.flow_index]];
-
+std::vector<fp::PacketRecord> oracle_expand(const ft::FlowTrace& trace, std::uint64_t seed) {
+  std::vector<std::tuple<std::int64_t, std::uint32_t, std::uint32_t>> placed;
+  for (std::uint32_t fi = 0; fi < trace.flows.size(); ++fi) {
+    const auto ts = oracle_timestamps(trace, seed, fi);
+    for (std::uint32_t k = 0; k < ts.size(); ++k) placed.emplace_back(ts[k], fi, k);
+  }
+  std::sort(placed.begin(), placed.end());
+  std::vector<fp::PacketRecord> packets;
+  packets.reserve(placed.size());
+  for (const auto& [ts, fi, k] : placed) {
+    const fp::FlowRecord& flow = trace.flows[fi];
     fp::PacketRecord pkt;
-    pkt.timestamp_ns = head.timestamp_ns;
+    pkt.timestamp_ns = ts;
     pkt.tuple = flow.tuple;
-    pkt.size_bytes = trace_.config.packet_size_bytes;
-    if (flow.tuple.protocol == fp::Protocol::kTcp) {
-      pkt.tcp_seq = head.packet_index * trace_.config.packet_size_bytes;
-    }
-
-    const std::uint32_t next_index = head.packet_index + 1;
-    if (next_index < active.timestamps.size()) {
-      heap_.push(PendingPacket{active.timestamps[next_index], head.flow_index,
-                               next_index});
-    } else {
-      active.timestamps.clear();
-      active.timestamps.shrink_to_fit();
-    }
-    ++emitted_;
-    return pkt;
+    pkt.size_bytes = trace.config.packet_size_bytes;
+    if (flow.tuple.protocol == fp::Protocol::kTcp) pkt.tcp_seq = k * trace.config.packet_size_bytes;
+    packets.push_back(pkt);
   }
-
- private:
-  struct PendingPacket {
-    std::int64_t timestamp_ns;
-    std::uint32_t flow_index;
-    std::uint32_t packet_index;
-    friend bool operator>(const PendingPacket& a, const PendingPacket& b) {
-      if (a.timestamp_ns != b.timestamp_ns) return a.timestamp_ns > b.timestamp_ns;
-      if (a.flow_index != b.flow_index) return a.flow_index > b.flow_index;
-      return a.packet_index > b.packet_index;
-    }
-  };
-
-  std::vector<std::int64_t> place_packets(std::uint32_t flow_index) const {
-    const auto& flow = trace_.flows[flow_index];
-    // Stream-independent per-flow RNG: the same flow always gets the same
-    // packet placement for a given (trace seed, stream seed) pair.
-    auto engine = fu::make_engine(trace_.config.seed ^ (seed_ * 0x9e3779b97f4a7c15ULL),
-                                  flow_index);
-    std::vector<std::int64_t> ts(static_cast<std::size_t>(flow.packets));
-    const std::int64_t start_ns = to_ns(flow.start_s);
-    if (flow.packets == 1 || flow.duration_s <= 0.0) {
-      std::fill(ts.begin(), ts.end(), start_ns);
-      return ts;
-    }
-    std::uniform_real_distribution<double> unif(0.0, flow.duration_s);
-    for (auto& t : ts) t = start_ns + to_ns(unif(engine));
-    std::sort(ts.begin(), ts.end());
-    return ts;
-  }
-
-  void activate_flows_until(std::int64_t now_ns) {
-    while (next_flow_ < trace_.flows.size() &&
-           to_ns(trace_.flows[next_flow_].start_s) <= now_ns) {
-      const auto flow_index = static_cast<std::uint32_t>(next_flow_);
-      ActiveFlow active;
-      active.timestamps = place_packets(flow_index);
-      const auto slot = static_cast<std::uint32_t>(active_.size());
-      slot_of_flow_[flow_index] = slot;
-      heap_.push(PendingPacket{active.timestamps.front(), flow_index, 0});
-      active_.push_back(std::move(active));
-      ++next_flow_;
-    }
-  }
-
-  const ft::FlowTrace& trace_;
-  std::uint64_t seed_;
-  std::size_t next_flow_ = 0;  // next trace flow not yet activated
-  // Per active flow: remaining packet timestamps (ascending) and cursor.
-  struct ActiveFlow {
-    std::vector<std::int64_t> timestamps;
-    std::uint32_t cursor = 0;
-  };
-  std::vector<ActiveFlow> active_;              // indexed by slot
-  std::vector<std::uint32_t> slot_of_flow_;     // flow index -> slot
-  std::priority_queue<PendingPacket, std::vector<PendingPacket>, std::greater<>> heap_;
-  std::uint64_t emitted_ = 0;
-};
+  return packets;
+}
 
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
-
-std::vector<fp::PacketRecord> heap_expand(const ft::FlowTrace& trace, std::uint64_t seed) {
-  HeapPacketStream stream(trace, seed);
-  std::vector<fp::PacketRecord> packets;
-  while (auto pkt = stream.next()) packets.push_back(*pkt);
-  return packets;
-}
 
 /// Pulls the whole stream through next_batch(·, batch), checking that every
 /// batch but the last is full and that emitted() keeps count.
@@ -372,73 +299,50 @@ std::uint64_t bin_digest(const ft::FlowTrace& trace, fp::FlowDefinition def,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// LazyEngine
+// The counter-based generator
 // ---------------------------------------------------------------------------
 
-// 400 draws cross the hand-over to a real engine after draw 156 and the
-// second twist at draw 313.
-constexpr int kIdentityDraws = 400;
-
-std::vector<std::uint64_t> identity_seeds(std::uint64_t master) {
-  std::vector<std::uint64_t> seeds = {0, 1, 5489, std::numeric_limits<std::uint64_t>::max()};
-  for (std::uint64_t i = 0; i < 10000; ++i) seeds.push_back(fu::derive_seed(master, i));
-  return seeds;
+TEST(CounterWord, KnownAnswers) {
+  // SplitMix64's reference outputs from state 0 (Steele, Lea & Flood) and
+  // from state 0x0123456789abcdef.
+  const std::uint64_t from_zero[] = {0xe220a8397b1dcdafULL, 0x6e789e6aa1b965f4ULL,
+                                     0x06c45d188009454fULL, 0xf88bb8a8724c81ecULL,
+                                     0x1b39896a51a8749bULL};
+  const std::uint64_t from_key[] = {0x157a3807a48faa9dULL, 0xd573529b34a1d093ULL,
+                                    0x2f90b72e996dccbeULL, 0xa2d419334c4667ecULL,
+                                    0x01404ce914938008ULL};
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(fu::counter_word(0, i), from_zero[i]) << i;
+    EXPECT_EQ(fu::counter_word(0x0123456789abcdefULL, i), from_key[i]) << i;
+  }
 }
 
-TEST(LazyEngine, RawDrawsEqualMt19937_64) {
-  for (const std::uint64_t seed : identity_seeds(0xF10A)) {
-    fu::LazyEngine lazy(seed);
-    fu::Engine reference(seed);
-    for (int d = 1; d <= kIdentityDraws; ++d) {
-      ASSERT_EQ(lazy(), reference()) << "seed " << seed << " draw " << d;
+TEST(CounterWord, EqualsTheSplitMix64Sequence) {
+  for (const std::uint64_t key : {0ULL, 1ULL, 0x9e3779b97f4a7c15ULL, ~0ULL}) {
+    std::uint64_t state = key;
+    fu::CounterEngine engine(key);
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      const std::uint64_t word = fu::splitmix64(state);
+      ASSERT_EQ(fu::counter_word(key, i), word) << key << " " << i;
+      ASSERT_EQ(engine(), word) << key << " " << i;
     }
   }
 }
 
-TEST(LazyEngine, UniformRealDrawsEqualMt19937_64) {
-  for (const std::uint64_t seed : identity_seeds(0xBEEF)) {
-    const double hi = 1.0 + static_cast<double>(seed % 1000);
-    std::uniform_real_distribution<double> lazy_unif(0.0, hi), reference_unif(0.0, hi);
-    fu::LazyEngine lazy(seed);
-    fu::Engine reference(seed);
-    for (int d = 1; d <= kIdentityDraws; ++d) {
-      ASSERT_EQ(lazy_unif(lazy), reference_unif(reference)) << "seed " << seed << " draw " << d;
-    }
-  }
-}
-
-TEST(LazyEngine, MakeLazyEngineMatchesMakeEngine) {
-  for (std::uint64_t stream = 0; stream < 64; ++stream) {
-    auto lazy = fu::make_lazy_engine(42, stream);
-    auto reference = fu::make_engine(42, stream);
-    for (int d = 0; d < 8; ++d) ASSERT_EQ(lazy(), reference()) << stream;
-  }
-}
-
-TEST(LazyEngine, BinomialSampleStreamEqualsEngine) {
-  // Both branches (inversion and BTPE), enough variates to cross draw 156.
-  const std::pair<std::uint64_t, double> cases[] = {
-      {10, 0.3}, {200, 0.05}, {1000, 0.4}, {100000, 0.7}, {7, 0.999}};
-  for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    fu::LazyEngine lazy(fu::derive_seed(9, seed));
-    fu::Engine reference(fu::derive_seed(9, seed));
-    for (int round = 0; round < 60; ++round) {
-      for (const auto& [n, p] : cases) {
-        ASSERT_EQ(fu::binomial_sample(n, p, lazy), fu::binomial_sample(n, p, reference))
-            << "seed " << seed << " round " << round << " n " << n;
-      }
-    }
-  }
+TEST(CounterWord, UnitOpenFromBitsStaysInsideTheOpenClosedInterval) {
+  EXPECT_EQ(fu::unit_open_from_bits(0), 0x1.0p-53);
+  EXPECT_EQ(fu::unit_open_from_bits(~0ULL), 1.0);
+  EXPECT_EQ(fu::unit_open_from_bits(std::uint64_t{1} << 63), 0.5 + 0x1.0p-53);
 }
 
 // ---------------------------------------------------------------------------
-// PacketStream against the heap oracle
+// PacketStream against the brute-force oracle
 // ---------------------------------------------------------------------------
 
-TEST(PacketStreamDifferential, MatchesHeapExpanderOnEveryFamily) {
+TEST(PacketStreamDifferential, MatchesBruteForcePlacementOnEveryFamily) {
   for (const auto& [name, trace] : trace_families()) {
     for (const std::uint64_t seed : {0u, 5u}) {
-      const auto want = heap_expand(trace, seed);
+      const auto want = oracle_expand(trace, seed);
       ASSERT_EQ(want.size(), trace.total_packets()) << name;
       for (const std::size_t batch : {1u, 7u, 4096u}) {
         expect_same_packets(batch_expand(trace, seed, batch), want,
@@ -461,10 +365,11 @@ TEST(PacketStreamDifferential, FamiliesCoverTheirEdgeCases) {
     }
     throw std::runtime_error("no family " + name);
   };
-  // Pareto elephants draw more than 156 uniforms: the engine's hand-over.
+  // Pareto elephants: hundreds of packets, placed one at a time, spread
+  // over more than one revolution of the calendar ring (~4.4 s).
   std::size_t elephants = 0;
   for (const auto& flow : find("sprint_5tuple").flows) {
-    elephants += flow.packets > 156 && flow.duration_s > 0.0;
+    elephants += flow.packets > 200 && flow.duration_s > 4.4;
   }
   EXPECT_GT(elephants, 0u);
   std::size_t tied = 0;
@@ -480,7 +385,7 @@ TEST(PacketStreamDifferential, FamiliesCoverTheirEdgeCases) {
 
 TEST(PacketStreamDifferential, OwningAndSourceConstructorsMatch) {
   const auto trace = generated(ft::FlowTraceConfig::sprint_5tuple(1.5, 3), 10.0, 200.0);
-  const auto want = heap_expand(trace, 0);
+  const auto want = oracle_expand(trace, 0);
   ft::PacketStream owning(std::make_shared<const ft::FlowTrace>(trace));
   ft::PacketStream sourced(ft::FixedTraceSource(trace, "differential"));
   std::vector<fp::PacketRecord> a, b;
@@ -490,25 +395,153 @@ TEST(PacketStreamDifferential, OwningAndSourceConstructorsMatch) {
   expect_same_packets(b, want, "source");
 }
 
-// Digests of the heap expander's streams and of bin_flow_counts, captured
-// before the calendar-queue rewrite and the lazily seeded engines.
-TEST(PacketStreamGolden, DigestsMatchHeapExpanderCapture) {
+// ---------------------------------------------------------------------------
+// Placement statistics: the stream's offsets are the order statistics of
+// i.i.d. U(0, 1) draws scaled to [T, T + D]
+// ---------------------------------------------------------------------------
+
+/// Kolmogorov-Smirnov statistic sqrt(n) · sup |F_n - F| of `sample`.
+template <class Cdf>
+double ks_statistic(std::vector<double> sample, Cdf cdf) {
+  std::sort(sample.begin(), sample.end());
+  const auto n = static_cast<double>(sample.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    const double f = cdf(sample[i]);
+    d = std::max({d, f - static_cast<double>(i) / n, static_cast<double>(i + 1) / n - f});
+  }
+  return d * std::sqrt(n);
+}
+
+// The Kolmogorov distribution's 0.999 quantile: a correct placement
+// fails one of these checks about once in a thousand seeds.
+constexpr double kKsCritical = 1.95;
+
+/// Each flow's normalized offsets (timestamp - T) / D, in packet order,
+/// from the stream. make_trace gives flow i the source address i + 1.
+std::vector<std::vector<double>> normalized_offsets(const ft::FlowTrace& trace,
+                                                    std::uint64_t seed) {
+  std::vector<std::vector<double>> offsets(trace.flows.size());
+  for (const auto& pkt : ft::expand_trace(trace, seed)) {
+    const auto& flow = trace.flows[pkt.tuple.src_ip - 1];
+    offsets[pkt.tuple.src_ip - 1].push_back(
+        static_cast<double>(pkt.timestamp_ns - to_ns(flow.start_s)) /
+        (flow.duration_s * kNsPerSec));
+  }
+  return offsets;
+}
+
+TEST(PacketStreamPlacement, PooledOffsetsAreUniform) {
+  // Flow sizes from 2 to 200 packets; a 1000 s duration gives offsets a
+  // resolution of 1e-12.
+  std::vector<FlowSpec> specs;
+  const std::uint64_t sizes[] = {2, 3, 5, 10, 50, 200};
+  for (int i = 0; i < 600; ++i) specs.push_back({1.0e-3 * i, 1000.0, sizes[i % 6]});
+  const auto trace = make_trace(specs, 17);
+  for (const std::uint64_t seed : {0u, 1u}) {
+    std::vector<double> pooled;
+    for (const auto& flow : normalized_offsets(trace, seed)) {
+      pooled.insert(pooled.end(), flow.begin(), flow.end());
+    }
+    ASSERT_EQ(pooled.size(), trace.total_packets());
+    EXPECT_LT(ks_statistic(pooled, [](double x) { return x; }), kKsCritical) << seed;
+  }
+}
+
+TEST(PacketStreamPlacement, KthOffsetFollowsItsBetaLaw) {
+  // Packet k (1-based) of an n-packet flow is the k-th order statistic of
+  // n uniforms: Beta(k, n - k + 1).
+  constexpr std::uint64_t kPackets = 50;
+  std::vector<FlowSpec> specs;
+  for (int i = 0; i < 2000; ++i) specs.push_back({1.0e-3 * i, 1000.0, kPackets});
+  const auto trace = make_trace(specs, 23);
+  const auto offsets = normalized_offsets(trace, 0);
+  for (const std::uint64_t k : {1u, 17u, 50u}) {
+    std::vector<double> kth;
+    for (const auto& flow : offsets) {
+      ASSERT_EQ(flow.size(), kPackets);
+      kth.push_back(flow[k - 1]);
+    }
+    const double a = static_cast<double>(k);
+    const double b = static_cast<double>(kPackets - k + 1);
+    EXPECT_LT(ks_statistic(kth,
+                           [&](double x) {
+                             return flowrank::numeric::incbeta(a, b, std::clamp(x, 0.0, 1.0));
+                           }),
+              kKsCritical)
+        << "k " << k;
+  }
+}
+
+TEST(PacketStreamPlacement, EveryFlowStaysInsideItsIntervalInOrder) {
+  std::vector<FlowSpec> specs;
+  for (int i = 0; i < 300; ++i) {
+    specs.push_back({0.01 * i, i % 5 == 0 ? 0.0 : 0.5 + 0.37 * (i % 11),
+                     static_cast<std::uint64_t>(1 + (i * 7) % 90)});
+  }
+  const auto trace = make_trace(specs, 29);
+  for (const std::uint64_t seed : {0u, 9u}) {
+    const auto packets = ft::expand_trace(trace, seed);
+    ASSERT_EQ(packets.size(), trace.total_packets());
+    std::vector<std::uint64_t> seen(trace.flows.size(), 0);
+    std::vector<std::int64_t> last(trace.flows.size(), std::numeric_limits<std::int64_t>::min());
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      const auto& pkt = packets[i];
+      if (i > 0) ASSERT_LE(packets[i - 1].timestamp_ns, pkt.timestamp_ns) << i;
+      const std::size_t fi = pkt.tuple.src_ip - 1;
+      const auto& flow = trace.flows[fi];
+      const std::int64_t start = to_ns(flow.start_s);
+      const auto end = start + static_cast<std::int64_t>(
+                                   std::floor(flow.duration_s * kNsPerSec + 0.5));
+      EXPECT_GE(pkt.timestamp_ns, start) << fi;
+      EXPECT_LE(pkt.timestamp_ns, end) << fi;
+      EXPECT_GE(pkt.timestamp_ns, last[fi]) << fi;
+      EXPECT_EQ(pkt.tcp_seq, seen[fi] * trace.config.packet_size_bytes) << fi;
+      last[fi] = pkt.timestamp_ns;
+      ++seen[fi];
+    }
+    for (std::size_t fi = 0; fi < trace.flows.size(); ++fi) {
+      EXPECT_EQ(seen[fi], trace.flows[fi].packets) << fi;
+    }
+  }
+}
+
+TEST(PacketStreamPlacement, SeedsGiveDifferentPlacements) {
+  const auto trace = make_trace({{0.0, 10.0, 40}, {0.5, 3.0, 12}}, 31);
+  const auto a = ft::expand_trace(trace, 0);
+  const auto b = ft::expand_trace(trace, 1);
+  auto reseeded = trace;
+  reseeded.config.seed = 32;
+  const auto c = ft::expand_trace(reseeded, 0);
+  ASSERT_EQ(a.size(), b.size());
+  std::size_t differ_b = 0, differ_c = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    differ_b += a[i].timestamp_ns != b[i].timestamp_ns;
+    differ_c += a[i].timestamp_ns != c[i].timestamp_ns;
+  }
+  EXPECT_GT(differ_b, a.size() / 2);
+  EXPECT_GT(differ_c, a.size() / 2);
+}
+
+// Digests of the stream and of bin_flow_counts, captured when placement
+// and the bin split moved to the counter-based generator (stream v2).
+TEST(PacketStreamGolden, DigestsMatchStreamV2Capture) {
   const auto sprint = generated(ft::FlowTraceConfig::sprint_5tuple(1.5, 7), 30.0, 500.0);
   const auto abilene = generated(ft::FlowTraceConfig::abilene(3), 4.0, 2000.0);
   ASSERT_EQ(sprint.total_packets(), 147023u);
   ASSERT_EQ(abilene.total_packets(), 46892u);
-  EXPECT_EQ(stream_digest(sprint, 0), 0xc163b439f7077244ULL);
-  EXPECT_EQ(stream_digest(sprint, 5), 0xf3b1693c06a8ed44ULL);
-  EXPECT_EQ(stream_digest(abilene, 0), 0xaa32369fd622fdf5ULL);
-  EXPECT_EQ(stream_digest(abilene, 5), 0x76d8a12926675717ULL);
+  EXPECT_EQ(stream_digest(sprint, 0), 0x1d5ea4713ba2e3acULL);
+  EXPECT_EQ(stream_digest(sprint, 5), 0xaace6a5f6a584ffeULL);
+  EXPECT_EQ(stream_digest(abilene, 0), 0xedc852c29be1873fULL);
+  EXPECT_EQ(stream_digest(abilene, 5), 0x18693e5a05edd488ULL);
 }
 
-TEST(BinCountsGolden, DigestsMatchCaptureBeforeLazyEngines) {
+TEST(BinCountsGolden, DigestsMatchStreamV2Capture) {
   const auto sprint = generated(ft::FlowTraceConfig::sprint_5tuple(1.5, 7), 30.0, 500.0);
-  EXPECT_EQ(bin_digest(sprint, fp::FlowDefinition::kFiveTuple, 0), 0x46a4fa2ea0059247ULL);
-  EXPECT_EQ(bin_digest(sprint, fp::FlowDefinition::kDstPrefix24, 0), 0xc80607e05acd0f1eULL);
-  EXPECT_EQ(bin_digest(sprint, fp::FlowDefinition::kFiveTuple, 5), 0x51d3ef93ea1e3fb8ULL);
-  EXPECT_EQ(bin_digest(sprint, fp::FlowDefinition::kDstPrefix24, 5), 0x5ef736dc373721f0ULL);
+  EXPECT_EQ(bin_digest(sprint, fp::FlowDefinition::kFiveTuple, 0), 0x562cc0aa5d1d3e01ULL);
+  EXPECT_EQ(bin_digest(sprint, fp::FlowDefinition::kDstPrefix24, 0), 0x6628f0e1a55da2f3ULL);
+  EXPECT_EQ(bin_digest(sprint, fp::FlowDefinition::kFiveTuple, 5), 0xbe0f522cb682d869ULL);
+  EXPECT_EQ(bin_digest(sprint, fp::FlowDefinition::kDstPrefix24, 5), 0x94c8c07fc43aff0fULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -516,8 +549,8 @@ TEST(BinCountsGolden, DigestsMatchCaptureBeforeLazyEngines) {
 // ---------------------------------------------------------------------------
 
 TEST(PacketStream, RejectsTracesNotSortedByStart) {
-  // The heap merge activated flows only up to the first later start, so
-  // this trace used to emit flow 2's packets after those near t = 10.
+  // A merge that activated flows only up to the first later start would
+  // emit flow 2's packets after those near t = 10.
   const auto trace = make_trace({{1.0, 0.5, 3}, {10.0, 0.5, 3}, {2.0, 0.5, 3}});
   try {
     ft::PacketStream stream(trace);
@@ -547,4 +580,21 @@ TEST(PacketStream, ZeroPacketFlowsEmitNothing) {
   const auto packets = ft::expand_trace(trace);
   ASSERT_EQ(packets.size(), 3u);
   for (const auto& p : packets) EXPECT_EQ(p.tuple.src_ip, 2u);
+}
+
+TEST(PacketStream, RejectsFlowsBeyondThe32BitPacketIndex) {
+  auto trace = make_trace({{0.0, 1.0, 3}, {0.5, 1.0, 3}});
+  trace.flows[1].packets = std::uint64_t{1} << 32;
+  EXPECT_THROW(ft::PacketStream{trace}, flowrank::Error);
+  trace.flows[1].packets = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_NO_THROW(ft::PacketStream{trace});
+}
+
+TEST(PacketStream, RejectsNonFiniteDurations) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto trace = make_trace({{0.0, 1.0, 3}, {0.5, 1.0, 3}});
+    trace.flows[0].duration_s = bad;
+    EXPECT_THROW(ft::PacketStream{trace}, flowrank::Error) << bad;
+  }
 }
