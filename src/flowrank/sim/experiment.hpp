@@ -200,7 +200,9 @@ struct ExperimentSpec {
   // --- trace source -------------------------------------------------------
   /// "synthetic", "churn" (bounded unique-flow population with slot
   /// turnover; see the `churn` key), or a path to an FRT1 flow-trace file
-  /// to replay.
+  /// to replay. A relative path in a spec file is relative to that file's
+  /// directory; one given on the command line (--trace) is relative to the
+  /// working directory.
   std::string trace = "synthetic";
   /// Synthetic preset: sprint_5tuple | sprint_prefix24 | abilene | custom.
   std::string preset = "sprint_5tuple";
@@ -295,7 +297,8 @@ void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
 /// Parses a key=value spec file (`sweep <param> = <grammar>` declares an
 /// axis; later declarations of the same param replace earlier ones).
 /// Entry errors are rethrown as flowrank::Error(kSpec) tagged "path:line"
-/// and naming the offending key; a missing file is Error(kIo).
+/// and naming the offending key; a missing file is Error(kIo). A relative
+/// `trace` file resolves against the spec file's directory.
 [[nodiscard]] ExperimentSpec parse_experiment_file(const std::string& path);
 
 /// Applies CLI overrides: every spec key as `--key`, every sweep axis as

@@ -4,6 +4,7 @@
 // runs a spec lives in experiment.cpp.
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -737,6 +738,18 @@ void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
   }
 }
 
+namespace {
+/// A relative trace file named in a spec file is relative to the spec
+/// file's directory, so the spec runs from any working directory. The
+/// generator names and absolute paths pass through.
+std::string spec_relative_trace(const std::string& spec_path, const std::string& trace) {
+  if (trace == "synthetic" || trace == "churn") return trace;
+  const std::filesystem::path file(trace);
+  if (file.is_absolute()) return trace;
+  return (std::filesystem::path(spec_path).parent_path() / file).lexically_normal().string();
+}
+}  // namespace
+
 ExperimentSpec parse_experiment_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) {
@@ -765,6 +778,7 @@ ExperimentSpec parse_experiment_file(const std::string& path) {
     const std::string key = trim(line.substr(0, eq));
     try {
       apply_experiment_entry(spec, key, trim(line.substr(eq + 1)));
+      if (key == "trace") spec.trace = spec_relative_trace(path, spec.trace);
     } catch (const std::invalid_argument& e) {
       // File, line and offending key up front; the entry's own message
       // carries the value diagnosis.

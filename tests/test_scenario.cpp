@@ -272,6 +272,59 @@ TEST(SpecGrammar, FileParsingAndCliOverrides) {
   std::remove(path.c_str());
 }
 
+namespace {
+/// Switches the working directory for one scope.
+class ScopedCwd {
+ public:
+  explicit ScopedCwd(const std::filesystem::path& dir)
+      : saved_(std::filesystem::current_path()) {
+    std::filesystem::current_path(dir);
+  }
+  ~ScopedCwd() { std::filesystem::current_path(saved_); }
+  ScopedCwd(const ScopedCwd&) = delete;
+  ScopedCwd& operator=(const ScopedCwd&) = delete;
+
+ private:
+  std::filesystem::path saved_;
+};
+}  // namespace
+
+// A relative `trace = <file>` resolves against the spec file's directory,
+// so the checked-in replay specs load their recording from any working
+// directory; a relative --trace on the command line stays relative to the
+// working directory.
+TEST(SpecGrammar, RelativeTracePathsFollowTheSpecFile) {
+  namespace fs = std::filesystem;
+  const fs::path source(FLOWRANK_SOURCE_DIR);
+  const fs::path elsewhere = fs::path(::testing::TempDir()) / "spec_cwd";
+  fs::create_directories(elsewhere / "scenarios");
+  ScopedCwd cwd(elsewhere);
+  for (const char* spec_file :
+       {"scenarios/frt1_replay.spec", "scenarios/figures/est_space_saving_replay.spec"}) {
+    const auto spec = fsim::parse_experiment_file((source / spec_file).string());
+    EXPECT_EQ(fs::path(spec.trace), (source / "scenarios/tiny_sprint.frt1").lexically_normal())
+        << spec_file;
+    EXPECT_EQ(fsim::make_trace_source(spec)->flows().flows.size(), 738u) << spec_file;
+  }
+
+  // A spec next to its trace, named by a relative path from another
+  // directory, and the generator names, which are not paths.
+  fs::copy_file(source / "scenarios/tiny_sprint.frt1", elsewhere / "scenarios/copy.frt1",
+                fs::copy_options::overwrite_existing);
+  { std::ofstream(elsewhere / "scenarios/local.spec") << "model = packet\ntrace = copy.frt1\n"; }
+  { std::ofstream(elsewhere / "scenarios/synth.spec") << "trace = synthetic\n"; }
+  EXPECT_EQ(fsim::parse_experiment_file("scenarios/local.spec").trace, "scenarios/copy.frt1");
+  EXPECT_EQ(fsim::parse_experiment_file("scenarios/synth.spec").trace, "synthetic");
+
+  // --trace overrides the spec's file and resolves against the cwd.
+  const std::string spec_arg = (source / "scenarios/frt1_replay.spec").string();
+  const char* argv[] = {"test", "--spec", spec_arg.c_str(), "--trace", "scenarios/copy.frt1"};
+  const flowrank::util::Cli cli(5, argv);
+  const auto overridden = fsim::experiment_from_cli(cli);
+  EXPECT_EQ(overridden.trace, "scenarios/copy.frt1");
+  EXPECT_EQ(fsim::make_trace_source(overridden)->flows().flows.size(), 738u);
+}
+
 TEST(SpecGrammar, UnknownKeysAndValuesFailLoudly) {
   const std::string path = write_temp("spec_bad_key.spec", "not_a_key = 1\n");
   EXPECT_THROW((void)fsim::parse_experiment_file(path), std::runtime_error);
