@@ -40,11 +40,29 @@ double spacing(std::uint64_t key, std::uint64_t j) {
   return -std::log(util::unit_open_from_bits(util::counter_word(key, j)));
 }
 
-// A packet's offset from its flow's start: (P_k / S) · D_ns rounded half
-// up. The conversion truncates a non-negative value, so it is a floor; it
-// costs a fraction of std::llround's libm call.
-std::int64_t placed_offset(double prefix, double total, double duration_ns) {
-  return static_cast<std::int64_t>(prefix / total * duration_ns + 0.5);
+// S of a flow's placement (see packet_stream.hpp): -log(U_0 ⋯ U_n) from a
+// running product, rescaled exactly by 2^512 whenever it drops below
+// 2^-512, so the pass costs one multiply per packet and a single log.
+double spacing_total(std::uint64_t key, std::uint64_t packets) {
+  constexpr double kRescale = 0x1p512;
+  constexpr double kLogRescale = 0x1.62e42fefa39efp+8;  // 512 · ln 2, exactly
+  double product = 1.0;
+  double rescales = 0.0;
+  for (std::uint64_t j = 0; j <= packets; ++j) {
+    product *= util::unit_open_from_bits(util::counter_word(key, j));
+    if (product < 1.0 / kRescale) {
+      product *= kRescale;
+      rescales += 1.0;
+    }
+  }
+  return rescales * kLogRescale - std::log(product);
+}
+
+// A packet's offset from its flow's start: min(P_k · (D_ns / S), D_ns)
+// rounded half up. The conversion truncates a non-negative value, so it is
+// a floor; it costs a fraction of std::llround's libm call.
+std::int64_t placed_offset(double prefix, double scale, double duration_ns) {
+  return static_cast<std::int64_t>(std::min(prefix * scale, duration_ns) + 0.5);
 }
 
 // Floor division by the bucket width (an arithmetic shift), so negative
@@ -121,7 +139,7 @@ const FlowTrace& deref_checked(const std::shared_ptr<const FlowTrace>& trace) {
 }  // namespace
 
 PacketStream::PacketStream(const FlowTrace& trace, std::uint64_t seed)
-    : trace_(trace), seed_(seed), calendar_(kCalendarBuckets) {
+    : trace_(trace), seed_(seed), calendar_(kCalendarBuckets, kNoSlot) {
   for (std::size_t i = 0; i < trace_.flows.size(); ++i) {
     if (trace_.flows[i].packets > std::numeric_limits<std::uint32_t>::max()) {
       throw Error(ErrorCategory::kCorruptInput, "packet_stream",
@@ -141,6 +159,7 @@ PacketStream::PacketStream(const FlowTrace& trace, std::uint64_t seed)
                       " starts before flow " + std::to_string(i - 1) + ")");
     }
   }
+  next_start_bucket_ = start_bucket(0);
 }
 
 PacketStream::PacketStream(std::shared_ptr<const FlowTrace> trace,
@@ -152,8 +171,7 @@ PacketStream::PacketStream(std::shared_ptr<const FlowTrace> trace,
 PacketStream::PacketStream(const TraceSource& source, std::uint64_t seed)
     : PacketStream(std::make_shared<const FlowTrace>(source.flows()), seed) {}
 
-// Sets up `flow` for its packet 0: the total S (the n + 1 spacings summed
-// in index order) and P_0.
+// Sets up `flow` for its packet 0: D_ns / S and P_0.
 void PacketStream::place_first(std::uint32_t flow_index, LiveFlow& flow) const {
   const auto& record = trace_.flows[flow_index];
   flow.flow_index = flow_index;
@@ -165,21 +183,26 @@ void PacketStream::place_first(std::uint32_t flow_index, LiveFlow& flow) const {
   if (record.packets == 1 || record.duration_s <= 0.0) return;
   flow.duration_ns = record.duration_s * kNsPerSec;
   flow.key = util::mix_streams(trace_.config.seed, seed_, flow_index);
-  double total = 0.0;
-  for (std::uint64_t j = 0; j <= record.packets; ++j) total += spacing(flow.key, j);
-  flow.total = total;
+  flow.scale = flow.duration_ns / spacing_total(flow.key, record.packets);
   flow.prefix = spacing(flow.key, 0);
-  flow.next_ns = flow.start_ns + placed_offset(flow.prefix, total, flow.duration_ns);
+  flow.next_ns = flow.start_ns + placed_offset(flow.prefix, flow.scale, flow.duration_ns);
 }
 
 void PacketStream::file(std::uint32_t slot) {
-  calendar_[ring_position(bucket_of(slots_[slot].next_ns))].push_back(slot);
+  std::uint32_t& head = calendar_[ring_position(bucket_of(slots_[slot].next_ns))];
+  slots_[slot].next_filed = head;
+  head = slot;
+}
+
+std::int64_t PacketStream::start_bucket(std::size_t flow) const {
+  return flow < trace_.flows.size() ? bucket_of(to_ns(trace_.flows[flow].start_s))
+                                    : std::numeric_limits<std::int64_t>::max();
 }
 
 void PacketStream::activate_through(std::int64_t bucket) {
-  while (next_flow_ < trace_.flows.size() &&
-         bucket_of(to_ns(trace_.flows[next_flow_].start_s)) <= bucket) {
+  while (next_start_bucket_ <= bucket) {
     const auto flow_index = static_cast<std::uint32_t>(next_flow_++);
+    next_start_bucket_ = start_bucket(next_flow_);
     if (trace_.flows[flow_index].packets == 0) continue;
     std::uint32_t slot;
     if (free_slots_.empty()) {
@@ -197,15 +220,16 @@ void PacketStream::activate_through(std::int64_t bucket) {
 }
 
 void PacketStream::drain(std::int64_t bucket) {
-  // Swap the bucket out first: a flow whose next packet is exactly one
-  // revolution later is filed back under the same ring position.
-  std::vector<std::uint32_t>& filed = calendar_[ring_position(bucket)];
-  draining_.swap(filed);
+  // Unlink the bucket's list first: a flow whose next packet is exactly
+  // one revolution later is filed back under the same ring position.
+  std::uint32_t slot = std::exchange(calendar_[ring_position(bucket)], kNoSlot);
   ready_base_ns_ = bucket * kBucketNs;
-  for (const std::uint32_t slot : draining_) {
+  while (slot != kNoSlot) {
     LiveFlow& flow = slots_[slot];
+    const std::uint32_t next_slot = flow.next_filed;
     if (bucket_of(flow.next_ns) != bucket) {
-      filed.push_back(slot);  // due in a later revolution
+      file(slot);  // due in a later revolution
+      slot = next_slot;
       continue;
     }
     // Emit every packet due in this bucket, placing each next one as the
@@ -217,7 +241,7 @@ void PacketStream::drain(std::int64_t bucket) {
       if (flow.duration_ns > 0.0) {
         flow.prefix += spacing(flow.key, flow.cursor);
         flow.next_ns =
-            flow.start_ns + placed_offset(flow.prefix, flow.total, flow.duration_ns);
+            flow.start_ns + placed_offset(flow.prefix, flow.scale, flow.duration_ns);
       }
     } while (bucket_of(flow.next_ns) == bucket);
     if (flow.cursor < flow.packets) {
@@ -225,15 +249,12 @@ void PacketStream::drain(std::int64_t bucket) {
     } else {
       free_slots_.push_back(slot);
     }
+    slot = next_slot;
   }
-  draining_.clear();
 }
 
 std::int64_t PacketStream::next_live_bucket() const {
-  std::int64_t next = std::numeric_limits<std::int64_t>::max();
-  if (next_flow_ < trace_.flows.size()) {
-    next = bucket_of(to_ns(trace_.flows[next_flow_].start_s));
-  }
+  std::int64_t next = next_start_bucket_;
   for (const LiveFlow& flow : slots_) {
     if (flow.cursor < flow.packets) next = std::min(next, bucket_of(flow.next_ns));
   }
@@ -253,7 +274,7 @@ bool PacketStream::fill_ready() {
     if (free_slots_.size() == slots_.size()) {
       if (next_flow_ == trace_.flows.size()) return false;
       // Nothing live: jump straight to the next flow's start.
-      bucket_ = bucket_of(to_ns(trace_.flows[next_flow_].start_s));
+      bucket_ = next_start_bucket_;
     } else if (idle == kCalendarBuckets) {
       // A whole revolution came up empty: jump to the earliest pending
       // packet or flow start instead of stepping through the gap. The
@@ -272,22 +293,22 @@ bool PacketStream::fill_ready() {
   return true;
 }
 
-packet::PacketRecord PacketStream::record(const Pending& pending) const {
+void PacketStream::write_record(const Pending& pending, packet::PacketRecord& pkt) const {
   const packet::FiveTuple& tuple = tuples_[pending.slot];
-  packet::PacketRecord pkt;
   pkt.timestamp_ns = ready_base_ns_ + static_cast<std::int64_t>(pending.key >> 32);
   pkt.tuple = tuple;
   pkt.size_bytes = trace_.config.packet_size_bytes;
   pkt.tcp_seq = tuple.protocol == packet::Protocol::kTcp
                     ? pending.packet_index * trace_.config.packet_size_bytes
                     : 0;
-  return pkt;
 }
 
 std::optional<packet::PacketRecord> PacketStream::next() {
   if (ready_pos_ == ready_.size() && !fill_ready()) return std::nullopt;
   ++emitted_;
-  return record(ready_[ready_pos_++]);
+  packet::PacketRecord pkt;
+  write_record(ready_[ready_pos_++], pkt);
+  return pkt;
 }
 
 std::size_t PacketStream::next_batch(std::vector<packet::PacketRecord>& out,
@@ -298,7 +319,7 @@ std::size_t PacketStream::next_batch(std::vector<packet::PacketRecord>& out,
     const std::size_t have = out.size();
     const std::size_t take = std::min(max_packets - have, ready_.size() - ready_pos_);
     out.resize(have + take);
-    for (std::size_t i = 0; i < take; ++i) out[have + i] = record(ready_[ready_pos_ + i]);
+    for (std::size_t i = 0; i < take; ++i) write_record(ready_[ready_pos_ + i], out[have + i]);
     ready_pos_ += take;
   }
   emitted_ += out.size();

@@ -10,20 +10,22 @@
 // Placement (stream v2). A flow of n packets, duration D and start T is
 // keyed by key = util::mix_streams(trace seed, stream seed, flow index).
 // If n = 1 or D <= 0 every packet sits at T_ns = llround(T · 1e9).
-// Otherwise, with the n + 1 exponentials
-//   E_j = -log(util::unit_open_from_bits(util::counter_word(key, j))),
-//   j = 0..n,
-// summed in index order into the prefixes P_k = E_0 + ... + E_k and the
-// total S = E_0 + ... + E_n, packet k (k = 0..n-1) sits at
-//   T_ns + floor((P_k / S) · (D · 1e9) + 0.5),
-// each operation in double precision and in that order.
-// P_k / S for k < n are the order statistics of n i.i.d. U(0, 1) draws
-// (normalized exponential spacings), so this is the paper's uniform
-// placement, generated already sorted one packet at a time. Each live
-// flow keeps O(1) state: the pass over S at activation, then E_k again
-// from the counter as packet k comes due. Timestamps ascend within a
-// flow and lie in [T_ns, T_ns + floor(D · 1e9 + 0.5)]: the prefixes
-// ascend, P_{n-1} <= S, and every step after the sums is monotone.
+// Otherwise, with U_j = util::unit_open_from_bits(util::counter_word(key,
+// j)) and E_j = -log(U_j) for j = 0..n, packet k (k = 0..n-1) sits at
+//   T_ns + floor(min(P_k · (D_ns / S), D_ns) + 0.5),   D_ns = D · 1e9,
+// where P_k = E_0 + ... + E_k is summed in index order and
+// S = -log(U_0 ⋯ U_n) is taken from a running product that is rescaled
+// by 2^512 whenever it drops below 2^-512 (S = r · 512 · ln 2 - log(m)
+// for r rescales and final product m), each operation in double
+// precision and in that order. S equals E_0 + ... + E_n up to rounding,
+// so P_k / S for k < n are the order statistics of n i.i.d. U(0, 1) draws
+// (normalized exponential spacings): the paper's uniform placement,
+// generated already sorted one packet at a time (Bentley & Saxe,
+// "Generating sorted lists of random numbers", 1980). Each live flow
+// keeps O(1) state: S costs one multiply per packet at activation, then
+// E_k is regenerated from the counter as packet k comes due. Timestamps
+// ascend within a flow (the prefixes ascend and every later step is
+// monotone) and lie in [T_ns, T_ns + floor(D · 1e9 + 0.5)].
 #pragma once
 
 #include <cstdint>
@@ -86,6 +88,8 @@ class PacketStream {
     std::uint32_t packet_index;
     std::uint32_t slot;  ///< the flow's LiveFlow, live until ready_ is spent
   };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   /// A flow with packets left to emit: O(1) state, whatever its size, in
   /// one cache line. Slots are recycled, so the stream holds one per live
   /// flow, not one per trace flow.
@@ -94,11 +98,12 @@ class PacketStream {
     std::int64_t start_ns = 0;
     double duration_ns = 0.0;   ///< 0 for a point flow: every packet at start
     double prefix = 0.0;        ///< P_cursor
-    double total = 0.0;         ///< S
+    double scale = 0.0;         ///< D_ns / S
     std::uint64_t key = 0;      ///< counter key of the placement stream
     std::uint32_t cursor = 0;   ///< next packet; == packets once free
     std::uint32_t packets = 0;
     std::uint32_t flow_index = 0;
+    std::uint32_t next_filed = kNoSlot;  ///< next slot in the same calendar bucket
   };
 
   [[nodiscard]] bool fill_ready();
@@ -106,21 +111,26 @@ class PacketStream {
   void drain(std::int64_t bucket);
   void file(std::uint32_t slot);
   [[nodiscard]] std::int64_t next_live_bucket() const;
+  [[nodiscard]] std::int64_t start_bucket(std::size_t flow) const;
   void place_first(std::uint32_t flow_index, LiveFlow& flow) const;
-  [[nodiscard]] packet::PacketRecord record(const Pending& pending) const;
+  /// Writes the packet in place: a record built by value and then copied
+  /// goes through the stack in pieces, which stalls store forwarding.
+  void write_record(const Pending& pending, packet::PacketRecord& pkt) const;
 
   std::shared_ptr<const FlowTrace> owned_;  ///< null for the reference ctor
   const FlowTrace& trace_;
   std::uint64_t seed_;
   std::size_t next_flow_ = 0;  ///< next trace flow not yet activated
+  std::int64_t next_start_bucket_ = 0;  ///< its start bucket; max once none is left
   std::int64_t bucket_ = 0;    ///< next calendar bucket to drain
   std::vector<LiveFlow> slots_;
   std::vector<packet::FiveTuple> tuples_;  ///< per slot: its flow's tuple
   std::vector<std::uint32_t> free_slots_;  ///< all of slots_ when none is live
   /// Ring of buckets; a live flow is filed under the bucket of its next
-  /// packet (ring position = bucket mod ring size).
-  std::vector<std::vector<std::uint32_t>> calendar_;
-  std::vector<std::uint32_t> draining_;  ///< the bucket being drained
+  /// packet (ring position = bucket mod ring size). Each holds the first
+  /// slot of a list threaded through LiveFlow::next_filed, so filing a flow
+  /// touches only its own slot and this small array.
+  std::vector<std::uint32_t> calendar_;
   std::vector<Pending> ready_;  ///< the drained bucket's packets, sorted
   std::vector<Pending> sort_scratch_;  ///< radix sort's second buffer
   std::int64_t ready_base_ns_ = 0;     ///< first nanosecond of ready_'s bucket

