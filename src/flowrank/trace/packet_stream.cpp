@@ -31,6 +31,9 @@ constexpr std::size_t kInsertionSortMax = 64;
 constexpr std::size_t kPresortMin = 12;
 constexpr int kPresortBits = 6;
 
+// Longest duration placement accepts: its nanoseconds fit an int64_t.
+constexpr double kMaxDurationS = 9.0e9;
+
 std::int64_t to_ns(double seconds) {
   return static_cast<std::int64_t>(std::llround(seconds * kNsPerSec));
 }
@@ -45,7 +48,7 @@ double spacing(std::uint64_t key, std::uint64_t j) {
 // 2^-512, so the pass costs one multiply per packet and a single log.
 double spacing_total(std::uint64_t key, std::uint64_t packets) {
   constexpr double kRescale = 0x1p512;
-  constexpr double kLogRescale = 0x1.62e42fefa39efp+8;  // 512 · ln 2, exactly
+  constexpr double kLogRescale = 0x1.62e42fefa39efp+8;  // 512 times the double ln 2
   double product = 1.0;
   double rescales = 0.0;
   for (std::uint64_t j = 0; j <= packets; ++j) {
@@ -145,11 +148,12 @@ PacketStream::PacketStream(const FlowTrace& trace, std::uint64_t seed)
       throw Error(ErrorCategory::kCorruptInput, "packet_stream",
                   "flow " + std::to_string(i) + " has more than 2^32 - 1 packets");
     }
-    // Placement converts (P_k / S) · D to an integer; a NaN or infinite
-    // duration has no such value.
-    if (!std::isfinite(trace_.flows[i].duration_s)) {
+    // Placement converts an offset of up to D · 1e9 to a 64-bit integer;
+    // a NaN, infinite or centuries-long duration has no such value.
+    if (!(std::fabs(trace_.flows[i].duration_s) < kMaxDurationS)) {
       throw Error(ErrorCategory::kCorruptInput, "packet_stream",
-                  "flow " + std::to_string(i) + " has a non-finite duration_s");
+                  "flow " + std::to_string(i) +
+                      " has a non-finite or out-of-range duration_s");
     }
     if (i == 0) continue;
     // Negated so that a NaN start is rejected too.

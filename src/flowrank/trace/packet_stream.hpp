@@ -15,8 +15,9 @@
 //   T_ns + floor(min(P_k · (D_ns / S), D_ns) + 0.5),   D_ns = D · 1e9,
 // where P_k = E_0 + ... + E_k is summed in index order and
 // S = -log(U_0 ⋯ U_n) is taken from a running product that is rescaled
-// by 2^512 whenever it drops below 2^-512 (S = r · 512 · ln 2 - log(m)
-// for r rescales and final product m), each operation in double
+// by 2^512 whenever it drops below 2^-512 (S = r · L - log(m) for r
+// rescales, final product m and L = 512 times the double nearest ln 2),
+// each operation in double
 // precision and in that order. S equals E_0 + ... + E_n up to rounding,
 // so P_k / S for k < n are the order statistics of n i.i.d. U(0, 1) draws
 // (normalized exponential spacings): the paper's uniform placement,
@@ -132,7 +133,7 @@ class PacketStream {
   /// touches only its own slot and this small array.
   std::vector<std::uint32_t> calendar_;
   std::vector<Pending> ready_;  ///< the drained bucket's packets, sorted
-  std::vector<Pending> sort_scratch_;  ///< radix sort's second buffer
+  std::vector<Pending> sort_scratch_;  ///< the counting passes' second buffer
   std::int64_t ready_base_ns_ = 0;     ///< first nanosecond of ready_'s bucket
   std::size_t ready_pos_ = 0;   ///< next ready_ packet to emit
   std::uint64_t emitted_ = 0;

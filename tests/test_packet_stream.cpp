@@ -600,9 +600,9 @@ TEST(PacketStream, RejectsFlowsBeyondThe32BitPacketIndex) {
   EXPECT_NO_THROW(ft::PacketStream{trace});
 }
 
-TEST(PacketStream, RejectsNonFiniteDurations) {
+TEST(PacketStream, RejectsNonFiniteAndOutOfRangeDurations) {
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity()}) {
+                           std::numeric_limits<double>::infinity(), 1.0e10, -1.0e10}) {
     auto trace = make_trace({{0.0, 1.0, 3}, {0.5, 1.0, 3}});
     trace.flows[0].duration_s = bad;
     EXPECT_THROW(ft::PacketStream{trace}, flowrank::Error) << bad;
