@@ -96,6 +96,7 @@ class Engine {
     }
   }
 
+ private:
   // mt19937_64's parameters: state size n = 312, shift m = 156, seeding
   // multiplier f, twist matrix a, and the 31-bit lower mask r.
   static constexpr std::size_t kStateWords = 312;
@@ -126,7 +127,6 @@ class Engine {
     return z ^ (z >> 43);
   }
 
- private:
   /// Refills all 312 words. Each loop has a fixed distance between the
   /// words it reads and writes, so each vectorizes.
   void twist() noexcept {

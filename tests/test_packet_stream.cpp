@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -514,23 +513,6 @@ TEST(PacketStreamPlacement, EveryFlowStaysInsideItsIntervalInOrder) {
       EXPECT_EQ(seen[fi], trace.flows[fi].packets) << fi;
     }
   }
-}
-
-TEST(PacketStreamPlacement, SeedsGiveDifferentPlacements) {
-  const auto trace = make_trace({{0.0, 10.0, 40}, {0.5, 3.0, 12}}, 31);
-  const auto a = ft::expand_trace(trace, 0);
-  const auto b = ft::expand_trace(trace, 1);
-  auto reseeded = trace;
-  reseeded.config.seed = 32;
-  const auto c = ft::expand_trace(reseeded, 0);
-  ASSERT_EQ(a.size(), b.size());
-  std::size_t differ_b = 0, differ_c = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    differ_b += a[i].timestamp_ns != b[i].timestamp_ns;
-    differ_c += a[i].timestamp_ns != c[i].timestamp_ns;
-  }
-  EXPECT_GT(differ_b, a.size() / 2);
-  EXPECT_GT(differ_c, a.size() / 2);
 }
 
 // Digests of the stream and of bin_flow_counts, captured when placement

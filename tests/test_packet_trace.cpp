@@ -212,6 +212,14 @@ TEST(PacketStream, DeterministicPlacement) {
     if (a[i].timestamp_ns != c[i].timestamp_ns) any_difference = true;
   }
   EXPECT_TRUE(any_difference);  // different placement seed shifts packets
+  // The trace seed keys placement too.
+  auto reseeded = trace;
+  ++reseeded.config.seed;
+  const auto d = ft::expand_trace(reseeded, /*seed=*/5);
+  ASSERT_EQ(a.size(), d.size());
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) moved += a[i].timestamp_ns != d[i].timestamp_ns;
+  EXPECT_GT(moved, a.size() / 2);
 }
 
 // ---------------------------------------------------------------------------
