@@ -547,9 +547,9 @@ BENCHMARK(BM_ShortPipelinesSpawn)->Unit(benchmark::kMillisecond)->UseRealTime();
 // --- partition-at-source batch hashing --------------------------------------
 
 // The hash-once kernel behind the ring pipeline: one FlowKeyHash per
-// packet, reused for shard selection, table probing and hash-threshold
-// sampling. The row keeps its /scalar name so it lines up with the
-// BM_HashBatch/scalar row already recorded in BENCH_micro.json.
+// packet, reused for shard selection and table probing. The row keeps
+// its /scalar name so it lines up with the BM_HashBatch/scalar row
+// already recorded in BENCH_micro.json.
 void BM_HashBatch(benchmark::State& state) {
   constexpr std::size_t kKeys = 1 << 16;
   std::vector<flowrank::packet::FlowKey> keys(kKeys);
@@ -561,7 +561,7 @@ void BM_HashBatch(benchmark::State& state) {
   }
   std::vector<std::uint64_t> hashes(kKeys);
   for (auto _ : state) {
-    flowrank::flowtable::hash_batch(keys, /*salt=*/0, hashes);
+    flowrank::flowtable::hash_batch(keys, hashes);
     benchmark::DoNotOptimize(hashes.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -1,13 +1,12 @@
 // Trace inversion: recover original traffic properties from a sampled
 // stream — total flows, mean flow size (Duffield-style estimators, related
-// work [9]) and per-flow sizes with confidence intervals — then let the
-// adaptive controller (paper future-work #3) pick the next interval's rate.
+// work [9]) and per-flow sizes with confidence intervals. To pick a rate
+// for a target accuracy, see sampling_rate_planner.cpp.
 //
 // Usage: example_trace_inversion [--rate 0.02] [--duration 300]
 #include <iostream>
 #include <vector>
 
-#include "flowrank/estimators/adaptive_rate.hpp"
 #include "flowrank/estimators/inversion.hpp"
 #include "flowrank/flowtable/binned_classifier.hpp"
 #include "flowrank/sampler/packet_sampler.hpp"
@@ -67,19 +66,5 @@ int main(int argc, char** argv) {
     sizes.add_row(f.packets, est.estimate, est.ci95_low, est.ci95_high);
   }
   sizes.print(std::cout);
-
-  // Adaptive control: what rate should the next interval use?
-  std::vector<std::uint64_t> sampled_sizes;
-  sampled_sizes.reserve(sampled_flows.size());
-  for (const auto& f : sampled_flows) sampled_sizes.push_back(f.packets);
-  flowrank::estimators::AdaptiveRateConfig ada_cfg;
-  ada_cfg.top_t = 10;
-  ada_cfg.goal = flowrank::core::PlannerGoal::kDetectTopT;
-  flowrank::estimators::AdaptiveRateController controller(ada_cfg);
-  const auto decision = controller.observe(sampled_sizes, rate);
-  std::cout << "\nadaptive controller: estimated N = " << decision.estimated_flows
-            << ", beta = " << decision.estimated_beta
-            << " -> next-interval rate = " << decision.next_rate * 100 << "%"
-            << (decision.feasible ? "" : " (target infeasible, clamped)") << "\n";
   return 0;
 }

@@ -141,7 +141,6 @@ ALLOWLIST = {
         "src/flowrank/trace/flow_churn.cpp",
         "src/flowrank/trace/fault_injection.cpp",
         "src/flowrank/dist/empirical.cpp",
-        "src/flowrank/sampler/packet_sampler.hpp",
         "src/flowrank/estimators/heavy_hitter_trackers.cpp",
         "src/flowrank/util/rng.hpp",
     ),

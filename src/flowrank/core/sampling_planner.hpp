@@ -71,8 +71,7 @@ struct PlannerResult {
 
 /// Discrete-model goal: the same search, but every evaluation is the
 /// exact discrete ranking model (Eqs. 1 and 3) instead of the continuous
-/// quadrature — what the future adaptive controller retunes against.
-/// Each evaluation changes p, so each rebuilds the pairwise tables; keep
+/// quadrature. Each evaluation changes p, so each rebuilds the pairwise tables; keep
 /// `config.max_size` modest (and consider `config.window_tolerance`) when
 /// planning in a loop. `config.p` is ignored. Unlike the continuous
 /// overload, p_max must stay strictly below 1 (the discrete model's

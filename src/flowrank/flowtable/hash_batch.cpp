@@ -13,10 +13,10 @@ constexpr std::uint64_t kMix3 = 0x94d049bb133111ebULL;
 
 }  // namespace
 
-void hash_batch(std::span<const packet::FlowKey> keys, std::uint64_t salt,
+void hash_batch(std::span<const packet::FlowKey> keys,
                 std::span<std::uint64_t> out) noexcept {
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    std::uint64_t z = keys[i].hi ^ (keys[i].lo * kMix1) ^ salt;
+    std::uint64_t z = keys[i].hi ^ (keys[i].lo * kMix1);
     z = (z ^ (z >> 30)) * kMix2;
     z = (z ^ (z >> 27)) * kMix3;
     out[i] = z ^ (z >> 31);
@@ -25,7 +25,7 @@ void hash_batch(std::span<const packet::FlowKey> keys, std::uint64_t salt,
 
 void hash_batch_table_ready(std::span<const packet::FlowKey> keys,
                             std::span<std::uint64_t> out) noexcept {
-  hash_batch(keys, 0, out);
+  hash_batch(keys, out);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     out[i] = table_ready_hash(out[i]);
   }

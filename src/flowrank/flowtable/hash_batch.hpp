@@ -2,17 +2,12 @@
 //
 // The scale-up ingest path computes each packet's 64-bit key hash
 // exactly once, at the driver, and carries it with the record so shard
-// selection, flow-table probing and hash-threshold sampling all reuse
-// it (see docs/PERFORMANCE.md "Scale-up ingest"). hash_batch() is that
-// one computation over a whole batch: the packet::FlowKeyHash SplitMix
+// selection and flow-table probing both reuse it (see
+// docs/PERFORMANCE.md "Scale-up ingest"). hash_batch() is that one
+// computation over a whole batch: the packet::FlowKeyHash SplitMix
 // finalizer over two 64-bit words, as a plain scalar loop. Two-lane
 // SSE2/NEON kernels measured 0.63x this loop (no native 64-bit lane
 // multiply), so there is no vector path.
-//
-// The optional salt reproduces sampler::FlowSampler's salted variant:
-// folding `salt` into the first mixing step with salt == 0 yields
-// exactly FlowKeyHash, and with the sampler's salt yields exactly
-// FlowSampler::selects' pre-threshold value (tests/test_hash_batch.cpp).
 #pragma once
 
 #include <cstdint>
@@ -22,9 +17,9 @@
 
 namespace flowrank::flowtable {
 
-/// out[i] = SplitMix(keys[i], salt) for the whole batch. salt == 0 gives
-/// packet::FlowKeyHash bit-for-bit. Requires out.size() >= keys.size().
-void hash_batch(std::span<const packet::FlowKey> keys, std::uint64_t salt,
+/// out[i] = packet::FlowKeyHash{}(keys[i]) bit-for-bit, for the whole
+/// batch. Requires out.size() >= keys.size().
+void hash_batch(std::span<const packet::FlowKey> keys,
                 std::span<std::uint64_t> out) noexcept;
 
 /// FlowTable's open-addressing slots reserve hash 0 as "empty", so a
@@ -35,8 +30,8 @@ void hash_batch(std::span<const packet::FlowKey> keys, std::uint64_t salt,
   return raw == 0 ? 0x9e3779b97f4a7c15ULL : raw;
 }
 
-/// hash_batch with salt 0 followed by the table_ready_hash remap: the
-/// form the ingest driver carries alongside each PacketRecord.
+/// hash_batch followed by the table_ready_hash remap: the form the
+/// ingest driver carries alongside each PacketRecord.
 void hash_batch_table_ready(std::span<const packet::FlowKey> keys,
                             std::span<std::uint64_t> out) noexcept;
 

@@ -111,21 +111,29 @@ void ShardedPipeline::drain_shard(std::size_t shard_index) {
     // schedule — the re-check guarantees we (or a replacement task we
     // yield to) still drain that chunk. The fence pairs with the
     // driver's push-then-fence-then-exchange sequence in enqueue().
-    shard.task_active.store(false, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!shard.ring.empty()) {
+    //
+    // The whole retirement runs under shard.mutex, and the unlock is the
+    // task's last touch of the Shard. drain_all() reads task_active only
+    // under the same mutex, so the driver cannot see this task retired
+    // (return from finish() and free the pipeline) until the lock is
+    // released. Storing the flag before taking the lock to notify would
+    // let the driver observe the store, leave drain_all() and destroy the
+    // Shard while this task was still about to lock its mutex.
+    {
+      util::MutexLock lock(shard.mutex);
+      shard.task_active.store(false, std::memory_order_seq_cst);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (shard.ring.empty()) {
+        // Fully retired; a driver in drain_all() may be waiting for
+        // exactly this transition.
+        shard.wakeup.notify_all();
+        return;
+      }
       if (shard.task_active.exchange(true, std::memory_order_seq_cst)) {
         return;  // a replacement task is already scheduled; it drains
       }
-      continue;  // reclaimed the flag: keep draining ourselves
     }
-    // Fully retired; a driver in drain_all() may be waiting for exactly
-    // this transition.
-    if (shard.driver_waiting.load(std::memory_order_seq_cst) != 0) {
-      util::MutexLock lock(shard.mutex);
-      shard.wakeup.notify_all();
-    }
-    return;
+    // Reclaimed the flag: keep draining ourselves.
   }
 }
 

@@ -54,30 +54,6 @@ double quantile(std::span<const double> data, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double hill_tail_index(std::span<const double> data, std::size_t k) {
-  if (k < 1) throw std::invalid_argument("hill_tail_index: k >= 1 required");
-  std::vector<double> positive;
-  positive.reserve(data.size());
-  for (double v : data) {
-    if (v > 0.0) positive.push_back(v);
-  }
-  if (positive.size() < k + 1) {
-    throw std::invalid_argument("hill_tail_index: need more than k positive samples");
-  }
-  std::partial_sort(positive.begin(),
-                    positive.begin() + static_cast<std::ptrdiff_t>(k + 1),
-                    positive.end(), std::greater<>());
-  const double x_k = positive[k];
-  double acc = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    acc += std::log(positive[i] / x_k);
-  }
-  if (acc <= 0.0) {
-    throw std::invalid_argument("hill_tail_index: degenerate (all top values equal)");
-  }
-  return static_cast<double>(k) / acc;
-}
-
 namespace {
 
 // Counts inversions of `v` via merge sort; O(n log n).

@@ -1,9 +1,7 @@
-// Descriptive statistics and tail-index estimation.
+// Descriptive statistics.
 //
 // RunningStats backs the multi-run simulation aggregates (mean ± stddev per
-// bin, exactly what Figs. 12-16 plot). The Hill estimator backs the adaptive
-// sampling-rate controller (paper future-work #3), which needs the Pareto
-// shape of the *observed* traffic.
+// bin, exactly what Figs. 12-16 plot).
 #pragma once
 
 #include <cstddef>
@@ -39,11 +37,6 @@ class RunningStats {
 /// Empirical quantile (linear interpolation between order statistics).
 /// q in [0,1]; data need not be sorted. Throws on empty input.
 [[nodiscard]] double quantile(std::span<const double> data, double q);
-
-/// Hill estimator of the Pareto tail index beta using the k largest order
-/// statistics: beta_hat = k / sum_{i<k} ln(X_(i)/X_(k)). Throws when the
-/// data has fewer than k+1 positive values or k < 1.
-[[nodiscard]] double hill_tail_index(std::span<const double> data, std::size_t k);
 
 /// Kendall rank correlation tau-a over paired observations, counting ties
 /// as discordant-neutral: tau = (C - D) / (n(n-1)/2). O(n^2) on ties-heavy

@@ -77,9 +77,13 @@ BinnedCounts bin_flow_counts(const FlowTrace& trace, double bin_seconds,
 
     // Multinomial split across overlapped bins via sequential binomial
     // conditionals: P(bin b gets k of the remaining m) with probability
-    // equal to overlap(b) / remaining_length.
+    // equal to overlap(b) / remaining_length. The length is the flow's
+    // own, not its in-trace part: a flow that runs past the trace end
+    // spreads its packets over all of [T, T+D] as PacketStream does, and
+    // the last bin takes the share past the end, as the packet path's
+    // clamp does.
     std::uint64_t remaining = flow.packets;
-    double remaining_len = end - start;
+    double remaining_len = flow.end_s() - start;
     for (std::size_t b = first_bin; b <= last_bin && remaining > 0; ++b) {
       if (b == last_bin) {
         out.bins[b].push_back(BinFlowCount{key, remaining});

@@ -50,7 +50,9 @@ struct BinnedCounts {
 ///
 /// Placement is multinomial over overlap fractions (exactly the law induced
 /// by the paper's uniform packet placement), deterministic in
-/// (trace.config.seed, placement_seed).
+/// (trace.config.seed, placement_seed). A flow that runs past the trace
+/// end keeps its whole length; the last bin takes the packets placed past
+/// the end, as the packet path's clamp does.
 [[nodiscard]] BinnedCounts bin_flow_counts(const FlowTrace& trace,
                                            double bin_seconds,
                                            packet::FlowDefinition def,

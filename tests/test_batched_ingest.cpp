@@ -1,7 +1,7 @@
 // Tests for the batched ingest pipeline: the flat open-addressing flow
 // table (collisions, growth, timeout splitting, clear/reuse), batch vs
-// per-packet equivalence of samplers and tables, and distributional
-// properties of the skip-based samplers.
+// per-packet equivalence of the sampler and tables, and the distribution
+// of the skip-based Bernoulli sampler.
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -190,8 +190,7 @@ namespace {
 
 /// Runs `sampler` over the workload per-packet (offer + add) and returns
 /// the sampled table's canonical flows.
-template <typename SamplerT>
-std::vector<ff::FlowCounter> run_per_packet(SamplerT sampler,
+std::vector<ff::FlowCounter> run_per_packet(fs::BernoulliSampler sampler,
                                             std::span<const fp::PacketRecord> pkts) {
   ff::FlowTable table({fp::FlowDefinition::kFiveTuple, 0});
   for (const auto& pkt : pkts) {
@@ -201,8 +200,7 @@ std::vector<ff::FlowCounter> run_per_packet(SamplerT sampler,
 }
 
 /// Runs `sampler` over the workload in batches (select + add_batch).
-template <typename SamplerT>
-std::vector<ff::FlowCounter> run_batched(SamplerT sampler,
+std::vector<ff::FlowCounter> run_batched(fs::BernoulliSampler sampler,
                                          std::span<const fp::PacketRecord> pkts,
                                          std::size_t batch_size) {
   ff::FlowTable table({fp::FlowDefinition::kFiveTuple, 0});
@@ -232,39 +230,6 @@ TEST(BatchEquivalence, BernoulliSelectsIdenticalPacketsAsOffer) {
   }
 }
 
-TEST(BatchEquivalence, PeriodicSelectsIdenticalPacketsAsOffer) {
-  const auto workload = make_workload(20000, 101, 22);
-  for (std::uint64_t period : {1ull, 3ull, 100ull}) {
-    const auto reference = run_per_packet(fs::PeriodicSampler(period, period / 2),
-                                          workload);
-    for (std::size_t batch_size : {1ul, 13ul, 999ul}) {
-      expect_identical(reference, run_batched(fs::PeriodicSampler(period, period / 2),
-                                              workload, batch_size));
-    }
-  }
-}
-
-TEST(BatchEquivalence, StratifiedSelectsIdenticalPacketsAsOffer) {
-  const auto workload = make_workload(20000, 101, 23);
-  for (std::uint64_t period : {1ull, 7ull, 64ull}) {
-    const auto reference = run_per_packet(fs::StratifiedSampler(period, 5), workload);
-    for (std::size_t batch_size : {1ul, 13ul, 1000ul}) {
-      expect_identical(reference,
-                       run_batched(fs::StratifiedSampler(period, 5), workload,
-                                   batch_size));
-    }
-  }
-}
-
-TEST(BatchEquivalence, FlowSamplerSelectsIdenticalPacketsAsOffer) {
-  const auto workload = make_workload(20000, 101, 24);
-  const auto reference = run_per_packet(
-      fs::FlowSampler(0.3, fp::FlowDefinition::kFiveTuple, 5), workload);
-  expect_identical(reference,
-                   run_batched(fs::FlowSampler(0.3, fp::FlowDefinition::kFiveTuple, 5),
-                               workload, 512));
-}
-
 TEST(BatchEquivalence, BinnedClassifierAddBatchMatchesAdd) {
   const auto workload = make_workload(30000, 211, 31);  // 1 us apart, bins below
   const std::int64_t bin_ns = 1000 * 1024;              // boundaries mid-batch
@@ -291,7 +256,7 @@ TEST(BatchEquivalence, BinnedClassifierAddBatchMatchesAdd) {
 }
 
 // ---------------------------------------------------------------------------
-// Distributional properties of the skip-based samplers
+// Distribution of the skip-based sampler
 // ---------------------------------------------------------------------------
 
 TEST(SkipSamplerDistribution, GeometricSkipMatchesBernoulliChiSquared) {
@@ -342,31 +307,6 @@ TEST(SkipSamplerDistribution, GeometricSkipMatchesBernoulliChiSquared) {
   // cells here): chi2_{0.999, 9} = 27.9. Anything wildly above means the
   // skip recurrence does not reproduce Bernoulli sampling.
   EXPECT_LT(chi2, 30.0) << "cells=" << cells;
-}
-
-TEST(SkipSamplerDistribution, StratifiedPicksAreUniformChiSquared) {
-  // The offset picked within each group must be Uniform{0..period-1}.
-  const std::uint64_t period = 25;
-  const std::size_t groups = 20000;
-  const auto workload = make_workload(period * groups, 17, 2);
-  fs::StratifiedSampler sampler(period, /*seed=*/77);
-  std::vector<std::uint32_t> indices;
-  sampler.select(workload, indices);
-  ASSERT_EQ(indices.size(), groups);  // exactly one per group
-  std::vector<std::uint64_t> histogram(period, 0);
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::uint64_t offset = indices[g] - g * period;
-    ASSERT_LT(offset, period);
-    ++histogram[offset];
-  }
-  const double expected = static_cast<double>(groups) / static_cast<double>(period);
-  double chi2 = 0.0;
-  for (const std::uint64_t count : histogram) {
-    chi2 += (static_cast<double>(count) - expected) *
-            (static_cast<double>(count) - expected) / expected;
-  }
-  // chi2_{0.999, 24} = 51.2.
-  EXPECT_LT(chi2, 52.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
-// Tests for the inversion estimators, heavy-hitter trackers, TCP-seq size
-// estimation and the adaptive sampling-rate controller.
+// Tests for the inversion estimators, heavy-hitter trackers and TCP-seq
+// size estimation.
 #include <cmath>
 #include <random>
 
 #include <gtest/gtest.h>
 
 #include "flowrank/dist/pareto.hpp"
-#include "flowrank/estimators/adaptive_rate.hpp"
 #include "flowrank/estimators/heavy_hitter_trackers.hpp"
 #include "flowrank/estimators/inversion.hpp"
 #include "flowrank/estimators/tcp_seq.hpp"
@@ -234,79 +233,4 @@ TEST(TcpSeq, InvalidArguments) {
                std::invalid_argument);
   EXPECT_THROW((void)fe::estimate_size_tcp_seq(counter, 0.5, 0),
                std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive rate controller
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Simulates one observed interval: N flows Pareto(beta), thinned at rate.
-std::vector<std::uint64_t> observe_interval(int n, double beta, double rate,
-                                            std::uint64_t seed) {
-  auto engine = flowrank::util::make_engine(seed);
-  const auto pareto = fd::Pareto::from_mean(9.6, beta);
-  std::vector<std::uint64_t> sampled;
-  for (int i = 0; i < n; ++i) {
-    const auto size = static_cast<std::uint64_t>(
-        std::max(1.0, std::round(pareto.sample(engine))));
-    std::binomial_distribution<std::uint64_t> thin(size, rate);
-    const auto s = thin(engine);
-    if (s > 0) sampled.push_back(s);
-  }
-  return sampled;
-}
-
-}  // namespace
-
-TEST(AdaptiveRate, RecoversTrafficCharacteristics) {
-  fe::AdaptiveRateConfig cfg;
-  cfg.ema_weight = 1.0;
-  fe::AdaptiveRateController controller(cfg);
-  const auto sampled = observe_interval(200000, 1.5, 0.05, 71);
-  const auto decision = controller.observe(sampled, 0.05);
-  EXPECT_NEAR(decision.estimated_beta, 1.5, 0.4);
-  // The population estimate composes a seen-flow-conditioned mean with a
-  // fitted Pareto, so it is order-of-magnitude, not unbiased.
-  EXPECT_GT(decision.estimated_flows, 200000.0 / 4.0);
-  EXPECT_LT(decision.estimated_flows, 200000.0 * 4.0);
-  EXPECT_GE(decision.next_rate, cfg.min_rate);
-  EXPECT_LE(decision.next_rate, cfg.max_rate);
-}
-
-TEST(AdaptiveRate, MoreFlowsAllowLowerRate) {
-  fe::AdaptiveRateConfig cfg;
-  cfg.ema_weight = 1.0;
-  fe::AdaptiveRateController small_ctl(cfg), large_ctl(cfg);
-  const auto small_obs = observe_interval(20000, 1.5, 0.05, 73);
-  const auto large_obs = observe_interval(400000, 1.5, 0.05, 74);
-  const auto small_decision = small_ctl.observe(small_obs, 0.05);
-  const auto large_decision = large_ctl.observe(large_obs, 0.05);
-  EXPECT_LE(large_decision.next_rate, small_decision.next_rate + 1e-9);
-}
-
-TEST(AdaptiveRate, SmoothingDampensJumps) {
-  fe::AdaptiveRateConfig cfg;
-  cfg.ema_weight = 0.25;
-  fe::AdaptiveRateController controller(cfg);
-  const double initial = controller.current_rate();
-  const auto sampled = observe_interval(300000, 1.5, 0.05, 75);
-  const auto decision = controller.observe(sampled, 0.05);
-  // One observation moves at most 25% of the way to the raw plan.
-  EXPECT_GT(decision.next_rate, 0.5 * initial);
-}
-
-TEST(AdaptiveRate, InvalidInputs) {
-  fe::AdaptiveRateConfig bad;
-  bad.min_rate = 0.9;
-  bad.max_rate = 0.5;
-  EXPECT_THROW(fe::AdaptiveRateController{bad}, std::invalid_argument);
-  fe::AdaptiveRateController controller{fe::AdaptiveRateConfig{}};
-  std::vector<std::uint64_t> empty;
-  EXPECT_THROW((void)controller.observe(empty, 0.1), std::invalid_argument);
-  std::vector<std::uint64_t> few{1, 2, 3};
-  EXPECT_THROW((void)controller.observe(few, 0.1), std::invalid_argument);
-  std::vector<std::uint64_t> ok(100, 5);
-  EXPECT_THROW((void)controller.observe(ok, 0.0), std::invalid_argument);
 }

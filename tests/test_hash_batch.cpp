@@ -1,8 +1,7 @@
 // Tests for the batch hash kernel (flowtable::hash_batch): it must be
-// bit-identical to the per-key FlowKeyHash, with and without salt,
-// because the carried hash feeds shard selection, FlowTable probing and
-// hash-threshold sampling — a single differing bit would silently fork
-// the canonical results.
+// bit-identical to the per-key FlowKeyHash, because the carried hash
+// feeds shard selection and FlowTable probing — a single differing bit
+// would silently fork the canonical results.
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -11,7 +10,6 @@
 
 #include "flowrank/flowtable/hash_batch.hpp"
 #include "flowrank/packet/flow_key.hpp"
-#include "flowrank/sampler/packet_sampler.hpp"
 #include "flowrank/util/rng.hpp"
 
 namespace ftab = flowrank::flowtable;
@@ -41,30 +39,9 @@ std::vector<fp::FlowKey> random_keys(std::size_t n, std::uint64_t seed) {
 TEST(HashBatch, MatchesFlowKeyHashUnsalted) {
   const auto keys = random_keys(1001, 42);
   std::vector<std::uint64_t> out(keys.size());
-  ftab::hash_batch(keys, /*salt=*/0, out);
+  ftab::hash_batch(keys, out);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(out[i], fp::FlowKeyHash{}(keys[i])) << "key " << i;
-  }
-}
-
-TEST(HashBatch, SaltedBatchMatchesFlowSamplerDecisions) {
-  // FlowSampler's per-key decision is the same kernel with the salt
-  // folded into the first mixing step; the batch path must reproduce its
-  // selects() bit for bit at every threshold.
-  const auto keys = random_keys(517, 7);
-  for (const double q : {0.1, 0.5, 0.9}) {
-    flowrank::sampler::FlowSampler sampler(q, fp::FlowDefinition::kFiveTuple,
-                                           /*seed=*/123);
-    // Reproduce the sampler's internal salt derivation.
-    const std::uint64_t salt = flowrank::util::derive_seed(123, 0xF10Du);
-    const auto threshold =
-        q >= 1.0 ? ~0ULL : static_cast<std::uint64_t>(q * 18446744073709551615.0);
-    std::vector<std::uint64_t> out(keys.size());
-    ftab::hash_batch(keys, salt, out);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(out[i] <= threshold, sampler.selects(keys[i]))
-          << "q=" << q << " key " << i;
-    }
   }
 }
 
@@ -75,7 +52,7 @@ TEST(HashBatch, TableReadyRemapsOnlyTheEmptySentinel) {
 
   const auto keys = random_keys(256, 9);
   std::vector<std::uint64_t> raw(keys.size()), ready(keys.size());
-  ftab::hash_batch(keys, 0, raw);
+  ftab::hash_batch(keys, raw);
   ftab::hash_batch_table_ready(keys, ready);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(ready[i], ftab::table_ready_hash(raw[i])) << "key " << i;
@@ -86,9 +63,9 @@ TEST(HashBatch, TableReadyRemapsOnlyTheEmptySentinel) {
 TEST(HashBatch, EmptyAndSingleElementSpans) {
   std::vector<fp::FlowKey> none;
   std::vector<std::uint64_t> out;
-  ftab::hash_batch(none, 0, out);  // must not touch memory
+  ftab::hash_batch(none, out);  // must not touch memory
   const auto keys = random_keys(1, 3);
   std::vector<std::uint64_t> one(1);
-  ftab::hash_batch(keys, 0, one);
+  ftab::hash_batch(keys, one);
   EXPECT_EQ(one[0], fp::FlowKeyHash{}(keys[0]));
 }

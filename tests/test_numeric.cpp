@@ -331,25 +331,6 @@ TEST(Stats, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(fn::quantile(v, 0.25), 2.0);
 }
 
-TEST(Stats, HillEstimatorRecoversParetoShape) {
-  auto eng = flowrank::util::make_engine(7);
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
-  for (double beta : {1.2, 1.5, 2.5}) {
-    std::vector<double> samples(200000);
-    for (auto& s : samples) {
-      s = std::pow(1.0 - unif(eng), -1.0 / beta);  // Pareto(a=1, beta)
-    }
-    const double est = fn::hill_tail_index(samples, 5000);
-    EXPECT_NEAR(est, beta, 0.1 * beta) << beta;
-  }
-}
-
-TEST(Stats, HillEstimatorValidation) {
-  std::vector<double> tiny{1.0, 2.0};
-  EXPECT_THROW((void)fn::hill_tail_index(tiny, 5), std::invalid_argument);
-  EXPECT_THROW((void)fn::hill_tail_index(tiny, 0), std::invalid_argument);
-}
-
 TEST(Stats, KendallTauPerfectAgreement) {
   std::vector<double> x{1, 2, 3, 4, 5, 6};
   EXPECT_DOUBLE_EQ(fn::kendall_tau(x, x), 1.0);

@@ -515,6 +515,42 @@ TEST(PacketStreamPlacement, EveryFlowStaysInsideItsIntervalInOrder) {
   }
 }
 
+// A flow that runs past the trace end: PacketStream spreads its packets
+// over the whole [T, T+D] and the packet path clamps those past the end
+// into the last bin (run_binned_simulation), so the count path must split
+// by the flow's true length and give the last bin the overflow share.
+TEST(BinFlowCounts, FlowOverrunningTheTraceMatchesTheStream) {
+  auto trace = make_trace({{8.0, 10.0, 100000}});
+  trace.config.duration_s = 15.0;
+  const double bin_s = 5.0;
+  // Bin 1 = [5, 10) holds 2 s of the flow's 10 s: Bin(100000, 0.2).
+  const double mean = 20000.0;
+  const double sigma = std::sqrt(100000.0 * 0.2 * 0.8);
+  for (const std::uint64_t seed : {0u, 5u}) {
+    const auto counts = ft::bin_flow_counts(trace, bin_s, fp::FlowDefinition::kFiveTuple, seed);
+    ASSERT_EQ(counts.bins.size(), 3u);
+    EXPECT_TRUE(counts.bins[0].empty());
+    ASSERT_EQ(counts.bins[1].size(), 1u);
+    ASSERT_EQ(counts.bins[2].size(), 1u);
+    const auto count_bin1 = static_cast<double>(counts.bins[1][0].packets);
+    EXPECT_NEAR(count_bin1, mean, 5.0 * sigma) << seed;
+    EXPECT_EQ(counts.bins[1][0].packets + counts.bins[2][0].packets, 100000u);
+
+    const std::int64_t bin_ns = ft::bin_length_ns(bin_s);
+    std::vector<std::uint64_t> streamed(counts.bins.size(), 0);
+    for (const auto& pkt : ft::expand_trace(trace, seed)) {
+      const auto bin = static_cast<std::size_t>(pkt.timestamp_ns / bin_ns);
+      ++streamed[std::min(bin, streamed.size() - 1)];
+    }
+    EXPECT_EQ(streamed[0], 0u);
+    EXPECT_NEAR(static_cast<double>(streamed[1]), mean, 5.0 * sigma) << seed;
+    // Two independent Bin(100000, 0.2) draws: the difference has sd
+    // sqrt(2) * sigma.
+    EXPECT_NEAR(static_cast<double>(streamed[1]), count_bin1, 5.0 * std::sqrt(2.0) * sigma)
+        << seed;
+  }
+}
+
 // Digests of the stream and of bin_flow_counts, captured when placement
 // and the bin split moved to the counter-based generator (stream v2).
 TEST(PacketStreamGolden, DigestsMatchStreamV2Capture) {

@@ -1,4 +1,4 @@
-// Tests for packet samplers, flow table and binning.
+// Tests for the packet sampler, flow table and binning.
 #include <cmath>
 #include <map>
 
@@ -52,67 +52,6 @@ TEST_P(SamplerRateCase, BernoulliHitsExpectedRate) {
 INSTANTIATE_TEST_SUITE_P(Rates, SamplerRateCase,
                          ::testing::Values(0.001, 0.01, 0.1, 0.5, 0.9));
 
-TEST(Samplers, PeriodicSelectsExactFraction) {
-  fs::PeriodicSampler sampler(100, /*phase=*/3);
-  int hits = 0;
-  for (int i = 0; i < 10000; ++i) {
-    const bool selected = sampler.offer(make_packet(i));
-    if (selected) {
-      ++hits;
-      EXPECT_EQ(i % 100, 3);
-    }
-  }
-  EXPECT_EQ(hits, 100);
-}
-
-TEST(Samplers, PeriodicResetRestartsPhase) {
-  fs::PeriodicSampler sampler(10, 0);
-  EXPECT_TRUE(sampler.offer(make_packet(0)));
-  EXPECT_FALSE(sampler.offer(make_packet(1)));
-  sampler.reset();
-  EXPECT_TRUE(sampler.offer(make_packet(2)));
-}
-
-TEST(Samplers, StratifiedSelectsExactlyOnePerGroup) {
-  fs::StratifiedSampler sampler(50, /*seed=*/2);
-  for (int group = 0; group < 200; ++group) {
-    int hits = 0;
-    for (int i = 0; i < 50; ++i) {
-      if (sampler.offer(make_packet(group * 50 + i))) ++hits;
-    }
-    EXPECT_EQ(hits, 1) << "group " << group;
-  }
-}
-
-TEST(Samplers, FlowSamplingIsAllOrNothing) {
-  fs::FlowSampler sampler(0.5, fp::FlowDefinition::kFiveTuple, /*seed=*/3);
-  std::map<std::uint32_t, bool> decision;
-  for (int i = 0; i < 5000; ++i) {
-    const auto src = static_cast<std::uint32_t>(i % 100);
-    const bool selected = sampler.offer(make_packet(i, src));
-    auto [it, fresh] = decision.try_emplace(src, selected);
-    if (!fresh) {
-      EXPECT_EQ(it->second, selected) << "flow " << src << " decision flipped";
-    }
-  }
-  // Roughly half the flows selected.
-  int selected_flows = 0;
-  for (const auto& [src, sel] : decision) selected_flows += sel;
-  EXPECT_NEAR(selected_flows, 50, 20);
-}
-
-TEST(Samplers, FlowSamplingEdgeRates) {
-  fs::FlowSampler none(0.0, fp::FlowDefinition::kFiveTuple, 1);
-  fs::FlowSampler all(1.0, fp::FlowDefinition::kFiveTuple, 1);
-  int none_hits = 0, all_hits = 0;
-  for (int i = 0; i < 1000; ++i) {
-    none_hits += none.offer(make_packet(i, static_cast<std::uint32_t>(i)));
-    all_hits += all.offer(make_packet(i, static_cast<std::uint32_t>(i)));
-  }
-  EXPECT_EQ(none_hits, 0);
-  EXPECT_EQ(all_hits, 1000);
-}
-
 TEST(Samplers, ThinCountMatchesBinomialMoments) {
   auto engine = flowrank::util::make_engine(5);
   const std::uint64_t n = 1000;
@@ -131,11 +70,6 @@ TEST(Samplers, ThinCountMatchesBinomialMoments) {
 TEST(Samplers, InvalidArguments) {
   EXPECT_THROW(fs::BernoulliSampler(-0.1, 1), std::invalid_argument);
   EXPECT_THROW(fs::BernoulliSampler(1.1, 1), std::invalid_argument);
-  EXPECT_THROW(fs::PeriodicSampler(0), std::invalid_argument);
-  EXPECT_THROW(fs::PeriodicSampler(10, 10), std::invalid_argument);
-  EXPECT_THROW(fs::StratifiedSampler(0, 1), std::invalid_argument);
-  EXPECT_THROW(fs::FlowSampler(2.0, fp::FlowDefinition::kFiveTuple, 1),
-               std::invalid_argument);
   auto engine = flowrank::util::make_engine(1);
   EXPECT_THROW((void)fs::thin_count(10, -0.5, engine), std::invalid_argument);
 }

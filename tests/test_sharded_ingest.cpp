@@ -228,6 +228,37 @@ TEST(ShardedPipeline, LifecycleGuards) {
   EXPECT_THROW((void)pipeline.bin_flows(0, 0), std::out_of_range);
 }
 
+// Retire-teardown race: once a driver in drain_all() sees a drain task
+// retired, finish() returns and the pipeline may free the Shard, so the
+// task must not touch the Shard after that point (see
+// ShardedPipeline::drain_shard). Many short pipelines, each torn down
+// right after finish() on its own two-worker pool, give a use-after-free
+// there many chances to show under the ASan and TSan builds. The window
+// is narrow, so a pass is evidence, not proof; the protocol's argument is
+// in drain_shard.
+TEST(ShardedPipeline, ShortPipelinesTearDownRightAfterFinish) {
+  std::vector<fp::PacketRecord> packets;
+  for (std::uint32_t i = 0; i < 512; ++i) {
+    packets.push_back(make_packet(1 + i % 64, static_cast<std::int64_t>(i) * 10));
+  }
+  for (int run = 0; run < 2000; ++run) {
+    flowrank::exec::TaskPool pool(2);
+    fing::ShardedPipelineConfig cfg;
+    cfg.num_shards = 2;
+    cfg.bin_ns = 1'000'000;
+    cfg.chunk_packets = 64;
+    cfg.pool = &pool;
+    std::uint64_t classified = 0;
+    {
+      fing::ShardedPipeline pipeline(cfg);
+      pipeline.add_batch(0, packets);
+      pipeline.finish();
+      for (const auto& f : pipeline.bin_flows(0, 0)) classified += f.packets;
+    }
+    ASSERT_EQ(classified, packets.size()) << "run " << run;
+  }
+}
+
 TEST(ShardedPipeline, StreamsAreIndependent) {
   fing::ShardedPipelineConfig cfg;
   cfg.num_shards = 2;
