@@ -667,9 +667,9 @@ void BM_BinomialSampleStdSeedPath(benchmark::State& state) {
 BENCHMARK(BM_BinomialSampleStdSeedPath)->Arg(100)->Arg(1000000);
 
 // The count path's per-flow kernel: one bin's heavy-tailed true sizes
-// thinned at one rate, run after run, through one BinomialThinner (tabled
-// BINV walk for small n·p', BTPE for the largest flows). Arg is the rate
-// in thousandths; items are draws.
+// thinned at one rate, run after run, through one BinomialThinner (a
+// tabled CDF entered through a guide table for small n·p', BTPE for the
+// largest flows). Arg is the rate in thousandths; items are draws.
 void BM_BinomialThinner(benchmark::State& state) {
   const double p = static_cast<double>(state.range(0)) / 1000.0;
   auto engine = flowrank::util::make_engine(23);
@@ -739,8 +739,8 @@ BENCHMARK(BM_BinnedSimSweep)
     ->UseRealTime();
 
 // Per-bin flow counts over the sweep trace (37.5 k flows, 15 bins of
-// 10 s): flat append, then sort and merge by key; flows spanning a bin
-// edge take the binomial split. Items are flow records.
+// 10 s): flat append, then a bucketed sort and merge by key; flows
+// spanning a bin edge take the binomial split. Items are flow records.
 void BM_BinFlowCounts(benchmark::State& state) {
   const auto& trace = sweep_trace();
   for (auto _ : state) {

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     // watches one live stream, so default to one moderate rate unless the
     // spec or CLI picked one.
     sim::ExperimentSpec spec = sim::experiment_from_cli(cli);
-    spec.monitor.enabled = true;
+    sim::apply_experiment_entry(spec, "mode", "monitor");
     if (spec.sampling_rates.size() != 1) spec.sampling_rates = {0.05};
     if (spec.name == "scenario") spec.name = "heavy-hitter monitor";
 

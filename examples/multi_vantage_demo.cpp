@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
     // Full spec grammar, forced into aggregate mode. The batch
     // defaults carry a 4-rate grid; each agent samples one live stream.
     sim::ExperimentSpec spec = sim::experiment_from_cli(cli);
-    spec.aggregate.enabled = true;
+    sim::apply_experiment_entry(spec, "mode", "aggregate");
     if (spec.sampling_rates.size() != 1) spec.sampling_rates = {0.5};
     if (spec.name == "scenario") spec.name = "multi-vantage demo";
 

@@ -59,13 +59,15 @@ McModelResult run_mc_model(const RankingModelConfig& config, int runs,
     true_sizes.resize(n);
     sampled_sizes.resize(n);
 
+    // The thinner draws exactly binomial_sample's stream (p = 1 included:
+    // it returns n without drawing), with the inversion tables built once
+    // per run instead of the setup per flow.
+    util::BinomialThinner thin(config.p);
     auto engine = util::make_engine(seed, static_cast<std::uint64_t>(run));
     for (std::size_t i = 0; i < n; ++i) {
       const double s = config.size_dist->sample(engine);
       true_sizes[i] = static_cast<std::uint64_t>(std::llround(std::max(1.0, s)));
-      sampled_sizes[i] = config.p >= 1.0
-                             ? true_sizes[i]
-                             : util::binomial_sample(true_sizes[i], config.p, engine);
+      sampled_sizes[i] = thin(true_sizes[i], engine);
     }
     const auto m = metrics::compute_rank_metrics(
         true_sizes, sampled_sizes, static_cast<std::size_t>(config.t));

@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 namespace flowrank::numeric {
 
@@ -33,14 +31,5 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Empirical quantile (linear interpolation between order statistics).
-/// q in [0,1]; data need not be sorted. Throws on empty input.
-[[nodiscard]] double quantile(std::span<const double> data, double q);
-
-/// Kendall rank correlation tau-a over paired observations, counting ties
-/// as discordant-neutral: tau = (C - D) / (n(n-1)/2). O(n^2) on ties-heavy
-/// data is avoided with a merge-sort inversion count on the untied part.
-[[nodiscard]] double kendall_tau(std::span<const double> x, std::span<const double> y);
 
 }  // namespace flowrank::numeric

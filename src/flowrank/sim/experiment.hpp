@@ -239,6 +239,9 @@ struct ExperimentSpec {
   ExactMetric metric = ExactMetric::kRanking;
   std::int64_t exact_n = 700000;  ///< population N (the Sprint 5-tuple default)
   double exact_rate = 0.01;       ///< fixed sampling rate when rate is not swept
+  /// `rate` was given. It is a batch key: mode=monitor|aggregate sample at
+  /// `rates`, so switching to either mode after `rate` is an error.
+  bool exact_rate_given = false;
   double optimal_target = 1e-3;   ///< Pm,d for metric=optimal_rate
   core::PairwiseModel pairwise = core::PairwiseModel::kGaussian;
   core::PairCounting counting = core::PairCounting::kPaper;

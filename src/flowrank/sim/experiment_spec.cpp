@@ -278,10 +278,17 @@ const std::vector<std::string>& base_mode_keys() {
       "description", "dist",          "duration", "epoch-gap",   "epochs",
       "estimator", "exact-pairwise",  "flow-rate", "flow-rate-scale", "max-size",
       "metric",    "mode",            "model",    "n",           "name",
-      "onoff",     "packet-size",     "pairwise", "preset",      "rate",
-      "rates",     "runs",            "seed",     "shards",      "t",
-      "tail-tol",  "target",          "threads",  "ties",        "trace",
-      "trace-seed", "window"};
+      "onoff",     "packet-size",     "pairwise", "preset",      "rates",
+      "runs",      "seed",            "shards",   "t",           "tail-tol",
+      "target",    "threads",         "ties",     "trace",       "trace-seed",
+      "window"};
+  return keys;
+}
+
+/// Keys only batch mode reads: the exact model's fixed `rate` (the
+/// monitor and the fleet sample at `rates`).
+const std::vector<std::string>& batch_mode_keys() {
+  static const std::vector<std::string> keys = {"rate"};
   return keys;
 }
 
@@ -318,13 +325,10 @@ std::string unknown_key_message(const ExperimentSpec& spec, const std::string& k
                      : spec.monitor.enabled ? "monitor"
                                             : "batch";
   std::vector<std::string> keys = base_mode_keys();
-  if (spec.monitor.enabled) {
-    const auto& extra = monitor_mode_keys();
-    keys.insert(keys.end(), extra.begin(), extra.end());
-  } else if (spec.aggregate.enabled) {
-    const auto& extra = aggregate_mode_keys();
-    keys.insert(keys.end(), extra.begin(), extra.end());
-  }
+  const auto& extra = spec.monitor.enabled     ? monitor_mode_keys()
+                      : spec.aggregate.enabled ? aggregate_mode_keys()
+                                               : batch_mode_keys();
+  keys.insert(keys.end(), extra.begin(), extra.end());
   std::sort(keys.begin(), keys.end());
   std::string message =
       "experiment: unknown key '" + key + "' (valid keys for mode=" + mode + ": ";
@@ -457,10 +461,10 @@ EstimatorStage parse_estimator(const std::string& grammar) {
 const std::vector<std::string>& experiment_keys() {
   static const std::vector<std::string> keys = [] {
     std::vector<std::string> all = base_mode_keys();
-    const auto& monitor = monitor_mode_keys();
-    const auto& aggregate = aggregate_mode_keys();
-    all.insert(all.end(), monitor.begin(), monitor.end());
-    all.insert(all.end(), aggregate.begin(), aggregate.end());
+    for (const auto* family : {&batch_mode_keys(), &monitor_mode_keys(),
+                               &aggregate_mode_keys()}) {
+      all.insert(all.end(), family->begin(), family->end());
+    }
     std::sort(all.begin(), all.end());
     return all;
   }();
@@ -574,10 +578,14 @@ void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
     spec.exact_n = std::llround(key_double(key, value));
     if (spec.exact_n < 1) throw std::invalid_argument("experiment: n >= 1");
   } else if (key == "rate") {
+    if (spec.monitor.enabled || spec.aggregate.enabled) {
+      throw std::invalid_argument(unknown_key_message(spec, key));
+    }
     spec.exact_rate = key_double(key, value);
     if (!(spec.exact_rate > 0.0 && spec.exact_rate <= 1.0)) {
       throw std::invalid_argument("experiment: rate in (0,1]");
     }
+    spec.exact_rate_given = true;
   } else if (key == "target") {
     spec.optimal_target = key_double(key, value);
     if (!(spec.optimal_target > 0.0 && spec.optimal_target < 1.0)) {
@@ -654,6 +662,10 @@ void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
     } else {
       throw std::invalid_argument(
           "experiment: mode must be batch|monitor|aggregate, got '" + value + "'");
+    }
+    // A `rate` given before the mode is as unknown as one given after it.
+    if (spec.exact_rate_given && (spec.monitor.enabled || spec.aggregate.enabled)) {
+      throw std::invalid_argument(unknown_key_message(spec, "rate"));
     }
   } else if (key == "snapshot-every") {
     spec.monitor.snapshot_every = key_uint(key, value);

@@ -1,6 +1,7 @@
 #include "flowrank/trace/bin_counts.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -14,6 +15,76 @@ namespace {
 // Separates the bin split's streams from PacketStream's placement streams,
 // which are keyed by the same (trace seed, seed, flow index) triple.
 constexpr std::uint64_t kBinSplitDomain = 0x81AC0000ULL;
+
+/// Most digit bits of the bucket pass: 4096 buckets.
+constexpr int kMaxDigitBits = 12;
+/// Buckets up to this size are insertion-sorted; larger ones (keys
+/// crowding one digit) go to std::sort, so no input turns quadratic.
+constexpr std::size_t kInsertionSortMax = 32;
+
+/// Bits [shift, shift + 64) of the 128-bit number hi:lo.
+std::uint64_t key_bits(const packet::FlowKey& key, int shift) {
+  if (shift >= 64) return key.hi >> (shift - 64);
+  if (shift == 0) return key.lo;
+  return (key.hi << (64 - shift)) | (key.lo >> shift);
+}
+
+bool key_less(const BinFlowCount& a, const BinFlowCount& b) { return a.key < b.key; }
+
+/// Sorts a bin by key: one counting pass on the top bits that vary across
+/// the bin, then insertion sort inside each bucket. Every key shares the
+/// bits above the digit, so the digit orders keys as the full key does,
+/// and the buckets come out in key order. Equal keys may land in any
+/// order, which is harmless: they are merged by integer sums.
+void sort_by_key(std::vector<BinFlowCount>& bin, std::vector<BinFlowCount>& scratch,
+                 std::vector<std::uint32_t>& starts) {
+  const std::size_t n = bin.size();
+  if (n <= kInsertionSortMax) {
+    std::sort(bin.begin(), bin.end(), key_less);
+    return;
+  }
+  std::uint64_t vary_hi = 0;
+  std::uint64_t vary_lo = 0;
+  for (const BinFlowCount& entry : bin) {
+    vary_hi |= entry.key.hi ^ bin[0].key.hi;
+    vary_lo |= entry.key.lo ^ bin[0].key.lo;
+  }
+  // Highest varying bit + 1, counting hi:lo as one 128-bit number.
+  const int width = static_cast<int>(vary_hi != 0 ? 64 + std::bit_width(vary_hi)
+                                                   : std::bit_width(vary_lo));
+  if (width == 0) return;  // one key throughout
+  // About one entry per bucket, up to the cap.
+  const int digit_bits =
+      std::min({kMaxDigitBits, width, static_cast<int>(std::bit_width(n)) - 1});
+  const int shift = width - digit_bits;
+  const std::uint64_t mask = (std::uint64_t{1} << digit_bits) - 1;
+  const std::size_t buckets = std::size_t{1} << digit_bits;
+
+  starts.assign(buckets + 1, 0);
+  for (const BinFlowCount& entry : bin) ++starts[(key_bits(entry.key, shift) & mask) + 1];
+  for (std::size_t d = 1; d <= buckets; ++d) starts[d] += starts[d - 1];
+  scratch.resize(n);
+  for (const BinFlowCount& entry : bin) {
+    scratch[starts[key_bits(entry.key, shift) & mask]++] = entry;
+  }
+  // starts[d] now ends bucket d, which begins where bucket d - 1 ended.
+  std::uint32_t begin = 0;
+  for (std::size_t d = 0; d < buckets; ++d) {
+    const std::uint32_t end = starts[d];
+    if (end - begin > kInsertionSortMax) {
+      std::sort(scratch.begin() + begin, scratch.begin() + end, key_less);
+    } else {
+      for (std::uint32_t i = begin + 1; i < end; ++i) {
+        const BinFlowCount entry = scratch[i];
+        std::uint32_t j = i;
+        for (; j > begin && entry.key < scratch[j - 1].key; --j) scratch[j] = scratch[j - 1];
+        scratch[j] = entry;
+      }
+    }
+    begin = end;
+  }
+  bin.swap(scratch);
+}
 }  // namespace
 
 std::int64_t bin_length_ns(double bin_seconds) {
@@ -104,11 +175,11 @@ BinnedCounts bin_flow_counts(const FlowTrace& trace, double bin_seconds,
     }
   }
 
+  std::vector<BinFlowCount> scratch;
+  std::vector<std::uint32_t> starts;
   for (auto& bin : out.bins) {
     // Deterministic order for reproducible downstream tie-breaks.
-    std::sort(bin.begin(), bin.end(), [](const BinFlowCount& a, const BinFlowCount& c) {
-      return a.key < c.key;
-    });
+    sort_by_key(bin, scratch, starts);
     std::size_t kept = 0;
     for (const BinFlowCount& entry : bin) {
       if (kept > 0 && bin[kept - 1].key == entry.key) {

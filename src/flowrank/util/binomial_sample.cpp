@@ -1,5 +1,6 @@
 #include "flowrank/util/binomial_sample.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
@@ -26,24 +27,28 @@ inline double binv_bound(double nd, double p, double q) {
 }
 
 /// BINV walk given its precomputed setup (qn = q^n = pmf(0)): inversion
-/// by the recurrence pmf(k+1)/pmf(k) = (n-k)/(k+1)·p/q. One uniform per
+/// by cumulative comparison, X = min{k <= bound : u <= F(k)}, where
+/// F(k) = F(k-1) + pmf(k) accumulates left to right and pmf follows the
+/// recurrence pmf(k+1)/pmf(k) = (n-k)/(k+1)·p/q. One uniform per
 /// variate, expected n·p + 1 recurrence steps.
 template <class Urbg>
 std::uint64_t binv_walk(double nd, double p, double q, double qn, double bound,
                         Urbg& engine) {
   double x = 0.0;
   double px = qn;
+  double cdf = qn;
   double u = next_unit(engine);
-  while (u > px) {
+  while (u > cdf) {
     x += 1.0;
     if (x > bound) {
       x = 0.0;
       px = qn;
+      cdf = qn;
       u = next_unit(engine);
       continue;
     }
-    u -= px;
     px *= ((nd - x + 1.0) * p) / (x * q);
+    cdf += px;
   }
   return static_cast<std::uint64_t>(x);
 }
@@ -195,28 +200,11 @@ std::uint64_t binomial_sample(std::uint64_t n, double p, CounterEngine& engine) 
 }
 
 namespace {
-/// Largest n whose inversion pmf is tabled by BinomialThinner. The
+/// Largest n whose inversion CDF is tabled by BinomialThinner. The
 /// sweeps' flow-size distributions are heavy-tailed: nearly all flows are
 /// small and repeat, the rare huge ones take the BTPE branch anyway
 /// (n·p' > 30) or walk untabled.
 constexpr std::size_t kThinnerCacheMax = 4096;
-
-/// binv_walk over a tabled pmf(0..length-1): the same uniforms against
-/// the same doubles, so the same variate. Reaching k == length is the
-/// walk's x > bound restart.
-template <class Urbg>
-std::uint64_t table_walk(const double* pmf, std::size_t length, Urbg& engine) {
-  std::size_t k = 0;
-  double u = next_unit(engine);
-  while (u > pmf[k]) {
-    u -= pmf[k];
-    if (++k == length) {
-      k = 0;
-      u = next_unit(engine);
-    }
-  }
-  return k;
-}
 }  // namespace
 
 BinomialThinner::BinomialThinner(double p) : p_(p) {
@@ -228,26 +216,51 @@ BinomialThinner::BinomialThinner(double p) : p_(p) {
   log_q_ = std::log(1.0 - pp_);
 }
 
-BinomialThinner::PmfTable BinomialThinner::build_table(std::uint64_t n) {
+BinomialThinner::CdfTable BinomialThinner::build_table(std::uint64_t n) {
   if (n >= tables_.size()) tables_.resize(n + 1);
   // The exact doubles sample_binv and binv_walk compute: the same exp/log
-  // setup, then the walk's recurrence step by step, in order.
+  // setup, then the walk's recurrence and running sum step by step, in
+  // order.
   const double nd = static_cast<double>(n);
   const double q = 1.0 - pp_;
   const double bound = binv_bound(nd, pp_, q);
-  PmfTable& table = tables_[n];
-  table.offset = static_cast<std::uint32_t>(pmf_.size());
+  CdfTable& table = tables_[n];
+  table.cdf = static_cast<std::uint32_t>(cdf_.size());
   double px = std::exp(nd * log_q_);
-  pmf_.push_back(px);
+  double cdf = px;
+  cdf_.push_back(cdf);
   for (double x = 1.0; x <= bound; x += 1.0) {
     px *= ((nd - x + 1.0) * pp_) / (x * q);
-    pmf_.push_back(px);
+    cdf += px;
+    cdf_.push_back(cdf);
   }
-  table.length = static_cast<std::uint32_t>(pmf_.size() - table.offset);
+  const std::size_t length = cdf_.size() - table.cdf;
+  cdf_.push_back(1.0);  // sentinel: no uniform exceeds it
+
+  // Guide over 2^bits equal slots of [0, 1), 2^bits >= 4·length: slot j
+  // holds min{k : F(k) >= j/2^bits}, or length when no F(k) reaches it.
+  // Four slots per entry rather than one keep most slots free of any
+  // boundary, so the search mostly ends at the guide's own entry.
+  const int bits = static_cast<int>(std::bit_width(4 * length - 1));
+  table.guide = static_cast<std::uint32_t>(guide_.size());
+  table.length = static_cast<std::uint16_t>(length);
+  table.shift = static_cast<std::uint8_t>(53 - bits);
+  const double* f = cdf_.data() + table.cdf;
+  const std::size_t slots = std::size_t{1} << bits;
+  const double slot_width = 1.0 / static_cast<double>(slots);  // exact
+  guide_.resize(table.guide + slots);
+  std::uint16_t* guide = guide_.data() + table.guide;
+  std::size_t j = 0;
+  for (std::size_t k = 0; k < length; ++k) {
+    for (; j < slots && static_cast<double>(j) * slot_width <= f[k]; ++j) {
+      guide[j] = static_cast<std::uint16_t>(k);
+    }
+  }
+  for (; j < slots; ++j) guide[j] = static_cast<std::uint16_t>(length);
   return table;
 }
 
-std::uint64_t BinomialThinner::operator()(std::uint64_t n, Engine& engine) {
+std::uint64_t BinomialThinner::untabled(std::uint64_t n, Engine& engine) {
   if (n == 0 || p_ == 0.0) return 0;
   if (p_ == 1.0) return n;
 
@@ -255,10 +268,7 @@ std::uint64_t BinomialThinner::operator()(std::uint64_t n, Engine& engine) {
   std::uint64_t k;
   if (nd * pp_ <= kBinomialInversionMaxMean) {
     if (n < kThinnerCacheMax) {
-      // The lookup stays inline; only a first use calls out to build.
-      const PmfTable pmf =
-          n < tables_.size() && tables_[n].length != 0 ? tables_[n] : build_table(n);
-      k = table_walk(pmf_.data() + pmf.offset, pmf.length, engine);
+      k = guided_search(build_table(n), engine);
     } else {
       const double q = 1.0 - pp_;
       k = binv_walk(nd, pp_, q, std::exp(nd * log_q_), binv_bound(nd, pp_, q),

@@ -3,11 +3,14 @@
 // one-shot binomial_sample, bin_flow_counts' input contract, and digests
 // of run_binned_simulation (the count path's rewrite kept them bit for
 // bit; the stream-v2 bin split re-captured them).
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -124,6 +127,94 @@ TEST(BinomialThinner, EqualsOneShotStreamForEveryN) {
   }
 }
 
+namespace {
+
+/// The BINV walk as it was before the cumulative comparison: subtract
+/// pmf(0), pmf(1), ... from the uniform until the remainder fits. Kept as
+/// the oracle for the walk that replaced it. Returns the variate and the
+/// uniform it was read from.
+std::pair<std::uint64_t, double> subtract_chain_binv(std::uint64_t n, double p,
+                                                     fu::Engine& engine) {
+  const auto unit = [&engine] { return static_cast<double>(engine() >> 11) * 0x1.0p-53; };
+  const double nd = static_cast<double>(n);
+  const double q = 1.0 - p;
+  const double qn = std::exp(nd * std::log(q));
+  const double np = nd * p;
+  const double bound = std::min(nd, np + 10.0 * std::sqrt(np * q + 1.0));
+  double x = 0.0;
+  double px = qn;
+  double u0 = unit();
+  double u = u0;
+  while (u > px) {
+    x += 1.0;
+    if (x > bound) {
+      x = 0.0;
+      px = qn;
+      u = u0 = unit();
+      continue;
+    }
+    u -= px;
+    px *= ((nd - x + 1.0) * p) / (x * q);
+  }
+  return {static_cast<std::uint64_t>(x), u0};
+}
+
+/// True when u lies within 4 ulps of some F(k), k in [lo, hi]: F accumulated
+/// by the walk's own recurrence.
+bool near_a_boundary(std::uint64_t n, double p, double u, std::uint64_t lo,
+                     std::uint64_t hi) {
+  const double nd = static_cast<double>(n);
+  const double q = 1.0 - p;
+  double px = std::exp(nd * std::log(q));
+  double cdf = px;
+  for (std::uint64_t k = 0; k <= hi; ++k) {
+    if (k > 0) {
+      const double x = static_cast<double>(k);
+      px *= ((nd - x + 1.0) * p) / (x * q);
+      cdf += px;
+    }
+    const double ulp = std::nextafter(cdf, 2.0) - cdf;
+    if (k >= lo && std::abs(u - cdf) <= 4.0 * ulp) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+// The cumulative walk differs from the subtract chain it replaced only
+// where rounding decides: u within a few ulps of a cumulative boundary.
+// 10^7 thinner draws on the inversion branch, tabled and untabled, at six
+// rates (0.9 samples flipped) against the chain on a twin engine. Every
+// disagreement must sit at a boundary; their count is recorded.
+TEST(BinomialThinner, CumulativeWalkMatchesSubtractChainOffBoundaries) {
+  std::uint64_t draws = 0;
+  std::uint64_t disagreements = 0;
+  for (const double p : {0.001, 0.01, 0.1, 0.3, 0.5, 0.9}) {
+    const double pp = std::min(p, 1.0 - p);
+    const auto max_n = std::min<std::uint64_t>(
+        30000, static_cast<std::uint64_t>(fu::kBinomialInversionMaxMean / pp));
+    fu::BinomialThinner thin(p);
+    auto engine = fu::make_engine(0xD1FF, static_cast<std::uint64_t>(p * 1000));
+    auto twin = engine;
+    for (std::uint64_t i = 0; i < 1'700'000; ++i) {
+      const std::uint64_t n = 1 + (i * 7919) % max_n;
+      const std::uint64_t got = thin(n, engine);
+      const auto [chain, u] = subtract_chain_binv(n, pp, twin);
+      const std::uint64_t want = p > 0.5 ? n - chain : chain;
+      ++draws;
+      if (got == want) continue;
+      ++disagreements;
+      const std::uint64_t k_got = p > 0.5 ? n - got : got;
+      ASSERT_TRUE(near_a_boundary(n, pp, u, std::min(k_got, chain), std::max(k_got, chain)))
+          << "p " << p << " n " << n << " u " << u << " thinner " << got << " chain " << want;
+    }
+    EXPECT_EQ(engine(), twin()) << "streams diverged at p " << p;
+  }
+  EXPECT_GE(draws, 10'000'000u);
+  RecordProperty("draws", static_cast<int>(draws));
+  RecordProperty("disagreements", static_cast<int>(disagreements));
+}
+
 // ---------------------------------------------------------------------------
 // bin_flow_counts input contract
 // ---------------------------------------------------------------------------
@@ -190,6 +281,163 @@ TEST(BinFlowCounts, ConservesPacketsOfValidFlows) {
   edges.flows[3].start_s = 1.0e300;
   EXPECT_EQ(binned_packets(ft::bin_flow_counts(edges, 1.0, fp::FlowDefinition::kFiveTuple)),
             15u);
+}
+
+// ---------------------------------------------------------------------------
+// bin_flow_counts' bucketed sort against std::sort + merge
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A trace of single-bin flows (duration 0), so every contribution is
+/// known without the split's draws: flow i starts in bin bin_of(i) of a
+/// 1 s grid and carries i % 7 + 1 packets.
+template <class TupleOf, class BinOf>
+ft::FlowTrace single_bin_flows(std::size_t count, std::size_t bins, TupleOf tuple_of,
+                               BinOf bin_of) {
+  ft::FlowTrace trace;
+  trace.config = ft::FlowTraceConfig::sprint_5tuple(1.5, 5);
+  trace.config.duration_s = static_cast<double>(bins);
+  for (std::size_t i = 0; i < count; ++i) {
+    fp::FlowRecord flow;
+    flow.tuple = tuple_of(i);
+    flow.start_s = static_cast<double>(bin_of(i)) + 0.5;
+    flow.packets = i % 7 + 1;
+    trace.flows.push_back(flow);
+  }
+  return trace;
+}
+
+/// The reference: each bin's contributions sorted by std::sort, equal keys
+/// summed.
+std::vector<std::vector<ft::BinFlowCount>> sort_merge_reference(const ft::FlowTrace& trace,
+                                                                std::size_t bins,
+                                                                fp::FlowDefinition def) {
+  std::vector<std::vector<ft::BinFlowCount>> out(bins);
+  for (const auto& flow : trace.flows) {
+    out[static_cast<std::size_t>(flow.start_s)].push_back(
+        ft::BinFlowCount{fp::make_flow_key(flow.tuple, def), flow.packets});
+  }
+  for (auto& bin : out) {
+    std::sort(bin.begin(), bin.end(),
+              [](const ft::BinFlowCount& a, const ft::BinFlowCount& b) { return a.key < b.key; });
+    std::vector<ft::BinFlowCount> merged;
+    for (const auto& entry : bin) {
+      if (!merged.empty() && merged.back().key == entry.key) {
+        merged.back().packets += entry.packets;
+      } else {
+        merged.push_back(entry);
+      }
+    }
+    bin = std::move(merged);
+  }
+  return out;
+}
+
+void expect_matches_reference(const ft::FlowTrace& trace, std::size_t bins,
+                              fp::FlowDefinition def, const char* what) {
+  const auto got = ft::bin_flow_counts(trace, 1.0, def);
+  const auto want = sort_merge_reference(trace, bins, def);
+  ASSERT_EQ(got.bins.size(), bins) << what;
+  for (std::size_t b = 0; b < bins; ++b) {
+    ASSERT_EQ(got.bins[b].size(), want[b].size()) << what << ", bin " << b;
+    for (std::size_t i = 0; i < want[b].size(); ++i) {
+      ASSERT_TRUE(got.bins[b][i].key == want[b][i].key) << what << ", bin " << b << " entry " << i;
+      ASSERT_EQ(got.bins[b][i].packets, want[b][i].packets) << what << ", bin " << b;
+    }
+  }
+}
+
+fp::FiveTuple tuple(std::uint32_t src, std::uint32_t dst, std::uint16_t sport,
+                    std::uint16_t dport) {
+  fp::FiveTuple t;
+  t.src_ip = src;
+  t.dst_ip = dst;
+  t.src_port = sport;
+  t.dst_port = dport;
+  t.protocol = fp::Protocol::kTcp;
+  return t;
+}
+
+}  // namespace
+
+TEST(BinFlowCounts, BucketSortMatchesStdSortMerge) {
+  auto engine = fu::make_engine(0xB1C5);
+  std::vector<std::uint32_t> words(40000);
+  for (auto& word : words) word = static_cast<std::uint32_t>(engine() >> 32);
+  // 30000 flows over four bins, each bin a bucket pass over ~7500 keys.
+  const auto check = [](auto tuple_of, fp::FlowDefinition def, const char* what) {
+    expect_matches_reference(
+        single_bin_flows(30000, 4, tuple_of, [](std::size_t i) { return i % 4; }), 4, def,
+        what);
+  };
+
+  // /24 keys: hi = 0, so the digit must come from lo. Random destinations
+  // in few and in many prefixes.
+  check([&](std::size_t i) { return tuple(1, words[i], 2, 3); },
+        fp::FlowDefinition::kDstPrefix24, "/24, random destinations");
+  check([&](std::size_t i) { return tuple(1, 0x0A000000 | (words[i] & 0x3FFFF), 2, 3); },
+        fp::FlowDefinition::kDstPrefix24, "/24, 1024 prefixes of one /14");
+
+  // Keys sharing every top bit: one source and destination, so only the
+  // ports vary, low in lo.
+  check(
+      [&](std::size_t i) {
+        return tuple(0xC0A80001, 0xC0A80002, static_cast<std::uint16_t>(words[i]),
+                     static_cast<std::uint16_t>(words[i] >> 16));
+      },
+      fp::FlowDefinition::kFiveTuple, "5-tuple, shared addresses");
+
+  // Heavy duplicates: 40 distinct tuples in 30000 flows, so every bucket
+  // is oversized and falls back to std::sort.
+  check([&](std::size_t i) { return tuple(words[i % 40], words[i % 40 + 1], 80, 443); },
+        fp::FlowDefinition::kFiveTuple, "5-tuple, 40 distinct keys");
+
+  // Skew: most keys crowd one digit (same top source bits) with distinct
+  // low bits, a few keys spread the digit range.
+  check(
+      [&](std::size_t i) {
+        const std::uint32_t src = i % 100 == 0 ? words[i] : 0x7F000000 | (words[i] & 0xFFFF);
+        return tuple(src, words[i + 1], static_cast<std::uint16_t>(i), 9);
+      },
+      fp::FlowDefinition::kFiveTuple, "5-tuple, one crowded digit");
+
+  // Empty and one-flow bins beside full ones: bins 1 and 3 stay empty,
+  // bin 2 holds one flow, bins 0 and 4 the rest (one /24 key throughout
+  // in the second case).
+  const auto sparse = [](std::size_t i) -> std::size_t {
+    return i == 0 ? 2 : i % 2 == 0 ? 0 : 4;
+  };
+  expect_matches_reference(
+      single_bin_flows(
+          5000, 5, [&](std::size_t i) { return tuple(words[i], words[i + 1], 1, 2); }, sparse),
+      5, fp::FlowDefinition::kFiveTuple, "5-tuple, empty and one-flow bins");
+  expect_matches_reference(
+      single_bin_flows(
+          5000, 5,
+          [&](std::size_t i) { return tuple(words[i], 0x0A0B0C00 | (i & 0xFF), 1, 2); },
+          sparse),
+      5, fp::FlowDefinition::kDstPrefix24, "/24, empty and one-flow bins");
+}
+
+// On a generated trace with the multi-bin split, every bin comes out
+// strictly increasing in key (sorted, equal keys merged) with every packet
+// kept, at both flow definitions.
+TEST(BinFlowCounts, BinsAreStrictlyIncreasingAndConserve) {
+  auto cfg = ft::FlowTraceConfig::sprint_5tuple(1.5, 31);
+  cfg.duration_s = 30.0;
+  const auto trace = ft::generate_flow_trace(cfg);
+  std::uint64_t total = 0;
+  for (const auto& flow : trace.flows) total += flow.packets;
+  for (const auto def : {fp::FlowDefinition::kFiveTuple, fp::FlowDefinition::kDstPrefix24}) {
+    const auto counts = ft::bin_flow_counts(trace, 5.0, def, 4);
+    for (const auto& bin : counts.bins) {
+      for (std::size_t i = 1; i < bin.size(); ++i) {
+        ASSERT_TRUE(bin[i - 1].key < bin[i].key);
+      }
+    }
+    EXPECT_EQ(binned_packets(counts), total);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -322,45 +322,3 @@ TEST(Stats, MergeEqualsSequential) {
   EXPECT_NEAR(a.mean(), all.mean(), 1e-10);
   EXPECT_NEAR(a.variance(), all.variance(), 1e-8);
 }
-
-TEST(Stats, QuantileInterpolates) {
-  std::vector<double> v{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(fn::quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(fn::quantile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(fn::quantile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(fn::quantile(v, 0.25), 2.0);
-}
-
-TEST(Stats, KendallTauPerfectAgreement) {
-  std::vector<double> x{1, 2, 3, 4, 5, 6};
-  EXPECT_DOUBLE_EQ(fn::kendall_tau(x, x), 1.0);
-  std::vector<double> rev{6, 5, 4, 3, 2, 1};
-  EXPECT_DOUBLE_EQ(fn::kendall_tau(x, rev), -1.0);
-}
-
-TEST(Stats, KendallTauMatchesBruteForce) {
-  auto eng = flowrank::util::make_engine(11);
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> x(50), y(50);
-    for (auto& v : x) v = unif(eng);
-    for (auto& v : y) v = unif(eng);
-    double c = 0, d = 0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      for (std::size_t j = i + 1; j < x.size(); ++j) {
-        const double s = (x[i] - x[j]) * (y[i] - y[j]);
-        if (s > 0) ++c;
-        if (s < 0) ++d;
-      }
-    }
-    const double brute = (c - d) / (0.5 * 50 * 49);
-    EXPECT_NEAR(fn::kendall_tau(x, y), brute, 1e-12);
-  }
-}
-
-TEST(Stats, KendallTauRejectsBadInput) {
-  std::vector<double> a{1, 2, 3}, b{1, 2};
-  EXPECT_THROW((void)fn::kendall_tau(a, b), std::invalid_argument);
-  std::vector<double> single{1};
-  EXPECT_THROW((void)fn::kendall_tau(single, single), std::invalid_argument);
-}

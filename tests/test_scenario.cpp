@@ -609,6 +609,70 @@ TEST(SpecGrammar, UnknownKeyHintNamesActiveModeKeys) {
   EXPECT_EQ(aggregate.find("watchdog-ms"), std::string::npos) << aggregate;
 }
 
+// `rate` is the exact model's fixed rate; the monitor and the fleet
+// sample at `rates`. In those modes `rate` is an unknown key, wherever it
+// comes from: after the mode, before it, in a file or on the command line.
+TEST(SpecGrammar, RateIsUnknownOutsideBatchMode) {
+  const auto expect_unknown_rate = [](const std::string& what, const char* mode) {
+    EXPECT_NE(what.find("unknown key 'rate'"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("mode=") + mode), std::string::npos) << what;
+    EXPECT_NE(what.find("rates"), std::string::npos) << what;
+    EXPECT_EQ(what.find(", rate,"), std::string::npos) << what;
+  };
+  for (const char* mode : {"monitor", "aggregate"}) {
+    fsim::ExperimentSpec after;
+    fsim::apply_experiment_entry(after, "mode", mode);
+    try {
+      fsim::apply_experiment_entry(after, "rate", "0.5");
+      ADD_FAILURE() << "rate accepted after mode=" << mode;
+    } catch (const std::invalid_argument& e) {
+      expect_unknown_rate(e.what(), mode);
+    }
+
+    fsim::ExperimentSpec before;
+    fsim::apply_experiment_entry(before, "rate", "0.5");
+    try {
+      fsim::apply_experiment_entry(before, "mode", mode);
+      ADD_FAILURE() << "rate accepted before mode=" << mode;
+    } catch (const std::invalid_argument& e) {
+      expect_unknown_rate(e.what(), mode);
+    }
+
+    const std::string file = write_temp(
+        "spec_rate.spec", "model = packet\nrate = 0.5\nmode = " + std::string(mode) + "\n");
+    try {
+      (void)fsim::parse_experiment_file(file);
+      ADD_FAILURE() << "spec file with rate accepted in mode=" << mode;
+    } catch (const flowrank::Error& e) {
+      EXPECT_EQ(e.category(), flowrank::ErrorCategory::kSpec);
+      expect_unknown_rate(e.what(), mode);
+    }
+    std::remove(file.c_str());
+
+    const std::string mode_flag = mode;
+    const char* argv[] = {"test", "--mode", mode_flag.c_str(), "--rate", "0.5"};
+    const flowrank::util::Cli cli(5, argv);
+    fsim::ExperimentSpec from_cli;
+    try {
+      fsim::apply_experiment_overrides(from_cli, cli);
+      ADD_FAILURE() << "--rate accepted with --mode " << mode;
+    } catch (const std::invalid_argument& e) {
+      expect_unknown_rate(e.what(), mode);
+    }
+  }
+
+  // Batch mode still reads it, and lists it among its keys.
+  fsim::ExperimentSpec batch;
+  fsim::apply_experiment_entry(batch, "rate", "0.25");
+  EXPECT_EQ(batch.exact_rate, 0.25);
+  try {
+    fsim::apply_experiment_entry(batch, "bogus-key", "1");
+    ADD_FAILURE() << "unknown key accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(", rate,"), std::string::npos) << e.what();
+  }
+}
+
 TEST(SpecGrammar, MakeFleetConfigMapsSpecOntoFleet) {
   fsim::ExperimentSpec spec;
   fsim::apply_experiment_entry(spec, "mode", "aggregate");

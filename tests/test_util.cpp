@@ -145,17 +145,18 @@ TEST(Cli, BooleanSpellings) {
 
 namespace {
 
-/// Chi-squared goodness-of-fit of binomial_sample(n, p) draws against the
-/// exact pmf, with tail bins merged until every cell expects >= 5 counts.
-/// Returns (statistic, degrees of freedom).
-std::pair<double, int> binomial_chi_squared(std::uint64_t n, double p,
-                                            int trials, std::uint64_t seed) {
+/// Chi-squared goodness-of-fit of `trials` draws of draw(engine) against
+/// the exact Bin(n, p) pmf, with tail bins merged until every cell
+/// expects >= 5 counts. Returns (statistic, degrees of freedom).
+template <class Draw>
+std::pair<double, int> chi_squared_against_pmf(std::uint64_t n, double p, int trials,
+                                               std::uint64_t seed, Draw draw) {
   auto engine = fu::make_engine(seed);
   std::vector<std::uint64_t> counts(n + 1, 0);
   for (int i = 0; i < trials; ++i) {
-    const std::uint64_t k = fu::binomial_sample(n, p, engine);
+    const std::uint64_t k = draw(engine);
     EXPECT_LE(k, n);
-    ++counts[k];
+    if (k <= n) ++counts[k];
   }
   // Merge k-cells left to right into bins with expected count >= 5.
   double chi2 = 0.0;
@@ -183,6 +184,14 @@ std::pair<double, int> binomial_chi_squared(std::uint64_t n, double p,
     ++cells;
   }
   return {chi2, cells - 1};
+}
+
+/// chi_squared_against_pmf of binomial_sample(n, p) draws.
+std::pair<double, int> binomial_chi_squared(std::uint64_t n, double p,
+                                            int trials, std::uint64_t seed) {
+  return chi_squared_against_pmf(n, p, trials, seed, [n, p](fu::Engine& engine) {
+    return fu::binomial_sample(n, p, engine);
+  });
 }
 
 }  // namespace
@@ -255,6 +264,35 @@ TEST(BinomialSample, ThinnerMatchesOneShotStream) {
     }
     // Engines consumed the same number of variates.
     EXPECT_EQ(one_shot_engine(), thinner_engine());
+  }
+}
+
+// The guide-table thinner against the Bin(n, p) pmf at its edges: n = 1
+// (the shortest table), 4095 and 4096 (at p = 0.001 the last tabled n
+// and the first untabled one), and n·p' just under the BTPE switch; at
+// a low rate, at p = 1/2, and flipped (p = 0.97 samples at p' = 0.03).
+// The bound is looser than ChiSquaredAcrossBranchBoundary's because some
+// cases have a single degree of freedom: P(chi2(1) > 13.6) < 3e-4. Seeds
+// are fixed, so the test is deterministic.
+TEST(BinomialSample, ThinnerChiSquaredAtGuideTableEdges) {
+  const struct {
+    std::uint64_t n;
+    double p;
+  } cases[] = {
+      {1, 0.001},    {4095, 0.001}, {4096, 0.001}, {29999, 0.001},  // 29.999
+      {1, 0.5},      {4095, 0.5},   {4096, 0.5},   {59, 0.5},       // 29.5
+      {1, 0.97},     {4095, 0.97},  {4096, 0.97},  {999, 0.97},     // 29.97
+  };
+  std::uint64_t seed = 2000;
+  for (const auto& c : cases) {
+    fu::BinomialThinner thin(c.p);
+    const auto [chi2, dof] = chi_squared_against_pmf(
+        c.n, c.p, 100000, seed++, [&thin, n = c.n](fu::Engine& engine) {
+          return thin(n, engine);
+        });
+    ASSERT_GE(dof, 1) << "n=" << c.n << " p=" << c.p;
+    EXPECT_LT(chi2, dof + 4.0 * std::sqrt(2.0 * dof) + 7.0)
+        << "n=" << c.n << " p=" << c.p << " dof=" << dof;
   }
 }
 
