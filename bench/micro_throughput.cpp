@@ -140,11 +140,11 @@ flowrank::core::DiscreteModelConfig discrete_bench_config(std::int64_t max_size)
   return cfg;
 }
 
-// Iterations(1): one table build is seconds even post-rework at
-// max_size = 3000; letting Benchmark pick an iteration count made the
-// full bench run take minutes for no extra signal. The small companion
-// (max_size = 600, the figure-spec scale) runs free-iteration so the
-// usual variance machinery still covers the kernel.
+// Iterations(1) dates from the pairwise-table build, which took seconds
+// at max_size = 3000; the prefix-sum build takes tens of milliseconds,
+// and the pin stays so the row keeps its name across refreshes. The
+// small companion (max_size = 600, the figure-spec scale) runs
+// free-iteration.
 void BM_RankingModelDiscreteExact(benchmark::State& state) {
   const auto cfg = discrete_bench_config(state.range(0));
   for (auto _ : state) {
@@ -161,7 +161,7 @@ BENCHMARK(BM_RankingModelDiscreteExact)
     ->Unit(benchmark::kMillisecond);
 
 // The two halves the context API splits evaluation into: the one-off
-// table build (everything that depends only on pmf/p/max-size) and the
+// build (everything that depends only on pmf/p/max-size) and the
 // near-free per-(n, t) fold a sweep pays per marginal cell.
 void BM_DiscreteModelTableBuild(benchmark::State& state) {
   const auto model_cfg = discrete_bench_config(state.range(0));
@@ -182,7 +182,7 @@ BENCHMARK(BM_DiscreteModelTableBuild)
 
 // Sweep-level reuse: one shared context scoring a 3-cell t-sweep per
 // iteration (items/iter = 3). Compare 3x the per-cell time against
-// BM_RankingModelDiscreteExact/600, which rebuilds the tables for every
+// BM_RankingModelDiscreteExact/600, which rebuilds the context for every
 // cell — the amortized ratio is the acceptance number for context reuse.
 void BM_DiscreteModelSweepReuse(benchmark::State& state) {
   const auto model_cfg = discrete_bench_config(600);

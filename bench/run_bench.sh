@@ -7,6 +7,11 @@
 # from anything but a Release build: a debug-built BENCH_micro.json (it has
 # happened) makes every later comparison read as a phantom speedup.
 #
+# Each row runs 5 times and only its aggregates (mean, median, stddev,
+# cv) are written: read the `_median` rows (see docs/PERFORMANCE.md,
+# "Running the benchmarks"). Flags given to this script come after the
+# defaults, so they override them (e.g. --benchmark_repetitions=1).
+#
 # Usage: bench/run_bench.sh [extra --benchmark_* flags]
 set -eu
 
@@ -29,6 +34,8 @@ fi
   --benchmark_format=json \
   --benchmark_out="$repo_root/BENCH_micro.json" \
   --benchmark_out_format=json \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true \
   "$@"
 
 # micro_throughput stamps its own compile-time build type into the JSON

@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   // Claim 6 (reproduction, compute layer): the exact discrete model — the
   // "original problem" the paper abandoned as intractable — is now cheap
   // enough to check the continuous shortcut directly. Every planner probe
-  // below rebuilds the shared pairwise tables (DiscreteModelContext) at a
+  // below rebuilds the pairwise sums (DiscreteModelContext) at a
   // fresh rate, and the two planners must land in the same ballpark.
   {
     // At N=2000 the paper's acceptability line (metric 1) needs near-full

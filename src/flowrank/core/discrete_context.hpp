@@ -1,29 +1,32 @@
 // Build-once compute context for the exact discrete ranking model.
 //
-// The expensive part of Eq. (3) — the triangular pairwise-misranking
-// table Pm(small, large) plus the equal-size diagonal, and their pmf-
-// weighted partial sums A_i / B_i — depends only on (size pmf, p,
-// max_size, pairwise flavor). It is independent of both the population N
-// and the list size t. DiscreteModelContext builds all of it once; every
-// (n, t) evaluation afterwards is an O(S) fold of cached sums against two
-// binomial cdf terms per support point, so a whole (n, t) sweep costs one
-// table build plus near-free marginal cells.
+// The expensive part of Eq. (3) — the pmf-weighted partial sums A_i / B_i
+// of the pairwise misranking probabilities Pm(small, large) and the
+// equal-size diagonal — depends only on (size pmf, p, max_size, pairwise
+// flavor). It is independent of both the population N and the list size
+// t. DiscreteModelContext builds the sums once; every (n, t) evaluation
+// afterwards is an O(S) fold of cached sums against two binomial cdf
+// terms per support point, so a whole (n, t) sweep costs one build plus
+// near-free marginal cells.
 //
-// Determinism contract (the repo's standing rule): the table rows are
-// independent, so they are built on the shared exec::TaskPool, but the
-// per-row arithmetic is sequential and uses exactly the same seed,
-// recurrence and summation order as the historical single-threaded
-// implementation — results are bit-identical at any thread count and to
-// the pre-context code. One deliberate exception: a Bin(s, p) row whose
-// k = 0 seed (1-p)^s is below DBL_MIN (s > ~708/|ln(1-p)|: s > ~236 at
-// p = 0.95, s > ~114 at p = 0.998) is anchored at its mode in log space
-// instead, because recurring from the underflowed seed zeroed the whole
-// row (Pm(i, i) read 1, Pm between two such sizes 0) and made the metric
-// a sawtooth in p. Rows with a normal seed keep the old arithmetic bit
-// for bit, so results at low p (the goldens) are unchanged and results
-// at high p are now correct. The one stream-changing knob, the support-
-// windowed k-sum, is OFF by default and gated behind window_tolerance
-// (PR 3 / PR 9 precedent), with its approximation error bounded below.
+// The exact flavor never forms a pairwise table. Eq. (1) is a k-sum,
+// Pm(j, i) = sum_k b(k, j) C_i(k) with C_i the clamped Bin(i, p) cdf, and
+// swapping it with the pmf-weighted j-sum turns each partial sum into one
+// dot product against a running prefix over j (see discrete_context.cpp):
+// O(S^2) time and O(S) memory instead of O(S^3) and three packed
+// triangles.
+//
+// Determinism contract (the repo's standing rule): the canonical stream
+// is this interchanged order. The A and B passes each run sequentially,
+// with a fixed order of every addition, so results are bit-identical at
+// any thread count (with num_threads >= 2 the two passes are two pool
+// tasks). The Gaussian flavor computes each pair on the fly in the
+// pairwise order it always had, so it is bit-identical to the earlier
+// table build. The pmf rows keep their seed and recurrence: a Bin(s, p)
+// row whose k = 0 seed (1-p)^s is below DBL_MIN (s > ~708/|ln(1-p)|:
+// s > ~236 at p = 0.95, s > ~114 at p = 0.998) is anchored at its mode in
+// log space instead, because recurring from the underflowed seed zeroed
+// the whole row and made the metric a sawtooth in p.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +40,7 @@
 namespace flowrank::core {
 
 /// The (n, t)-independent part of DiscreteModelConfig: everything the
-/// pairwise tables are keyed on.
+/// partial sums are keyed on.
 struct DiscreteContextConfig {
   double p = 0.0;  ///< sampling rate, in (0,1)
   std::shared_ptr<const dist::Discretized> size_pmf;
@@ -48,27 +51,19 @@ struct DiscreteContextConfig {
   /// Use the Gaussian Pm instead of the exact Eq. (1) inside Eq. (3) —
   /// isolates discretization error from Gaussian-approximation error.
   bool gaussian_pairwise = false;
-  /// Gated approximation: when > 0, each Eq. (1) k-sum is restricted to
-  /// the central window of Bin(small, p) that leaves at most
-  /// window_tolerance pmf mass outside (half in each tail). 0 (the
-  /// default) keeps the full-range exact sums — the canonical stream.
-  /// The induced error is one-sided (the sum only loses non-negative
-  /// terms): per pair at most window_tolerance before clamping, hence at
-  /// most 2 * window_tolerance * N / t on mean_pair_misranking.
-  double window_tolerance = 0.0;
-  /// Table-build parallelism on the shared exec::TaskPool (0 = all
-  /// hardware threads). Never changes results — see the determinism
-  /// contract above.
+  /// Build parallelism on the shared exec::TaskPool (0 = all hardware
+  /// threads); the exact flavor uses at most two. Never changes results —
+  /// see the determinism contract above.
   std::size_t num_threads = 1;
 };
 
-/// The reusable tables. Immutable once built; evaluate() is const and
-/// thread-safe, so one context can serve concurrent sweep cells.
+/// The reusable partial sums. Immutable once built; evaluate() is const
+/// and thread-safe, so one context can serve concurrent sweep cells.
 class DiscreteModelContext {
  public:
-  /// Builds the pairwise table and reduces it to the per-size partial
-  /// sums. Throws std::invalid_argument on config errors (missing pmf,
-  /// p outside (0,1), support cap too small or tail above tolerance).
+  /// Builds the per-size partial sums. Throws std::invalid_argument on
+  /// config errors (missing pmf, p outside (0,1), support cap too small
+  /// or tail above tolerance).
   explicit DiscreteModelContext(const DiscreteContextConfig& config);
 
   /// Eq. (3) fold over the cached sums: O(S) binomial cdf evaluations.
@@ -78,7 +73,6 @@ class DiscreteModelContext {
   [[nodiscard]] double p() const noexcept { return p_; }
   [[nodiscard]] std::int64_t min_size() const noexcept { return lo_; }
   [[nodiscard]] std::int64_t max_size() const noexcept { return hi_; }
-  [[nodiscard]] bool windowed() const noexcept { return window_tolerance_ > 0.0; }
 
   /// Cached reductions, indexed by size - min_size() — the determinism
   /// tests compare these across thread counts bit for bit.
@@ -93,7 +87,6 @@ class DiscreteModelContext {
 
  private:
   double p_ = 0.0;
-  double window_tolerance_ = 0.0;
   std::int64_t lo_ = 0;  ///< smallest size with positive mass
   std::int64_t hi_ = 0;  ///< support cap (config.max_size)
   std::vector<double> pmf_, ccdf_;    ///< size pmf / P{size >= i} rows

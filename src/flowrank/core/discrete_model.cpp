@@ -21,7 +21,6 @@ DiscreteModelResult evaluate_discrete_ranking_model(const DiscreteModelConfig& c
   ctx_config.max_size = config.max_size;
   ctx_config.tail_tolerance = config.tail_tolerance;
   ctx_config.gaussian_pairwise = config.gaussian_pairwise;
-  ctx_config.window_tolerance = config.window_tolerance;
   ctx_config.num_threads = config.num_threads;
   return DiscreteModelContext(ctx_config).evaluate(config.n, config.t);
 }

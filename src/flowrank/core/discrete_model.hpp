@@ -6,8 +6,9 @@
 // rework it is fast enough to use as a first-class experiment axis:
 // evaluate_discrete_ranking_model() is now a one-shot convenience shim
 // over core::DiscreteModelContext (discrete_context.hpp), which builds
-// the pairwise tables once and makes every further (n, t) evaluation
-// near-free. Sweeps and the planner should hold a context directly.
+// the pairwise partial sums once and makes every further (n, t)
+// evaluation near-free. Sweeps and the planner should hold a context
+// directly.
 #pragma once
 
 #include <cstddef>
@@ -33,13 +34,8 @@ struct DiscreteModelConfig {
   /// Use the Gaussian Pm instead of the exact Eq. (1) inside Eq. (3) —
   /// isolates discretization error from Gaussian-approximation error.
   bool gaussian_pairwise = false;
-  /// Gated support-windowed k-sum: when > 0, skip Bin(small, p) pmf mass
-  /// up to this tolerance per Eq. (1) sum (half per tail). OFF by default
-  /// — the canonical stream stays bit-identical. See
-  /// DiscreteContextConfig::window_tolerance for the error bound.
-  double window_tolerance = 0.0;
-  /// Table-build parallelism on the shared exec::TaskPool (0 = all
-  /// hardware threads); never changes results.
+  /// Build parallelism on the shared exec::TaskPool (0 = all hardware
+  /// threads); never changes results.
   std::size_t num_threads = 1;
 };
 
@@ -50,7 +46,7 @@ struct DiscreteModelResult {
 };
 
 /// One-shot evaluation: builds a DiscreteModelContext for the config and
-/// evaluates it at (n, t). The build dominates (O(max_size^2) table work);
+/// evaluates it at (n, t). The build dominates (O(max_size^2) work);
 /// callers evaluating several (n, t) cells or planner probes should build
 /// the context once instead.
 [[nodiscard]] DiscreteModelResult evaluate_discrete_ranking_model(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "flowrank/core/misranking.hpp"
@@ -11,82 +12,162 @@ namespace flowrank::core {
 
 namespace {
 
-void check_config(const RankingModelConfig& config) {
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+/// Order of the straight panel integrate_toward lays next to the focus.
+constexpr int kSliverOrder = 4;
+
+/// Appends the panels of integrate_toward(f, lo, hi, focus_on_lo, quad)
+/// (model_common.cpp): each panel's half-width and the sizes x(v) at its
+/// Gauss-Legendre nodes, with the same edge and node arithmetic, so the
+/// cached sizes are the ones the one-shot quadrature evaluates.
+void append_inner(const dist::FlowSizeDistribution& dist, double lo, double hi,
+                  bool focus_on_lo, const QuadratureOptions& quad,
+                  std::vector<double>& panel_half, std::vector<double>& sizes) {
+  const double width = hi - lo;
+  const double eps = quad.tail_epsilon;
+  const int panels = quad.inner_panels;
+  const double log_ratio = std::log(1.0 / eps) / panels;
+  const auto add_panel = [&](double a, double b, int order) {
+    const auto& rule = numeric::gauss_legendre(order);
+    const double mid = 0.5 * (a + b);
+    const double half = 0.5 * (b - a);
+    for (const double node : rule.nodes) {
+      sizes.push_back(dist.tail_quantile(mid + half * node));
+    }
+    panel_half.push_back(half);
+  };
+  double prev = eps * width;
+  add_panel(focus_on_lo ? lo : hi - prev, focus_on_lo ? lo + prev : hi, kSliverOrder);
+  for (int i = 1; i <= panels; ++i) {
+    const double next = i == panels ? width : eps * width * std::exp(log_ratio * i);
+    add_panel(focus_on_lo ? lo + prev : hi - next, focus_on_lo ? lo + next : hi - prev,
+              quad.inner_order);
+    prev = next;
+  }
+}
+
+}  // namespace
+
+RankingModelContext::RankingModelContext(const RankingModelConfig& config)
+    : n_(config.n), t_(config.t), pairwise_(config.pairwise) {
   if (!config.size_dist) {
     throw std::invalid_argument("ranking model: size_dist is required");
   }
   if (config.t < 1 || config.t > config.n) {
     throw std::invalid_argument("ranking model: requires 1 <= t <= N");
   }
-  if (!(config.p > 0.0 && config.p <= 1.0)) {
-    throw std::invalid_argument("ranking model: requires p in (0,1]");
-  }
-}
-
-}  // namespace
-
-RankingModelResult evaluate_ranking_model(const RankingModelConfig& config) {
-  check_config(config);
   const auto& dist = *config.size_dist;
-  const auto n = config.n;
-  const auto t = config.t;
-  const double p = config.p;
   const auto& quad = config.quad;
-
-  // Sizes as a function of tail rank y = F̄(x).
-  const auto size_at = [&dist](double y) { return dist.tail_quantile(y); };
-  const auto pm = [&config](double a, double b, double rate) {
-    return config.pairwise == PairwiseModel::kGaussian
-               ? misranking_gaussian(a, b, rate)
-               : misranking_hybrid(a, b, rate);
-  };
+  outer_rule_ = &numeric::gauss_legendre(quad.outer_order);
+  sliver_rule_ = &numeric::gauss_legendre(kSliverOrder);
+  inner_rule_ = &numeric::gauss_legendre(quad.inner_order);
+  inner_panels_ = static_cast<std::size_t>(quad.inner_panels) + 1;
+  inner_sizes_ = static_cast<std::size_t>(kSliverOrder) +
+                 static_cast<std::size_t>(quad.inner_panels) *
+                     static_cast<std::size_t>(quad.inner_order);
 
   // Eq. (3), continuous, after the Pt(i,t,N) cancellation (see DESIGN.md):
   //   P̄mt = (N/t) ∫_0^1 [ Pt(y;t,N-1) A(y) + Pt(y;t-1,N-1) B(y) ] dy
   //   A(y) = ∫_y^1 Pm(x(v), x(y)) dv   (companion smaller than x(y))
   //   B(y) = ∫_0^y Pm(x(y), x(v)) dv   (companion at least as large)
-  const auto integrand = [&](double y) {
-    const double x = size_at(y);
-    // Pt(i,t,N-1) in the paper is a binomial over N-2 other flows;
-    // top_probability(y,t,m) computes P{Bin(m-1,y) <= t-1}, so pass m = N-1.
-    const double pt_t_nm1 = top_probability(y, t, n - 1, quad);
-    const double pt_tm1_nm1 = top_probability(y, t - 1, n - 1, quad);
-    if (pt_t_nm1 <= 0.0 && pt_tm1_nm1 <= 0.0) return 0.0;
-
-    double a_term = 0.0;
-    if (pt_t_nm1 > 0.0) {
-      const auto pm_smaller = [&](double v) { return pm(size_at(v), x, p); };
-      a_term = pt_t_nm1 * integrate_toward(pm_smaller, y, 1.0, /*focus_on_lo=*/true,
-                                           quad);
-    }
-    double b_term = 0.0;
-    if (config.counting == PairCounting::kPaper && t >= 2 && pt_tm1_nm1 > 0.0 &&
-        y > 0.0) {
-      const auto pm_larger = [&](double v) { return pm(x, size_at(v), p); };
-      b_term = pt_tm1_nm1 * integrate_toward(pm_larger, 0.0, y, /*focus_on_lo=*/false,
-                                             quad);
-    }
-    return a_term + b_term;
-  };
-
   // Outer integral over the top-flow region: z = N*y in (0, z_max].
-  const double z_max = outer_z_max(t, config.quad);
-  const double y_max = std::min(1.0, z_max / static_cast<double>(n));
+  const double z_max = outer_z_max(t_, quad);
+  const double y_max = std::min(1.0, z_max / static_cast<double>(n_));
   const double panel_width = y_max / quad.outer_panels;
-  double outer = 0.0;
+  std::vector<double> ys;
+  std::uint32_t integrals = 0;
   for (int i = 0; i < quad.outer_panels; ++i) {
     const double lo = panel_width * i;
     const double hi = i + 1 == quad.outer_panels ? y_max : panel_width * (i + 1);
-    outer += numeric::integrate_gl(integrand, lo, hi, quad.outer_order);
+    const double mid = 0.5 * (lo + hi);
+    const double half = 0.5 * (hi - lo);
+    outer_half_.push_back(half);
+    for (const double node : outer_rule_->nodes) {
+      const double y = mid + half * node;
+      ys.push_back(y);
+      x_.push_back(dist.tail_quantile(y));
+      // Pt(i,t,N-1) in the paper is a binomial over N-2 other flows;
+      // top_probability(y,t,m) computes P{Bin(m-1,y) <= t-1}, so pass m = N-1.
+      const double pt_t = top_probability(y, t_, n_ - 1, quad);
+      const double pt_tm1 = top_probability(y, t_ - 1, n_ - 1, quad);
+      pt_t_.push_back(pt_t);
+      pt_tm1_.push_back(pt_tm1);
+      // An empty range integrates to 0, like an inactive term.
+      const bool a = pt_t > 0.0 && 1.0 > y;
+      const bool b =
+          config.counting == PairCounting::kPaper && t_ >= 2 && pt_tm1 > 0.0 && y > 0.0;
+      a_index_.push_back(a ? integrals++ : kNone);
+      b_index_.push_back(b ? integrals++ : kNone);
+    }
+  }
+  panel_half_.reserve(integrals * inner_panels_);
+  sizes_.reserve(integrals * inner_sizes_);
+  for (std::size_t node = 0; node < ys.size(); ++node) {
+    if (a_index_[node] != kNone) {
+      append_inner(dist, ys[node], 1.0, /*focus_on_lo=*/true, quad, panel_half_, sizes_);
+    }
+    if (b_index_[node] != kNone) {
+      append_inner(dist, 0.0, ys[node], /*focus_on_lo=*/false, quad, panel_half_, sizes_);
+    }
+  }
+}
+
+double RankingModelContext::inner_integral(std::uint32_t index, double x,
+                                           bool companion_smaller, double p) const {
+  const auto pm = pairwise_ == PairwiseModel::kGaussian ? misranking_gaussian
+                                                        : misranking_hybrid;
+  const double* half = panel_half_.data() + index * inner_panels_;
+  const double* size = sizes_.data() + index * inner_sizes_;
+  double acc = 0.0;
+  for (std::size_t j = 0; j < inner_panels_; ++j) {
+    const auto& weights = (j == 0 ? sliver_rule_ : inner_rule_)->weights;
+    double sum = 0.0;
+    for (const double w : weights) {
+      sum += w * (companion_smaller ? pm(*size, x, p) : pm(x, *size, p));
+      ++size;
+    }
+    acc += sum * half[j];
+  }
+  return acc;
+}
+
+RankingModelResult RankingModelContext::evaluate(double p) const {
+  if (!(p > 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("ranking model: requires p in (0,1]");
+  }
+  // The panel sums of numeric::integrate_gl and integrate_toward, in
+  // their order: sum w_k f(node_k) per panel, then scale by the panel's
+  // half-width and add.
+  double outer = 0.0;
+  std::size_t node = 0;
+  for (const double outer_half : outer_half_) {
+    double acc = 0.0;
+    for (const double w : outer_rule_->weights) {
+      double a_term = 0.0;
+      if (a_index_[node] != kNone) {
+        a_term = pt_t_[node] * inner_integral(a_index_[node], x_[node], true, p);
+      }
+      double b_term = 0.0;
+      if (b_index_[node] != kNone) {
+        b_term = pt_tm1_[node] * inner_integral(b_index_[node], x_[node], false, p);
+      }
+      acc += w * (a_term + b_term);
+      ++node;
+    }
+    outer += acc * outer_half;
   }
 
   RankingModelResult result;
   result.mean_pair_misranking =
-      outer * static_cast<double>(n) / static_cast<double>(t);
+      outer * static_cast<double>(n_) / static_cast<double>(t_);
   result.pair_count =
-      0.5 * static_cast<double>(2 * n - t - 1) * static_cast<double>(t);
+      0.5 * static_cast<double>(2 * n_ - t_ - 1) * static_cast<double>(t_);
   result.metric = result.pair_count * result.mean_pair_misranking;
   return result;
+}
+
+RankingModelResult evaluate_ranking_model(const RankingModelConfig& config) {
+  return RankingModelContext(config).evaluate(config.p);
 }
 
 }  // namespace flowrank::core

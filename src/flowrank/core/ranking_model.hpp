@@ -16,11 +16,17 @@
 // (Sec. 5.2: "reduces the computation time ... to few seconds").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "flowrank/core/model_common.hpp"
 #include "flowrank/dist/flow_size_distribution.hpp"
+
+namespace flowrank::numeric {
+struct GaussLegendreRule;
+}  // namespace flowrank::numeric
 
 namespace flowrank::core {
 
@@ -46,7 +52,49 @@ struct RankingModelResult {
   double pair_count = 0.0;            ///< (2N-t-1) t/2
 };
 
-/// Evaluates the continuous ranking model.
+/// The p-independent part of the Eq. (3) quadrature, built once per
+/// (n, t, size distribution, quadrature options, pairwise model, pair
+/// counting): the outer nodes y with their sizes x(y) and both top-t
+/// probabilities, and, per inner panel, its half-width and the companion
+/// sizes x(v) = tail_quantile(v) at its nodes. evaluate(p) only applies
+/// the pairwise model to the cached sizes, with the panel sums taken in
+/// the one-shot quadrature's order, so a rate search pays for the size
+/// quantiles once. Immutable once built; evaluate() is const.
+class RankingModelContext {
+ public:
+  /// Ignores config.p. Throws std::invalid_argument without a size
+  /// distribution or unless 1 <= t <= N.
+  explicit RankingModelContext(const RankingModelConfig& config);
+
+  /// The model at rate p. Throws std::invalid_argument unless 0 < p <= 1.
+  [[nodiscard]] RankingModelResult evaluate(double p) const;
+
+ private:
+  /// Inner integral `index`: 1 + inner_panels panels, the first the
+  /// 4-point sliver at the focus.
+  [[nodiscard]] double inner_integral(std::uint32_t index, double x,
+                                      bool companion_smaller, double p) const;
+
+  std::int64_t n_ = 0;
+  std::int64_t t_ = 0;
+  PairwiseModel pairwise_ = PairwiseModel::kGaussian;
+  const numeric::GaussLegendreRule* outer_rule_ = nullptr;
+  const numeric::GaussLegendreRule* sliver_rule_ = nullptr;
+  const numeric::GaussLegendreRule* inner_rule_ = nullptr;
+  std::size_t inner_panels_ = 0;  ///< panels per inner integral, sliver included
+  std::size_t inner_sizes_ = 0;   ///< nodes per inner integral
+  std::vector<double> outer_half_;  ///< per outer panel
+  /// Per outer node, panel-major: x(y) and the two top-t probabilities.
+  std::vector<double> x_, pt_t_, pt_tm1_;
+  /// Per outer node: index of its A (companion smaller) / B (companion at
+  /// least as large) integral, or kNone when the term is zero.
+  std::vector<std::uint32_t> a_index_, b_index_;
+  std::vector<double> panel_half_;  ///< per inner panel
+  std::vector<double> sizes_;       ///< per inner node
+};
+
+/// Evaluates the continuous ranking model:
+/// RankingModelContext(config).evaluate(config.p).
 /// Throws std::invalid_argument on inconsistent configuration
 /// (requires 1 <= t <= N, 0 < p <= 1, a size distribution).
 [[nodiscard]] RankingModelResult evaluate_ranking_model(const RankingModelConfig& config);

@@ -158,11 +158,15 @@ PlannerResult plan_sampling_rate(const std::function<double(double)>& metric_at,
 
 PlannerResult plan_sampling_rate(RankingModelConfig config, PlannerGoal goal,
                                  double target, double p_min, double p_max) {
+  if (goal == PlannerGoal::kRankTopT) {
+    const RankingModelContext context(config);
+    return plan_sampling_rate([&](double p) { return context.evaluate(p).metric; },
+                              target, p_min, p_max);
+  }
   return plan_sampling_rate(
       [&](double p) {
         config.p = p;
-        return goal == PlannerGoal::kRankTopT ? evaluate_ranking_model(config).metric
-                                              : evaluate_detection_model(config).metric;
+        return evaluate_detection_model(config).metric;
       },
       target, p_min, p_max);
 }
@@ -175,8 +179,8 @@ PlannerResult plan_sampling_rate(DiscreteModelConfig config, double target,
   }
   return plan_sampling_rate(
       [&](double p) {
-        // p is part of the pairwise-table key, so each evaluation rebuilds
-        // the context — which is exactly why the table build has to be fast.
+        // p is part of the context key, so each evaluation rebuilds the
+        // context — which is exactly why the build has to be fast.
         config.p = p;
         return evaluate_discrete_ranking_model(config).metric;
       },

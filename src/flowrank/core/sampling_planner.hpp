@@ -63,7 +63,9 @@ struct PlannerResult {
     double p_max);
 
 /// The continuous ranking (Eq. 3 quadrature) or detection model as the
-/// metric of the search above. `config.p` is ignored.
+/// metric of the search above. The ranking goal builds one
+/// RankingModelContext per query, so each evaluation pays only for the
+/// pairwise model at its rate. `config.p` is ignored.
 [[nodiscard]] PlannerResult plan_sampling_rate(RankingModelConfig config,
                                                PlannerGoal goal, double target = 1.0,
                                                double p_min = 1e-4,
@@ -71,9 +73,8 @@ struct PlannerResult {
 
 /// Discrete-model goal: the same search, but every evaluation is the
 /// exact discrete ranking model (Eqs. 1 and 3) instead of the continuous
-/// quadrature. Each evaluation changes p, so each rebuilds the pairwise tables; keep
-/// `config.max_size` modest (and consider `config.window_tolerance`) when
-/// planning in a loop. `config.p` is ignored. Unlike the continuous
+/// quadrature. p is part of the context key, so each evaluation builds a
+/// DiscreteModelContext, O(max_size^2). `config.p` is ignored. Unlike the continuous
 /// overload, p_max must stay strictly below 1 (the discrete model's
 /// domain is p in (0,1)).
 [[nodiscard]] PlannerResult plan_sampling_rate(DiscreteModelConfig config,

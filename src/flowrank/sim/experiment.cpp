@@ -224,9 +224,9 @@ std::string trace_cache_key(const ExperimentSpec& spec) {
 }
 
 /// The context-shaping subset of an exact-discrete cell: cells that agree
-/// on it share one core::DiscreteModelContext — the tables depend on the
+/// on it share one core::DiscreteModelContext — its sums depend on the
 /// size pmf, the sampling rate and the discrete knobs, but not on n or t,
-/// so (n, t) sweeps pay for their tables exactly once.
+/// so (n, t) sweeps pay for them exactly once.
 using DiscreteContextCache =
     std::map<std::string, std::shared_ptr<const core::DiscreteModelContext>>;
 
@@ -234,8 +234,7 @@ std::string discrete_context_key(const ExperimentSpec& cell) {
   std::ostringstream key;
   key << cell.preset << '|' << cell.dist << '|' << format_value(cell.beta) << '|'
       << format_value(cell.exact_rate) << '|' << cell.exact_max_size << '|'
-      << format_value(cell.exact_tail_tol) << '|'
-      << format_value(cell.exact_window);
+      << format_value(cell.exact_tail_tol);
   return key.str();
 }
 
@@ -329,9 +328,6 @@ std::vector<std::pair<std::string, std::string>> experiment_echo(
         add("exact-pairwise", "exact-discrete");
         add("max-size", std::to_string(spec.exact_max_size));
         add("tail-tol", format_value(spec.exact_tail_tol));
-        if (spec.exact_window > 0.0) {
-          add("window", format_value(spec.exact_window));
-        }
       } else {
         add("pairwise", spec.pairwise == core::PairwiseModel::kGaussian
                             ? "gaussian"
@@ -571,10 +567,10 @@ std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink)
   }
 
   // Exact-discrete grids share one core::DiscreteModelContext per
-  // distinct (pmf, rate, max-size, tail-tol, window) — an (n, t) sweep
-  // pays for its pairwise tables exactly once. Contexts are enumerated in
-  // deterministic grid order and built before the parallel grid runs (the
-  // build itself is TaskPool-parallel inside), and the reuse is recorded
+  // distinct (pmf, rate, max-size, tail-tol) — an (n, t) sweep pays for
+  // its pairwise sums exactly once. Contexts are enumerated in
+  // deterministic grid order and built before the parallel grid runs (a
+  // build runs its two passes on the TaskPool), and the reuse is recorded
   // in the run metadata so result files document the sharing.
   DiscreteContextCache discrete_contexts;
   if (spec.model == ExperimentModel::kExact && spec.exact_discrete) {
@@ -594,7 +590,6 @@ std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink)
             std::make_shared<dist::Discretized>(make_size_distribution(cell));
         cfg.max_size = cell.exact_max_size;
         cfg.tail_tolerance = cell.exact_tail_tol;
-        cfg.window_tolerance = cell.exact_window;
         cfg.num_threads = threads;
         context = std::make_shared<const core::DiscreteModelContext>(cfg);
       }

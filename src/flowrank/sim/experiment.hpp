@@ -50,8 +50,8 @@
 //              shared exec::TaskPool. `exact-pairwise = exact-discrete`
 //              switches metric=ranking cells to the integer-support
 //              discrete model (Eqs. 1 and 3) backed by build-once
-//              core::DiscreteModelContext tables, cached per distinct
-//              (p, pmf, max-size, tail-tol, window) across the grid;
+//              core::DiscreteModelContext sums, cached per distinct
+//              (p, pmf, max-size, tail-tol) across the grid;
 //     mc     — the trace-driven count-path Monte-Carlo simulation
 //              (binomial thinning over per-bin counts; figs 12-16), one
 //              row per (grid cell, rate, time bin);
@@ -73,10 +73,8 @@
 // gaussian_error, n = <population>, rate = <fixed sampling rate>,
 // target = <Pm,d for optimal_rate>, pairwise = gaussian|hybrid,
 // counting = paper|unordered, exact-pairwise = gaussian|hybrid|
-// exact-discrete, plus the exact-discrete knobs max-size = <support cap>,
-// tail-tol = <pmf tail mass tolerance> and window = <gated k-sum pmf
-// tolerance; doubles as the monitor window seconds — run-time validation
-// keeps the two modes apart>.
+// exact-discrete, plus the exact-discrete knobs max-size = <support cap>
+// and tail-tol = <pmf tail mass tolerance>.
 //
 // Packet-model estimator stage (closing the paper's sampled → estimated
 // → ranked loop):
@@ -251,10 +249,6 @@ struct ExperimentSpec {
   bool exact_discrete = false;
   std::int64_t exact_max_size = 4096;  ///< discrete support cap (max-size)
   double exact_tail_tol = 1e-6;        ///< discrete tail tolerance (tail-tol)
-  /// Discrete windowed-k-sum tolerance (0 = exact, the default). Shares
-  /// the `window` key with monitor mode's seconds; both fields are set at
-  /// parse time and check_axes keeps the modes mutually exclusive.
-  double exact_window = 0.0;
 
   // --- packet-model estimator stage ---------------------------------------
   EstimatorStage estimator;

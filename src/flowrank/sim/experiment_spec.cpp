@@ -637,12 +637,7 @@ void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
       throw std::invalid_argument("experiment: tail-tol in (0,1)");
     }
   } else if (key == "window") {
-    // Dual-keyed: monitor mode reads `window` as seconds
-    // (monitor.window_s), the exact-discrete model as a skipped-pmf-mass
-    // tolerance. Both fields are set here; check_axes and the model's
-    // own range check keep the two meanings from ever mixing in one run.
-    spec.exact_window = key_double(key, value);
-    spec.monitor.window_s = spec.exact_window;
+    spec.monitor.window_s = key_double(key, value);
     if (spec.monitor.window_s < 0.0) {
       throw std::invalid_argument("experiment: window >= 0 (0 = use bin)");
     }

@@ -1,9 +1,9 @@
 // Tests for core::DiscreteModelContext — the build-once compute layer
 // for the exact discrete ranking model (Eqs. 1 and 3).
 //
-// The golden constants below are hexfloat captures of the historical
-// single-threaded implementation's output; every kernel rewrite must
-// reproduce them bit for bit (the repo's determinism contract).
+// The golden constants below are hexfloat captures of the canonical
+// stream; every rewrite must reproduce them bit for bit (the repo's
+// determinism contract).
 //
 // Suite names start with DiscreteModel so the full-suite TSan CI job
 // dynamically checks the TaskPool-parallel table build.
@@ -58,9 +58,12 @@ fc::DiscreteModelResult one_shot(std::int64_t n, std::int64_t t, double p,
 
 }  // namespace
 
-// Hexfloat goldens captured from the pre-context implementation. These
-// pin the full arithmetic stream: pmf recurrence, Eq. (1) k-sums, the
-// triangular reduction order, and the Eq. (3) fold.
+// Hexfloat goldens of the canonical stream: pmf recurrence, the
+// interchanged Eq. (1)/(3) prefix sums, and the Eq. (3) fold. Each row
+// also keeps the value of the earlier pairwise-table build (summed pair
+// by pair, each pair clamped at 1), which the interchanged order must
+// stay within 1e-13 of. The Gaussian-pairwise row is computed pair by
+// pair in both, so its two columns agree bit for bit.
 TEST(DiscreteModelContext, GoldenBitIdentity) {
   const struct {
     std::int64_t n, t;
@@ -68,20 +71,33 @@ TEST(DiscreteModelContext, GoldenBitIdentity) {
     std::int64_t max_size;
     double beta;
     bool gaussian;
-    double pbar, metric;
+    double pbar, metric;              // canonical, bit for bit
+    double table_pbar, table_metric;  // pairwise-table build, <= 1e-13
   } goldens[] = {
-      {2000, 5, 0.2, 600, 2.5, false, 0x1.221ee99750614p-9, 0x1.619ebda7b6b11p+4},
-      {2000, 10, 0.2, 600, 2.5, false, 0x1.8458acbddd32ap-8, 0x1.d8c082a9515a3p+6},
-      {5000, 20, 0.2, 600, 2.5, false, 0x1.ec9336f9545adp-9, 0x1.7704087f8ce7fp+8},
-      {1000, 3, 0.35, 500, 2.5, false, 0x1.4be75c72f7be6p-10, 0x1.e536fae712ae1p+1},
-      {1500, 4, 0.25, 400, 3.0, false, 0x1.1018279a8dcd6p-8, 0x1.8de952eaa51f3p+4},
-      {1500, 4, 0.25, 500, 2.5, true, 0x1.83dbef380b298p-10, 0x1.1b9a60facaa97p+3},
+      {2000, 5, 0.2, 600, 2.5, false, 0x1.221ee99750614p-9, 0x1.619ebda7b6b11p+4,
+       0x1.221ee99750614p-9, 0x1.619ebda7b6b11p+4},
+      {2000, 10, 0.2, 600, 2.5, false, 0x1.8458acbddd32dp-8, 0x1.d8c082a9515a7p+6,
+       0x1.8458acbddd32ap-8, 0x1.d8c082a9515a3p+6},
+      {5000, 20, 0.2, 600, 2.5, false, 0x1.ec9336f9545adp-9, 0x1.7704087f8ce7fp+8,
+       0x1.ec9336f9545adp-9, 0x1.7704087f8ce7fp+8},
+      {1000, 3, 0.35, 500, 2.5, false, 0x1.4be75c72f7be5p-10, 0x1.e536fae712aep+1,
+       0x1.4be75c72f7be6p-10, 0x1.e536fae712ae1p+1},
+      {1500, 4, 0.25, 400, 3.0, false, 0x1.1018279a8dcd6p-8, 0x1.8de952eaa51f3p+4,
+       0x1.1018279a8dcd6p-8, 0x1.8de952eaa51f3p+4},
+      {1500, 4, 0.25, 500, 2.5, true, 0x1.83dbef380b298p-10, 0x1.1b9a60facaa97p+3,
+       0x1.83dbef380b298p-10, 0x1.1b9a60facaa97p+3},
   };
   for (const auto& g : goldens) {
     const auto r = one_shot(g.n, g.t, g.p, g.max_size, g.beta, g.gaussian);
     EXPECT_EQ(g.pbar, r.mean_pair_misranking)
         << "n=" << g.n << " t=" << g.t << " p=" << g.p;
     EXPECT_EQ(g.metric, r.metric) << "n=" << g.n << " t=" << g.t << " p=" << g.p;
+    EXPECT_NEAR(g.table_pbar, r.mean_pair_misranking, 1e-13 * g.table_pbar);
+    EXPECT_NEAR(g.table_metric, r.metric, 1e-13 * g.table_metric);
+    if (g.gaussian) {
+      EXPECT_EQ(g.table_pbar, r.mean_pair_misranking);
+      EXPECT_EQ(g.table_metric, r.metric);
+    }
   }
 }
 
@@ -98,9 +114,9 @@ TEST(DiscreteModelContext, SweepReuseMatchesOneShot) {
   }
 }
 
-// The determinism contract: the TaskPool-parallel table build returns the
-// same bits at any thread count — the cached reductions and every
-// evaluation must match the single-threaded build exactly.
+// The determinism contract: the build returns the same bits at any
+// thread count — the cached reductions and every evaluation must match
+// the single-threaded build exactly.
 TEST(DiscreteModelContext, ParallelBuildBitIdentical) {
   auto cfg = context_config(0.2, 600, 2.5);
   cfg.num_threads = 1;
@@ -121,38 +137,51 @@ TEST(DiscreteModelContext, ParallelBuildBitIdentical) {
   }
 }
 
-// Above s ~ 708/|ln(1-p)| packets the k = 0 seed (1-p)^s of a Bin(s, p)
-// row underflows; those rows are anchored at their mode instead. The
-// cached sums must then agree with sums built pair by pair from
-// misranking_exact (an independent, log-space-anchored evaluation), and
-// the parallel build must still be bit-identical.
-TEST(DiscreteModelContext, UnderflowRowsMatchPairwiseExact) {
-  for (double p : {0.9, 0.99}) {
-    auto cfg = context_config(p, 400, 2.5);
-    cfg.tail_tolerance = 1e-3;
-    const fc::DiscreteModelContext ctx(cfg);
-    const auto& a_sums = ctx.smaller_pair_sums();
-    const auto& b_sums = ctx.larger_pair_sums();
-    const std::int64_t lo = ctx.min_size(), hi = ctx.max_size();
-    ASSERT_GT(static_cast<double>(hi) * -std::log1p(-p), 745.0)
-        << "the support must reach the underflow regime";
-    for (std::int64_t i = lo; i <= hi; ++i) {
-      double a = 0.0;
-      double b = cfg.size_pmf->pmf(i) * fc::misranking_exact(i, i, p);
-      for (std::int64_t j = lo; j < i; ++j) {
-        a += cfg.size_pmf->pmf(j) * fc::misranking_exact(j, i, p);
+// The interchanged prefix sums against sums built pair by pair from
+// misranking_exact (an independent evaluation: memoized Bin rows anchored
+// in log space at their support window), across rates from 0.001 to
+// 0.999. Above s ~ 708/|ln(1-p)| packets the k = 0 seed (1-p)^s of a
+// Bin(s, p) row underflows and the row is anchored at its mode instead;
+// max_size 400 reaches that regime at p >= 0.9. The tolerance is the
+// oracle's: its lgamma-based anchors put it up to 4.0e-12 (relative) from
+// the interchanged sums at max_size 400, p >= 0.5, and exactly as far
+// from the earlier pair-by-pair table build, which the interchanged sums
+// match within 4.5e-15. The two-task build must still be bit-identical.
+TEST(DiscreteModelContext, PrefixSumsMatchPairwiseExact) {
+  for (const std::int64_t max_size : {60, 400}) {
+    for (double p : {0.001, 0.01, 0.2, 0.5, 0.9, 0.99, 0.999}) {
+      auto cfg = context_config(p, max_size, 2.5);
+      cfg.tail_tolerance = 1e-2;
+      const fc::DiscreteModelContext ctx(cfg);
+      const auto& a_sums = ctx.smaller_pair_sums();
+      const auto& b_sums = ctx.larger_pair_sums();
+      const std::int64_t lo = ctx.min_size(), hi = ctx.max_size();
+      if (max_size == 400 && p >= 0.9) {
+        ASSERT_GT(static_cast<double>(hi) * -std::log1p(-p), 745.0)
+            << "the support must reach the underflow regime";
       }
-      for (std::int64_t j = i + 1; j <= hi; ++j) {
-        b += cfg.size_pmf->pmf(j) * fc::misranking_exact(i, j, p);
+      // Every 7th size down from the cap: the pairwise oracle costs O(S)
+      // calls per size.
+      for (std::int64_t i = hi; i >= lo; i -= 7) {
+        double a = 0.0;
+        double b = cfg.size_pmf->pmf(i) * fc::misranking_exact(i, i, p);
+        for (std::int64_t j = lo; j < i; ++j) {
+          a += cfg.size_pmf->pmf(j) * fc::misranking_exact(j, i, p);
+        }
+        for (std::int64_t j = i + 1; j <= hi; ++j) {
+          b += cfg.size_pmf->pmf(j) * fc::misranking_exact(i, j, p);
+        }
+        const auto r = static_cast<std::size_t>(i - lo);
+        EXPECT_NEAR(a_sums[r], a, 1e-11 * a)
+            << "max_size=" << max_size << " p=" << p << " i=" << i;
+        EXPECT_NEAR(b_sums[r], b, 1e-11 * b)
+            << "max_size=" << max_size << " p=" << p << " i=" << i;
       }
-      const auto r = static_cast<std::size_t>(i - lo);
-      EXPECT_NEAR(a_sums[r], a, 1e-10 * a) << "p=" << p << " i=" << i;
-      EXPECT_NEAR(b_sums[r], b, 1e-10 * b) << "p=" << p << " i=" << i;
+      cfg.num_threads = 4;
+      const fc::DiscreteModelContext parallel(cfg);
+      EXPECT_EQ(a_sums, parallel.smaller_pair_sums()) << "p=" << p;
+      EXPECT_EQ(b_sums, parallel.larger_pair_sums()) << "p=" << p;
     }
-    cfg.num_threads = 4;
-    const fc::DiscreteModelContext parallel(cfg);
-    EXPECT_EQ(a_sums, parallel.smaller_pair_sums()) << "p=" << p;
-    EXPECT_EQ(b_sums, parallel.larger_pair_sums()) << "p=" << p;
   }
 }
 
@@ -197,29 +226,6 @@ TEST(DiscreteModelContext, AgreesWithContinuousModel) {
                    discrete.mean_pair_misranking * pair_count);
 }
 
-// The gated support window is a real approximation: it must change the
-// bit stream (it is not a free lunch) and it must respect the documented
-// one-sided error bound of 2 * window_tolerance * N / t on pbar.
-TEST(DiscreteModelContext, WindowedKSumBoundedError) {
-  const double tol = 1e-4;
-  auto exact_cfg = context_config(0.2, 600, 2.5);
-  auto windowed_cfg = exact_cfg;
-  windowed_cfg.window_tolerance = tol;
-  const fc::DiscreteModelContext exact(exact_cfg);
-  const fc::DiscreteModelContext windowed(windowed_cfg);
-  EXPECT_FALSE(exact.windowed());
-  EXPECT_TRUE(windowed.windowed());
-  const std::int64_t n = 2000, t = 5;
-  const auto re = exact.evaluate(n, t);
-  const auto rw = windowed.evaluate(n, t);
-  EXPECT_NE(re.mean_pair_misranking, rw.mean_pair_misranking)
-      << "window_tolerance > 0 must not silently reproduce the exact stream";
-  const double bound = 2.0 * tol * static_cast<double>(n) / static_cast<double>(t);
-  EXPECT_NEAR(re.mean_pair_misranking, rw.mean_pair_misranking, bound);
-  const double pair_count = 0.5 * (2.0 * n - t - 1) * t;
-  EXPECT_NEAR(re.metric, rw.metric, bound * pair_count);
-}
-
 // Discrete planner overload: the search against the exact model.
 TEST(DiscreteModelPlanner, FindsFeasibleRate) {
   fc::DiscreteModelConfig cfg;
@@ -257,12 +263,6 @@ TEST(DiscreteModelContext, ValidationErrors) {
     auto bad = cfg;
     bad.max_size = 20;
     bad.tail_tolerance = 1e-6;
-    EXPECT_THROW(fc::DiscreteModelContext{bad}, std::invalid_argument);
-  }
-  {
-    // The window knob is a pmf mass in [0, 0.1), not a time window.
-    auto bad = cfg;
-    bad.window_tolerance = 0.5;
     EXPECT_THROW(fc::DiscreteModelContext{bad}, std::invalid_argument);
   }
   const fc::DiscreteModelContext context(cfg);

@@ -206,7 +206,8 @@ TEST(ExperimentSpecFile, ParsesExactDiscreteKeys) {
   EXPECT_TRUE(spec.exact_discrete);
   EXPECT_EQ(spec.exact_max_size, 600);
   EXPECT_DOUBLE_EQ(spec.exact_tail_tol, 1e-4);
-  EXPECT_DOUBLE_EQ(spec.exact_window, 0.001);
+  // `window` has one meaning, the monitor's window seconds.
+  EXPECT_DOUBLE_EQ(spec.monitor.window_s, 0.001);
   std::remove(path.c_str());
 
   // The other two exact-pairwise flavors route to the continuous model.
