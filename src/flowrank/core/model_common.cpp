@@ -26,30 +26,33 @@ double outer_z_max(std::int64_t t, const QuadratureOptions& opts) {
   return td + 20.0 * std::sqrt(td) + opts.z_max_pad;
 }
 
-double integrate_toward(const std::function<double(double)>& f, double lo, double hi,
-                        bool focus_on_lo, const QuadratureOptions& opts) {
-  if (!(hi > lo)) return 0.0;
+void for_each_toward_panel(double lo, double hi, bool focus_on_lo,
+                           const QuadratureOptions& opts,
+                           const std::function<void(double, double, int)>& panel) {
   const double width = hi - lo;
   const double eps = opts.tail_epsilon;
   // Geometric panel edges in distance-from-focus, from eps*width to width.
   const int panels = opts.inner_panels;
   const double log_ratio = std::log(1.0 / eps) / panels;
-  double acc = 0.0;
   double prev = eps * width;
   // Sliver adjacent to the focus: integrand there is bounded (Pm <= 1), so
   // one straight panel suffices.
-  {
-    const double a = focus_on_lo ? lo : hi - prev;
-    const double b = focus_on_lo ? lo + prev : hi;
-    acc += numeric::integrate_gl(f, a, b, 4);
-  }
+  panel(focus_on_lo ? lo : hi - prev, focus_on_lo ? lo + prev : hi, 4);
   for (int i = 1; i <= panels; ++i) {
     const double next = i == panels ? width : eps * width * std::exp(log_ratio * i);
-    const double a = focus_on_lo ? lo + prev : hi - next;
-    const double b = focus_on_lo ? lo + next : hi - prev;
-    acc += numeric::integrate_gl(f, a, b, opts.inner_order);
+    panel(focus_on_lo ? lo + prev : hi - next, focus_on_lo ? lo + next : hi - prev,
+          opts.inner_order);
     prev = next;
   }
+}
+
+double integrate_toward(const std::function<double(double)>& f, double lo, double hi,
+                        bool focus_on_lo, const QuadratureOptions& opts) {
+  if (!(hi > lo)) return 0.0;
+  double acc = 0.0;
+  for_each_toward_panel(lo, hi, focus_on_lo, opts, [&](double a, double b, int order) {
+    acc += numeric::integrate_gl(f, a, b, order);
+  });
   return acc;
 }
 

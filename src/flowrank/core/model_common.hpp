@@ -60,6 +60,15 @@ struct QuadratureOptions {
 /// negligible against N^2-scale pair counts.
 [[nodiscard]] double outer_z_max(std::int64_t t, const QuadratureOptions& opts);
 
+/// Calls `panel(a, b, order)` for each Gauss-Legendre panel [a, b] of
+/// integrate_toward's layout over [lo, hi], in its summation order: a
+/// 4-point sliver of width tail_epsilon*(hi-lo) at the focus endpoint,
+/// then inner_panels panels of order inner_order whose distances from the
+/// focus grow geometrically up to hi-lo. Requires hi > lo.
+void for_each_toward_panel(double lo, double hi, bool focus_on_lo,
+                           const QuadratureOptions& opts,
+                           const std::function<void(double, double, int)>& panel);
+
 /// Integrates `f(v)` over v in [lo, hi] with panels geometrically
 /// concentrated toward the `focus` endpoint (which must be lo or hi).
 /// Used for companion-flow integrals whose integrand varies fastest where

@@ -13,21 +13,15 @@ namespace flowrank::core {
 namespace {
 
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-/// Order of the straight panel integrate_toward lays next to the focus.
-constexpr int kSliverOrder = 4;
 
-/// Appends the panels of integrate_toward(f, lo, hi, focus_on_lo, quad)
-/// (model_common.cpp): each panel's half-width and the sizes x(v) at its
-/// Gauss-Legendre nodes, with the same edge and node arithmetic, so the
-/// cached sizes are the ones the one-shot quadrature evaluates.
+/// Appends the panels of integrate_toward(f, lo, hi, focus_on_lo, quad):
+/// each panel's half-width and the sizes x(v) at its Gauss-Legendre
+/// nodes, with integrate_gl's node arithmetic, so the cached sizes are the
+/// ones the one-shot quadrature evaluates.
 void append_inner(const dist::FlowSizeDistribution& dist, double lo, double hi,
                   bool focus_on_lo, const QuadratureOptions& quad,
                   std::vector<double>& panel_half, std::vector<double>& sizes) {
-  const double width = hi - lo;
-  const double eps = quad.tail_epsilon;
-  const int panels = quad.inner_panels;
-  const double log_ratio = std::log(1.0 / eps) / panels;
-  const auto add_panel = [&](double a, double b, int order) {
+  for_each_toward_panel(lo, hi, focus_on_lo, quad, [&](double a, double b, int order) {
     const auto& rule = numeric::gauss_legendre(order);
     const double mid = 0.5 * (a + b);
     const double half = 0.5 * (b - a);
@@ -35,15 +29,7 @@ void append_inner(const dist::FlowSizeDistribution& dist, double lo, double hi,
       sizes.push_back(dist.tail_quantile(mid + half * node));
     }
     panel_half.push_back(half);
-  };
-  double prev = eps * width;
-  add_panel(focus_on_lo ? lo : hi - prev, focus_on_lo ? lo + prev : hi, kSliverOrder);
-  for (int i = 1; i <= panels; ++i) {
-    const double next = i == panels ? width : eps * width * std::exp(log_ratio * i);
-    add_panel(focus_on_lo ? lo + prev : hi - next, focus_on_lo ? lo + next : hi - prev,
-              quad.inner_order);
-    prev = next;
-  }
+  });
 }
 
 }  // namespace
@@ -59,12 +45,13 @@ RankingModelContext::RankingModelContext(const RankingModelConfig& config)
   const auto& dist = *config.size_dist;
   const auto& quad = config.quad;
   outer_rule_ = &numeric::gauss_legendre(quad.outer_order);
-  sliver_rule_ = &numeric::gauss_legendre(kSliverOrder);
-  inner_rule_ = &numeric::gauss_legendre(quad.inner_order);
-  inner_panels_ = static_cast<std::size_t>(quad.inner_panels) + 1;
-  inner_sizes_ = static_cast<std::size_t>(kSliverOrder) +
-                 static_cast<std::size_t>(quad.inner_panels) *
-                     static_cast<std::size_t>(quad.inner_order);
+  // Every inner integral has integrate_toward's panel layout; only the
+  // edges depend on the range.
+  for_each_toward_panel(0.0, 1.0, /*focus_on_lo=*/true, quad,
+                        [this](double, double, int order) {
+                          panel_rules_.push_back(&numeric::gauss_legendre(order));
+                          inner_sizes_ += static_cast<std::size_t>(order);
+                        });
 
   // Eq. (3), continuous, after the Pt(i,t,N) cancellation (see DESIGN.md):
   //   P̄mt = (N/t) ∫_0^1 [ Pt(y;t,N-1) A(y) + Pt(y;t-1,N-1) B(y) ] dy
@@ -100,7 +87,7 @@ RankingModelContext::RankingModelContext(const RankingModelConfig& config)
       b_index_.push_back(b ? integrals++ : kNone);
     }
   }
-  panel_half_.reserve(integrals * inner_panels_);
+  panel_half_.reserve(integrals * panel_rules_.size());
   sizes_.reserve(integrals * inner_sizes_);
   for (std::size_t node = 0; node < ys.size(); ++node) {
     if (a_index_[node] != kNone) {
@@ -116,11 +103,12 @@ double RankingModelContext::inner_integral(std::uint32_t index, double x,
                                            bool companion_smaller, double p) const {
   const auto pm = pairwise_ == PairwiseModel::kGaussian ? misranking_gaussian
                                                         : misranking_hybrid;
-  const double* half = panel_half_.data() + index * inner_panels_;
+  const std::size_t panels = panel_rules_.size();
+  const double* half = panel_half_.data() + index * panels;
   const double* size = sizes_.data() + index * inner_sizes_;
   double acc = 0.0;
-  for (std::size_t j = 0; j < inner_panels_; ++j) {
-    const auto& weights = (j == 0 ? sliver_rule_ : inner_rule_)->weights;
+  for (std::size_t j = 0; j < panels; ++j) {
+    const auto& weights = panel_rules_[j]->weights;
     double sum = 0.0;
     for (const double w : weights) {
       sum += w * (companion_smaller ? pm(*size, x, p) : pm(x, *size, p));

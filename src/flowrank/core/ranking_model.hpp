@@ -70,8 +70,7 @@ class RankingModelContext {
   [[nodiscard]] RankingModelResult evaluate(double p) const;
 
  private:
-  /// Inner integral `index`: 1 + inner_panels panels, the first the
-  /// 4-point sliver at the focus.
+  /// Inner integral `index`, panel by panel in integrate_toward's layout.
   [[nodiscard]] double inner_integral(std::uint32_t index, double x,
                                       bool companion_smaller, double p) const;
 
@@ -79,10 +78,9 @@ class RankingModelContext {
   std::int64_t t_ = 0;
   PairwiseModel pairwise_ = PairwiseModel::kGaussian;
   const numeric::GaussLegendreRule* outer_rule_ = nullptr;
-  const numeric::GaussLegendreRule* sliver_rule_ = nullptr;
-  const numeric::GaussLegendreRule* inner_rule_ = nullptr;
-  std::size_t inner_panels_ = 0;  ///< panels per inner integral, sliver included
-  std::size_t inner_sizes_ = 0;   ///< nodes per inner integral
+  /// Gauss-Legendre rule of each panel of an inner integral, in order.
+  std::vector<const numeric::GaussLegendreRule*> panel_rules_;
+  std::size_t inner_sizes_ = 0;  ///< nodes per inner integral
   std::vector<double> outer_half_;  ///< per outer panel
   /// Per outer node, panel-major: x(y) and the two top-t probabilities.
   std::vector<double> x_, pt_t_, pt_tm1_;

@@ -512,6 +512,7 @@ std::vector<std::string> experiment_columns(const ExperimentSpec& spec) {
 }
 
 std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink) {
+  check_mode_keys(spec);
   check_axes(spec);
 
   if (spec.aggregate.enabled) {

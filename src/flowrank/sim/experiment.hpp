@@ -163,6 +163,7 @@ struct SweepAxis {
 struct MonitorOptions {
   bool enabled = false;     ///< mode = monitor
   double window_s = 0.0;    ///< window seconds; 0 = use the spec's bin
+  bool window_given = false;  ///< `window` was set (a monitor-only key)
   std::size_t snapshot_every = 1;
   bool shed = false;        ///< overload = shed (vs the default block)
   double ewma_alpha = 1.0;  ///< EWMA weight on the newest window, (0, 1]
@@ -304,6 +305,12 @@ void apply_experiment_overrides(ExperimentSpec& spec, const util::Cli& cli);
 
 /// Spec from CLI alone: `--spec file` (if given) then overrides.
 [[nodiscard]] ExperimentSpec experiment_from_cli(const util::Cli& cli);
+
+/// Throws std::invalid_argument with the unknown-key message when the
+/// spec set `window` but its mode is not monitor: no other mode reads the
+/// key, so it is checked once the mode is final, whatever the key order.
+/// parse_experiment_file and run_experiment call it.
+void check_mode_keys(const ExperimentSpec& spec);
 
 // --- builders ------------------------------------------------------------------
 

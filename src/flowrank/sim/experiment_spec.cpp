@@ -280,8 +280,7 @@ const std::vector<std::string>& base_mode_keys() {
       "metric",    "mode",            "model",    "n",           "name",
       "onoff",     "packet-size",     "pairwise", "preset",      "rates",
       "runs",      "seed",            "shards",   "t",           "tail-tol",
-      "target",    "threads",         "ties",     "trace",       "trace-seed",
-      "window"};
+      "target",    "threads",         "ties",     "trace",       "trace-seed"};
   return keys;
 }
 
@@ -300,7 +299,8 @@ const std::vector<std::string>& monitor_mode_keys() {
       "fault.seed",      "fault.stall-every",
       "fault.stall-ms",  "fault.truncate",
       "on-stall",        "overload",
-      "snapshot-every",  "watchdog-ms"};
+      "snapshot-every",  "watchdog-ms",
+      "window"};
   return keys;
 }
 
@@ -641,6 +641,7 @@ void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
     if (spec.monitor.window_s < 0.0) {
       throw std::invalid_argument("experiment: window >= 0 (0 = use bin)");
     }
+    spec.monitor.window_given = true;
   } else if (key == "estimator") {
     spec.estimator = parse_estimator(value);
     spec.estimator_grammar = value;
@@ -793,7 +794,18 @@ ExperimentSpec parse_experiment_file(const std::string& path) {
                   "key '" + key + "': " + e.what());
     }
   }
+  try {
+    check_mode_keys(spec);
+  } catch (const std::invalid_argument& e) {
+    throw Error(ErrorCategory::kSpec, path, "key 'window': " + std::string(e.what()));
+  }
   return spec;
+}
+
+void check_mode_keys(const ExperimentSpec& spec) {
+  if (spec.monitor.window_given && !spec.monitor.enabled) {
+    throw std::invalid_argument(unknown_key_message(spec, "window"));
+  }
 }
 
 void apply_experiment_overrides(ExperimentSpec& spec, const util::Cli& cli) {

@@ -139,10 +139,11 @@ TEST(DiscreteModelContext, ParallelBuildBitIdentical) {
 
 // The interchanged prefix sums against sums built pair by pair from
 // misranking_exact (an independent evaluation: memoized Bin rows anchored
-// in log space at their support window), across rates from 0.001 to
-// 0.999. Above s ~ 708/|ln(1-p)| packets the k = 0 seed (1-p)^s of a
-// Bin(s, p) row underflows and the row is anchored at its mode instead;
-// max_size 400 reaches that regime at p >= 0.9. The tolerance is the
+// in log space at their support window), at every size of the support
+// and across rates from 0.001 to 0.999. Above s ~ 708/|ln(1-p)| packets
+// the k = 0 seed (1-p)^s of a Bin(s, p) row underflows and the row is
+// anchored at its mode instead; max_size 400 reaches that regime at
+// p >= 0.9 (the first such row is s = 308 at p = 0.9). The tolerance is the
 // oracle's: its lgamma-based anchors put it up to 4.0e-12 (relative) from
 // the interchanged sums at max_size 400, p >= 0.5, and exactly as far
 // from the earlier pair-by-pair table build, which the interchanged sums
@@ -160,9 +161,7 @@ TEST(DiscreteModelContext, PrefixSumsMatchPairwiseExact) {
         ASSERT_GT(static_cast<double>(hi) * -std::log1p(-p), 745.0)
             << "the support must reach the underflow regime";
       }
-      // Every 7th size down from the cap: the pairwise oracle costs O(S)
-      // calls per size.
-      for (std::int64_t i = hi; i >= lo; i -= 7) {
+      for (std::int64_t i = lo; i <= hi; ++i) {
         double a = 0.0;
         double b = cfg.size_pmf->pmf(i) * fc::misranking_exact(i, i, p);
         for (std::int64_t j = lo; j < i; ++j) {

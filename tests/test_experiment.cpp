@@ -23,6 +23,7 @@
 #include "flowrank/trace/packet_stream.hpp"
 #include "flowrank/trace/trace_io.hpp"
 #include "flowrank/trace/trace_source.hpp"
+#include "flowrank/util/error.hpp"
 #include "flowrank/util/rng.hpp"
 
 namespace fe = flowrank::estimators;
@@ -198,7 +199,6 @@ TEST(ExperimentSpecFile, ParsesExactDiscreteKeys) {
                                            "exact-pairwise = exact-discrete\n"
                                            "max-size = 600\n"
                                            "tail-tol = 1e-4\n"
-                                           "window = 0.001\n"
                                            "n = 2000\n"
                                            "rate = 0.2\n"
                                            "sweep t = 5,10,25\n");
@@ -206,9 +206,23 @@ TEST(ExperimentSpecFile, ParsesExactDiscreteKeys) {
   EXPECT_TRUE(spec.exact_discrete);
   EXPECT_EQ(spec.exact_max_size, 600);
   EXPECT_DOUBLE_EQ(spec.exact_tail_tol, 1e-4);
-  // `window` has one meaning, the monitor's window seconds.
-  EXPECT_DOUBLE_EQ(spec.monitor.window_s, 0.001);
   std::remove(path.c_str());
+
+  // `window` has one meaning, the monitor's window seconds; an exact spec
+  // that sets it is refused, not run with the key ignored.
+  const std::string windowed = write_temp_spec("exp_discrete_window.spec",
+                                               "model = exact\n"
+                                               "exact-pairwise = exact-discrete\n"
+                                               "window = 0.001\n");
+  try {
+    (void)fsim::parse_experiment_file(windowed);
+    FAIL() << "expected flowrank::Error(kSpec)";
+  } catch (const flowrank::Error& e) {
+    EXPECT_EQ(e.category(), flowrank::ErrorCategory::kSpec);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown key 'window'"), std::string::npos) << what;
+  }
+  std::remove(windowed.c_str());
 
   // The other two exact-pairwise flavors route to the continuous model.
   fsim::ExperimentSpec flavors;
@@ -236,10 +250,42 @@ TEST(ExperimentSpecFile, UnknownKeyErrorListsExperimentKeys) {
     const std::string what = err.what();
     EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
     // The augmented vocabulary must name the exact-discrete knobs.
-    for (const char* key : {"exact-pairwise", "max-size", "tail-tol", "window"}) {
+    for (const char* key : {"exact-pairwise", "max-size", "tail-tol"}) {
       EXPECT_NE(what.find(key), std::string::npos) << "missing " << key << ": " << what;
     }
+    // `window` is a monitor key: batch mode does not list it.
+    EXPECT_EQ(what.find("window"), std::string::npos) << what;
   }
+}
+
+// `window` is checked once the mode is final, whatever the key order:
+// before `mode = monitor` it is the monitor's window, under any other
+// mode (the default batch one included) it is refused by the parser and
+// by run_experiment alike.
+TEST(ExperimentSpecFile, WindowIsMonitorOnly) {
+  fsim::ExperimentSpec monitor;
+  fsim::apply_experiment_entry(monitor, "window", "30");
+  fsim::apply_experiment_entry(monitor, "mode", "monitor");
+  EXPECT_NO_THROW(fsim::check_mode_keys(monitor));
+  EXPECT_DOUBLE_EQ(monitor.monitor.window_s, 30.0);
+
+  fsim::ExperimentSpec aggregate;
+  fsim::apply_experiment_entry(aggregate, "mode", "aggregate");
+  fsim::apply_experiment_entry(aggregate, "window", "30");
+  EXPECT_THROW(fsim::check_mode_keys(aggregate), std::invalid_argument);
+
+  const std::string path = write_temp_spec("exp_window_first.spec",
+                                           "window = 30\n"
+                                           "mode = monitor\n");
+  EXPECT_DOUBLE_EQ(fsim::parse_experiment_file(path).monitor.window_s, 30.0);
+  std::remove(path.c_str());
+
+  fsim::ExperimentSpec batch;
+  batch.model = fsim::ExperimentModel::kExact;
+  fsim::apply_experiment_entry(batch, "window", "0.001");
+  CaptureSink sink;
+  EXPECT_THROW((void)fsim::run_experiment(batch, sink), std::invalid_argument);
+  EXPECT_TRUE(sink.columns.empty());
 }
 
 TEST(ExperimentSpecFile, CliOverridesReplaceAxes) {
