@@ -62,10 +62,12 @@ int main(int argc, char** argv) {
     const util::Cli cli(argc, argv);
 
     // The full spec grammar (file + --key overrides), forced into
-    // monitor mode. The batch defaults carry a 4-rate grid; a monitor
+    // monitor mode and the packet model the monitor runs (the echo
+    // records both). The batch defaults carry a 4-rate grid; a monitor
     // watches one live stream, so default to one moderate rate unless the
     // spec or CLI picked one.
     sim::ExperimentSpec spec = sim::experiment_from_cli(cli);
+    sim::apply_experiment_entry(spec, "model", "packet");
     sim::apply_experiment_entry(spec, "mode", "monitor");
     if (spec.sampling_rates.size() != 1) spec.sampling_rates = {0.05};
     if (spec.name == "scenario") spec.name = "heavy-hitter monitor";
@@ -80,6 +82,7 @@ int main(int argc, char** argv) {
       report::RunMetadata meta;
       meta.experiment = spec.name;
       meta.seed = spec.seed;
+      meta.spec_echo = sim::experiment_echo(spec);
       out.sink->open(monitor::snapshot_columns(), meta);
     }
 

@@ -202,9 +202,11 @@ int main(int argc, char** argv) {
   try {
     const util::Cli cli(argc, argv);
 
-    // Full spec grammar, forced into aggregate mode. The batch
-    // defaults carry a 4-rate grid; each agent samples one live stream.
+    // Full spec grammar, forced into aggregate mode and the packet model
+    // the fleet runs (the echo records both). The batch defaults carry a
+    // 4-rate grid; each agent samples one live stream.
     sim::ExperimentSpec spec = sim::experiment_from_cli(cli);
+    sim::apply_experiment_entry(spec, "model", "packet");
     sim::apply_experiment_entry(spec, "mode", "aggregate");
     if (spec.sampling_rates.size() != 1) spec.sampling_rates = {0.5};
     if (spec.name == "scenario") spec.name = "multi-vantage demo";
@@ -276,17 +278,10 @@ int main(int argc, char** argv) {
       report::RunMetadata meta;
       meta.experiment = spec.name;
       meta.seed = spec.seed;
-      meta.spec_echo = {
-          {"mode", "aggregate"},
-          {"agents", std::to_string(config.agents)},
-          {"bin", std::to_string(config.window_s)},
-          {"rates", std::to_string(config.sampling_rate)},
-          {"deadline-ms", std::to_string(config.deadline_ms)},
-          {"quarantine-after", std::to_string(config.quarantine_after)},
-          {"readmit-after", std::to_string(config.readmit_after)},
-          {"kill-agent", std::to_string(kill_enabled ? kill_agent : -1)},
-          {"kill-after-window", std::to_string(kill_after_window)},
-      };
+      meta.spec_echo = sim::experiment_echo(spec);
+      meta.spec_echo.emplace_back("kill-agent",
+                                  std::to_string(kill_enabled ? kill_agent : -1));
+      meta.spec_echo.emplace_back("kill-after-window", std::to_string(kill_after_window));
       out.sink->open(agg::window_columns(), meta);
     }
 

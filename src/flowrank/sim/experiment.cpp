@@ -24,28 +24,47 @@ namespace {
 /// values round-trip exactly like result cells.
 std::string format_value(double value) { return report::Value(value).text(); }
 
-/// Integer-valued sweep params are formatted as integers in result rows.
-bool integer_axis(const std::string& param) {
-  return param == "t" || param == "n" || param == "s1" || param == "s2";
-}
+/// One grid cell: the spec with the cell's axis values applied, plus the
+/// exact model's (s1, s2) size pair, which only sweep axes set.
+struct SweepCell {
+  ExperimentSpec spec;
+  double s1 = 0.0;
+  double s2 = 0.0;
+};
 
-const char* model_name(ExperimentModel model) {
-  switch (model) {
-    case ExperimentModel::kExact: return "exact";
-    case ExperimentModel::kMc: return "mc";
-    case ExperimentModel::kPacket: return "packet";
-  }
-  return "?";
-}
+/// A sweepable parameter, declared once: its name, whether result rows
+/// print it as an integer, and how a grid cell applies one value.
+struct SweepParam {
+  const char* name;
+  bool integer;
+  void (*apply)(SweepCell& cell, double value);
+};
 
-const char* metric_name(ExactMetric metric) {
-  switch (metric) {
-    case ExactMetric::kRanking: return "ranking";
-    case ExactMetric::kDetection: return "detection";
-    case ExactMetric::kOptimalRate: return "optimal_rate";
-    case ExactMetric::kGaussianError: return "gaussian_error";
+constexpr SweepParam kSweepTable[] = {
+    {"rate", false, [](SweepCell& c, double v) { c.spec.exact_rate = v; }},
+    {"t", true,
+     [](SweepCell& c, double v) {
+       c.spec.top_t = static_cast<std::size_t>(std::llround(v));
+     }},
+    {"n", true, [](SweepCell& c, double v) { c.spec.exact_n = std::llround(v); }},
+    {"beta", false, [](SweepCell& c, double v) { c.spec.beta = v; }},
+    {"bin", false, [](SweepCell& c, double v) { c.spec.bin_seconds = v; }},
+    {"duration", false, [](SweepCell& c, double v) { c.spec.duration_s = v; }},
+    {"s1", true, [](SweepCell& c, double v) { c.s1 = v; }},
+    {"s2", true, [](SweepCell& c, double v) { c.s2 = v; }},
+};
+
+const SweepParam& sweep_param(const std::string& name) {
+  for (const SweepParam& param : kSweepTable) {
+    if (name == param.name) return param;
   }
-  return "?";
+  std::string names;
+  for (const SweepParam& param : kSweepTable) {
+    if (!names.empty()) names += '|';
+    names += param.name;
+  }
+  throw std::invalid_argument("experiment: unknown sweep parameter '" + name + "' (" +
+                              names + ")");
 }
 
 /// Per-model sweepable-axis whitelist; a violation is a spec bug and
@@ -76,9 +95,9 @@ void check_axes(const ExperimentSpec& spec) {
     if (!allowed(axis.param)) {
       throw std::invalid_argument(
           std::string("experiment: sweep '") + axis.param +
-          "' is not valid for model=" + model_name(spec.model) +
+          "' is not valid for model=" + spelling(kModelSpellings, spec.model) +
           (spec.model == ExperimentModel::kExact
-               ? std::string(" metric=") + metric_name(spec.metric)
+               ? std::string(" metric=") + spelling(kMetricSpellings, spec.metric)
                : std::string()));
     }
     if (axis.values.empty()) {
@@ -97,7 +116,7 @@ void check_axes(const ExperimentSpec& spec) {
          spec.metric == ExactMetric::kGaussianError) &&
         (!has("s1") || !has("s2"))) {
       throw std::invalid_argument(std::string("experiment: metric=") +
-                                  metric_name(spec.metric) +
+                                  spelling(kMetricSpellings, spec.metric) +
                                   " needs sweep s1 and sweep s2");
     }
   }
@@ -176,7 +195,7 @@ std::vector<double> cell_values(const std::vector<SweepAxis>& axes,
 void push_axis_cells(report::Row& row, const std::vector<SweepAxis>& axes,
                      const std::vector<double>& values) {
   for (std::size_t a = 0; a < axes.size(); ++a) {
-    if (integer_axis(axes[a].param)) {
+    if (sweep_param(axes[a].param).integer) {
       row.emplace_back(static_cast<std::int64_t>(std::llround(values[a])));
     } else {
       row.emplace_back(values[a]);
@@ -184,26 +203,14 @@ void push_axis_cells(report::Row& row, const std::vector<SweepAxis>& axes,
   }
 }
 
-/// Applies one grid axis value onto a cell-local spec copy.
-void apply_axis(ExperimentSpec& cell, const std::string& param, double value,
-                double& s1, double& s2) {
-  if (param == "rate") {
-    cell.exact_rate = value;
-  } else if (param == "t") {
-    cell.top_t = static_cast<std::size_t>(std::llround(value));
-  } else if (param == "n") {
-    cell.exact_n = std::llround(value);
-  } else if (param == "beta") {
-    cell.beta = value;
-  } else if (param == "bin") {
-    cell.bin_seconds = value;
-  } else if (param == "duration") {
-    cell.duration_s = value;
-  } else if (param == "s1") {
-    s1 = value;
-  } else if (param == "s2") {
-    s2 = value;
+/// The grid cell at `values`, one per axis.
+SweepCell sweep_cell(const ExperimentSpec& base, const std::vector<SweepAxis>& axes,
+                     const std::vector<double>& values) {
+  SweepCell cell{base};
+  for (std::size_t a = 0; a < axes.size(); ++a) {
+    sweep_param(axes[a].param).apply(cell, values[a]);
   }
+  return cell;
 }
 
 /// The trace-shaping subset of the spec: cells that agree on it share one
@@ -243,11 +250,8 @@ report::Row exact_cell_row(const ExperimentSpec& spec,
                            std::size_t index,
                            const DiscreteContextCache& discrete_contexts) {
   const auto values = cell_values(axes, index);
-  ExperimentSpec cell = spec;
-  double s1 = 0.0, s2 = 0.0;
-  for (std::size_t a = 0; a < axes.size(); ++a) {
-    apply_axis(cell, axes[a].param, values[a], s1, s2);
-  }
+  const SweepCell swept = sweep_cell(spec, axes, values);
+  const ExperimentSpec& cell = swept.spec;
 
   report::Row row;
   push_axis_cells(row, axes, values);
@@ -290,13 +294,13 @@ report::Row exact_cell_row(const ExperimentSpec& spec,
     }
     case ExactMetric::kOptimalRate: {
       const double rate = core::optimal_sampling_rate(
-          std::llround(s1), std::llround(s2), cell.optimal_target);
+          std::llround(swept.s1), std::llround(swept.s2), cell.optimal_target);
       row.emplace_back(rate * 100.0);
       break;
     }
     case ExactMetric::kGaussianError: {
-      row.emplace_back(core::misranking_abs_error(std::llround(s1),
-                                                  std::llround(s2),
+      row.emplace_back(core::misranking_abs_error(std::llround(swept.s1),
+                                                  std::llround(swept.s2),
                                                   cell.exact_rate));
       break;
     }
@@ -306,17 +310,19 @@ report::Row exact_cell_row(const ExperimentSpec& spec,
 
 }  // namespace
 
+void check_sweep_param(const std::string& param) { (void)sweep_param(param); }
+
 std::vector<std::pair<std::string, std::string>> experiment_echo(
     const ExperimentSpec& spec) {
   std::vector<std::pair<std::string, std::string>> echo;
   const auto add = [&echo](const std::string& key, const std::string& value) {
     echo.emplace_back(key, value);
   };
-  add("model", model_name(spec.model));
+  add("model", spelling(kModelSpellings, spec.model));
   if (!spec.description.empty()) add("description", spec.description);
 
   if (spec.model == ExperimentModel::kExact) {
-    add("metric", metric_name(spec.metric));
+    add("metric", spelling(kMetricSpellings, spec.metric));
     if (spec.metric == ExactMetric::kRanking ||
         spec.metric == ExactMetric::kDetection) {
       add("n", std::to_string(spec.exact_n));
@@ -329,11 +335,8 @@ std::vector<std::pair<std::string, std::string>> experiment_echo(
         add("max-size", std::to_string(spec.exact_max_size));
         add("tail-tol", format_value(spec.exact_tail_tol));
       } else {
-        add("pairwise", spec.pairwise == core::PairwiseModel::kGaussian
-                            ? "gaussian"
-                            : "hybrid");
-        add("counting",
-            spec.counting == core::PairCounting::kPaper ? "paper" : "unordered");
+        add("pairwise", spelling(kPairwiseSpellings, spec.pairwise));
+        add("counting", spelling(kCountingSpellings, spec.counting));
       }
     }
     if (spec.metric == ExactMetric::kOptimalRate) {
@@ -395,25 +398,22 @@ std::vector<std::pair<std::string, std::string>> experiment_echo(
     } else {
       add("estimator", spec.estimator_grammar);
     }
-    add("ties",
-        spec.tie_policy == metrics::TiePolicy::kPaper ? "paper" : "lenient");
-    add("definition",
-        spec.definition == packet::FlowDefinition::kFiveTuple ? "5tuple"
-                                                              : "prefix24");
+    add("ties", spelling(kTieSpellings, spec.tie_policy));
+    add("definition", spelling(kDefinitionSpellings, spec.definition));
     if (spec.monitor.enabled) {
       add("mode", "monitor");
       add("window", format_value(spec.monitor.window_s > 0.0
                                      ? spec.monitor.window_s
                                      : spec.bin_seconds));
       add("snapshot-every", std::to_string(spec.monitor.snapshot_every));
-      add("overload", spec.monitor.shed ? "shed" : "block");
+      add("overload", spelling(kOverloadSpellings, spec.monitor.shed));
       add("ewma", format_value(spec.monitor.ewma_alpha));
       if (spec.monitor.window_packet_budget > 0) {
         add("budget", std::to_string(spec.monitor.window_packet_budget));
       }
       if (spec.monitor.watchdog_ms > 0) {
         add("watchdog-ms", std::to_string(spec.monitor.watchdog_ms));
-        add("on-stall", spec.monitor.fail_on_stall ? "fail" : "rotate");
+        add("on-stall", spelling(kOnStallSpellings, spec.monitor.fail_on_stall));
       }
       const trace::FaultSpec& fault = spec.monitor.fault;
       if (fault.corrupt_fraction > 0.0) {
@@ -437,13 +437,11 @@ std::vector<std::pair<std::string, std::string>> experiment_echo(
       const AggregateOptions& agg_opts = spec.aggregate;
       add("mode", "aggregate");
       add("agents", std::to_string(agg_opts.agents));
-      add("split", agg_opts.split == agg::FleetSplit::kFlow ? "flow" : "packet");
+      add("split", spelling(kSplitSpellings, agg_opts.split));
       add("deadline-ms", std::to_string(agg_opts.deadline_ms));
       add("quarantine-after", std::to_string(agg_opts.quarantine_after));
       add("readmit-after", std::to_string(agg_opts.readmit_after));
-      add("summary", agg_opts.summary == agg::SummaryKind::kFlowTable
-                         ? "table"
-                         : "spacesaving");
+      add("summary", spelling(kSummarySpellings, agg_opts.summary));
       if (agg_opts.summary == agg::SummaryKind::kSpaceSaving) {
         add("summary-slots", std::to_string(agg_opts.summary_slots));
       }
@@ -578,11 +576,7 @@ std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink)
     const std::size_t threads = exec::TaskPool::resolve_parallelism(base.num_threads);
     for (std::size_t index = 0; index < cells; ++index) {
       const auto values = cell_values(axes, index);
-      ExperimentSpec cell = base;
-      double s1 = 0.0, s2 = 0.0;
-      for (std::size_t a = 0; a < axes.size(); ++a) {
-        apply_axis(cell, axes[a].param, values[a], s1, s2);
-      }
+      const ExperimentSpec cell = sweep_cell(base, axes, values).spec;
       auto& context = discrete_contexts[discrete_context_key(cell)];
       if (!context) {
         core::DiscreteContextConfig cfg;
@@ -634,11 +628,7 @@ std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink)
     std::map<std::string, std::shared_ptr<const trace::FlowTrace>> trace_cache;
     for (std::size_t index = 0; index < cells; ++index) {
       const auto values = cell_values(axes, index);
-      ExperimentSpec cell = base;
-      double s1 = 0.0, s2 = 0.0;
-      for (std::size_t a = 0; a < axes.size(); ++a) {
-        apply_axis(cell, axes[a].param, values[a], s1, s2);
-      }
+      const ExperimentSpec cell = sweep_cell(base, axes, values).spec;
       auto& cached = trace_cache[trace_cache_key(cell)];
       if (!cached) {
         cached = std::make_shared<const trace::FlowTrace>(
@@ -667,11 +657,7 @@ std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink)
     std::map<std::string, std::shared_ptr<const trace::FlowTrace>> trace_cache;
     for (std::size_t index = 0; index < cells; ++index) {
       const auto values = cell_values(axes, index);
-      ExperimentSpec cell = base;
-      double s1 = 0.0, s2 = 0.0;
-      for (std::size_t a = 0; a < axes.size(); ++a) {
-        apply_axis(cell, axes[a].param, values[a], s1, s2);
-      }
+      const ExperimentSpec cell = sweep_cell(base, axes, values).spec;
       auto& cached = trace_cache[trace_cache_key(cell)];
       if (!cached) {
         cached = std::make_shared<const trace::FlowTrace>(

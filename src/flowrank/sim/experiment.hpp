@@ -124,8 +124,16 @@
 //   chan.outage-from  = 4              # ...starting at this window
 //   chan.outage-windows = 0            # ...for this many windows (0 = to end)
 //   chan.seed        = 99
+//
+// `rate` (batch), the monitor keys and the aggregate keys are mode-family
+// keys: a family key outside its family's mode is an error, in either key
+// order. It fails with the unknown-key message at the key when the spec is
+// already in another mode, at `mode` when an earlier key belongs to
+// another mode, and in check_mode_keys when the final mode is the default
+// batch one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -163,7 +171,6 @@ struct SweepAxis {
 struct MonitorOptions {
   bool enabled = false;     ///< mode = monitor
   double window_s = 0.0;    ///< window seconds; 0 = use the spec's bin
-  bool window_given = false;  ///< `window` was set (a monitor-only key)
   std::size_t snapshot_every = 1;
   bool shed = false;        ///< overload = shed (vs the default block)
   double ewma_alpha = 1.0;  ///< EWMA weight on the newest window, (0, 1]
@@ -233,14 +240,14 @@ struct ExperimentSpec {
   std::size_t num_shards = 0;   ///< packet-model shards, 0 = all hw
   MonitorOptions monitor;       ///< continuous-monitor keys (mode=monitor)
   AggregateOptions aggregate;   ///< multi-vantage keys (mode=aggregate)
+  /// The mode-family keys set so far, in the order first set; each must
+  /// belong to the final mode (see check_mode_keys).
+  std::vector<std::string> family_keys;
 
   // --- exact-model knobs ---------------------------------------------------
   ExactMetric metric = ExactMetric::kRanking;
   std::int64_t exact_n = 700000;  ///< population N (the Sprint 5-tuple default)
   double exact_rate = 0.01;       ///< fixed sampling rate when rate is not swept
-  /// `rate` was given. It is a batch key: mode=monitor|aggregate sample at
-  /// `rates`, so switching to either mode after `rate` is an error.
-  bool exact_rate_given = false;
   double optimal_target = 1e-3;   ///< Pm,d for metric=optimal_rate
   core::PairwiseModel pairwise = core::PairwiseModel::kGaussian;
   core::PairCounting counting = core::PairCounting::kPaper;
@@ -258,6 +265,54 @@ struct ExperimentSpec {
   // --- sweep grid ----------------------------------------------------------
   std::vector<SweepAxis> sweeps;  ///< row-major, declaration order
 };
+
+// --- spellings ----------------------------------------------------------------
+
+/// One spelling of an enum-valued key. The parser maps `text` to `value`
+/// and experiment_echo maps it back, so each table is the key's grammar.
+template <typename T>
+struct Spelling {
+  const char* text;
+  T value;
+};
+
+inline constexpr Spelling<ExperimentModel> kModelSpellings[] = {
+    {"exact", ExperimentModel::kExact},
+    {"mc", ExperimentModel::kMc},
+    {"packet", ExperimentModel::kPacket}};
+inline constexpr Spelling<ExactMetric> kMetricSpellings[] = {
+    {"ranking", ExactMetric::kRanking},
+    {"detection", ExactMetric::kDetection},
+    {"optimal_rate", ExactMetric::kOptimalRate},
+    {"gaussian_error", ExactMetric::kGaussianError}};
+inline constexpr Spelling<metrics::TiePolicy> kTieSpellings[] = {
+    {"paper", metrics::TiePolicy::kPaper}, {"lenient", metrics::TiePolicy::kLenient}};
+inline constexpr Spelling<packet::FlowDefinition> kDefinitionSpellings[] = {
+    {"5tuple", packet::FlowDefinition::kFiveTuple},
+    {"prefix24", packet::FlowDefinition::kDstPrefix24}};
+inline constexpr Spelling<core::PairwiseModel> kPairwiseSpellings[] = {
+    {"gaussian", core::PairwiseModel::kGaussian},
+    {"hybrid", core::PairwiseModel::kHybrid}};
+inline constexpr Spelling<core::PairCounting> kCountingSpellings[] = {
+    {"paper", core::PairCounting::kPaper}, {"unordered", core::PairCounting::kUnordered}};
+/// overload: MonitorOptions::shed.
+inline constexpr Spelling<bool> kOverloadSpellings[] = {{"block", false}, {"shed", true}};
+/// on-stall: MonitorOptions::fail_on_stall.
+inline constexpr Spelling<bool> kOnStallSpellings[] = {{"rotate", false}, {"fail", true}};
+inline constexpr Spelling<agg::FleetSplit> kSplitSpellings[] = {
+    {"flow", agg::FleetSplit::kFlow}, {"packet", agg::FleetSplit::kPacket}};
+inline constexpr Spelling<agg::SummaryKind> kSummarySpellings[] = {
+    {"table", agg::SummaryKind::kFlowTable},
+    {"spacesaving", agg::SummaryKind::kSpaceSaving}};
+
+/// The spelling of `value` in `table`.
+template <typename T, std::size_t N>
+[[nodiscard]] constexpr const char* spelling(const Spelling<T> (&table)[N], T value) {
+  for (const auto& entry : table) {
+    if (entry.value == value) return entry.text;
+  }
+  return "?";
+}
 
 // --- grammar -----------------------------------------------------------------
 
@@ -285,10 +340,12 @@ struct ExperimentSpec {
 /// on top as `sweep <param>` / `--sweep-<param>`.
 [[nodiscard]] const std::vector<std::string>& experiment_keys();
 
-/// Applies one key=value entry onto the spec — the single source of truth
-/// for the key set; files and CLI overrides both route through here.
-/// Throws std::invalid_argument on an unknown key or a bad value; the
-/// unknown-key message lists the keys valid for the spec's active mode.
+/// Applies one key=value entry onto the spec through the key table, the
+/// single source of truth for the key set; files and CLI overrides both
+/// route through here. Throws std::invalid_argument on an unknown key, a
+/// bad value, or a mode-family key outside the spec's mode (see the
+/// header comment); the unknown-key message lists the keys valid for the
+/// spec's active mode.
 void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
                             const std::string& value);
 
@@ -306,11 +363,16 @@ void apply_experiment_overrides(ExperimentSpec& spec, const util::Cli& cli);
 /// Spec from CLI alone: `--spec file` (if given) then overrides.
 [[nodiscard]] ExperimentSpec experiment_from_cli(const util::Cli& cli);
 
-/// Throws std::invalid_argument with the unknown-key message when the
-/// spec set `window` but its mode is not monitor: no other mode reads the
-/// key, so it is checked once the mode is final, whatever the key order.
-/// parse_experiment_file and run_experiment call it.
+/// Throws std::invalid_argument with the unknown-key message, naming the
+/// key, when a mode-family key the spec set (`family_keys`) does not
+/// belong to its final mode. The entry parser refuses such keys once a
+/// mode is set; this check covers the default batch mode, which no key
+/// has to set. parse_experiment_file and run_experiment call it.
 void check_mode_keys(const ExperimentSpec& spec);
+
+/// Throws std::invalid_argument naming the sweepable parameters unless
+/// `param` is one of them.
+void check_sweep_param(const std::string& param);
 
 // --- builders ------------------------------------------------------------------
 

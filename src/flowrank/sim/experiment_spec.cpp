@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -141,69 +142,6 @@ std::shared_ptr<const dist::FlowSizeDistribution> parse_dist_component(
   return out;
 }
 
-/// The dotted fault.* sub-keys, mapping onto trace::FaultSpec.
-void apply_fault_entry(trace::FaultSpec& fault, const std::string& key,
-                       const std::string& value) {
-  const std::string knob = key.substr(std::string("fault.").size());
-  if (knob == "corrupt") {
-    fault.corrupt_fraction = key_double(key, value);
-  } else if (knob == "truncate") {
-    fault.truncate_fraction = key_double(key, value);
-  } else if (knob == "stall-every") {
-    fault.stall_every_batches = key_uint(key, value);
-  } else if (knob == "stall-ms") {
-    fault.stall_ms = static_cast<std::uint32_t>(key_uint(key, value));
-  } else if (knob == "burst-flows") {
-    fault.burst_flows = key_uint(key, value);
-  } else if (knob == "burst-every") {
-    fault.burst_every_s = key_double(key, value);
-  } else if (knob == "burst-duration") {
-    fault.burst_duration_s = key_double(key, value);
-  } else if (knob == "seed") {
-    fault.seed = key_uint(key, value);
-  } else {
-    throw std::invalid_argument("experiment: unknown fault knob '" + key + "'");
-  }
-}
-
-/// The dotted chan.* sub-keys, mapping onto agg::SummaryFaultSpec.
-void apply_chan_entry(agg::SummaryFaultSpec& chan, const std::string& key,
-                      const std::string& value) {
-  const auto parse_fraction = [&](const std::string& k, const std::string& v) {
-    const double fraction = key_double(k, v);
-    if (!(fraction >= 0.0 && fraction <= 1.0)) {
-      throw std::invalid_argument("experiment: key '" + k +
-                                  "' must be a fraction in [0, 1]");
-    }
-    return fraction;
-  };
-  const std::string knob = key.substr(std::string("chan.").size());
-  if (knob == "drop") {
-    chan.drop_fraction = parse_fraction(key, value);
-  } else if (knob == "corrupt") {
-    chan.corrupt_fraction = parse_fraction(key, value);
-  } else if (knob == "delay") {
-    chan.delay_fraction = parse_fraction(key, value);
-  } else if (knob == "delay-windows") {
-    chan.delay_windows = key_uint(key, value);
-    if (chan.delay_windows < 1) {
-      throw std::invalid_argument("experiment: chan.delay-windows >= 1");
-    }
-  } else if (knob == "duplicate") {
-    chan.duplicate_fraction = parse_fraction(key, value);
-  } else if (knob == "outage-agent") {
-    chan.outage_agent = static_cast<std::uint32_t>(key_uint(key, value));
-  } else if (knob == "outage-from") {
-    chan.outage_from = key_uint(key, value);
-  } else if (knob == "outage-windows") {
-    chan.outage_windows = key_uint(key, value);
-  } else if (knob == "seed") {
-    chan.seed = key_uint(key, value);
-  } else {
-    throw std::invalid_argument("experiment: unknown chan knob '" + key + "'");
-  }
-}
-
 trace::FlowChurnConfig parse_churn(const std::string& clause) {
   auto args = parse_clause("churn", clause);
   trace::FlowChurnConfig churn;
@@ -229,25 +167,11 @@ trace::OnOffArrivals parse_onoff(const std::string& clause) {
   return on_off;
 }
 
-/// The sweepable parameter names.
-constexpr const char* kSweepParams[] = {"rate", "t",        "n",  "beta",
-                                        "bin",  "duration", "s1", "s2"};
-
-bool is_sweep_param(const std::string& param) {
-  for (const char* known : kSweepParams) {
-    if (param == known) return true;
-  }
-  return false;
-}
-
 /// Replaces or appends the axis for `param` (last declaration wins, so a
 /// CLI --sweep-rate override replaces the file's rate grid in place).
 void set_axis(ExperimentSpec& spec, const std::string& param,
               const std::string& grammar) {
-  if (!is_sweep_param(param)) {
-    throw std::invalid_argument("experiment: unknown sweep parameter '" + param +
-                                "' (rate|t|n|beta|bin|duration|s1|s2)");
-  }
+  check_sweep_param(param);
   SweepAxis axis{param, parse_sweep_values(grammar), grammar};
   for (auto& existing : spec.sweeps) {
     if (existing.param == param) {
@@ -268,76 +192,323 @@ bool sweep_key(const std::string& key, std::string& param_out) {
   return !param_out.empty();
 }
 
-// --- per-mode key lists: every key is parsed in every mode, but an
-// unknown-key error names only the keys meaningful for the spec's active
-// mode, so a typo points at the right family.
+// --- the key table -----------------------------------------------------------
 
-const std::vector<std::string>& base_mode_keys() {
-  static const std::vector<std::string> keys = {
-      "beta",      "bin",             "churn",    "counting",    "definition",
-      "description", "dist",          "duration", "epoch-gap",   "epochs",
-      "estimator", "exact-pairwise",  "flow-rate", "flow-rate-scale", "max-size",
-      "metric",    "mode",            "model",    "n",           "name",
-      "onoff",     "packet-size",     "pairwise", "preset",      "rates",
-      "runs",      "seed",            "shards",   "t",           "tail-tol",
-      "target",    "threads",         "ties",     "trace",       "trace-seed"};
-  return keys;
+/// A key's mode family: base keys are read in every mode, a family key
+/// only in its own (batch is the default mode, which no key has to set).
+enum Family { kBase, kBatch, kMonitor, kAggregate };
+
+constexpr Spelling<Family> kModeSpellings[] = {{"batch", kBatch},
+                                               {"monitor", kMonitor},
+                                               {"aggregate", kAggregate}};
+
+/// exact-pairwise: a continuous pairwise model, or none for the
+/// integer-support discrete model.
+constexpr Spelling<std::optional<core::PairwiseModel>> kExactPairwiseSpellings[] = {
+    {"gaussian", core::PairwiseModel::kGaussian},
+    {"hybrid", core::PairwiseModel::kHybrid},
+    {"exact-discrete", std::nullopt}};
+
+Family active_mode(const ExperimentSpec& spec) {
+  return spec.aggregate.enabled ? kAggregate
+         : spec.monitor.enabled ? kMonitor
+                                : kBatch;
 }
 
-/// Keys only batch mode reads: the exact model's fixed `rate` (the
-/// monitor and the fleet sample at `rates`).
-const std::vector<std::string>& batch_mode_keys() {
-  static const std::vector<std::string> keys = {"rate"};
-  return keys;
+/// One key = value entry as its setter sees it, with the value parses the
+/// setters share. Every error names the key.
+struct Entry {
+  const std::string& key;
+  const std::string& value;
+
+  double real() const { return key_double(key, value); }
+  std::uint64_t count() const { return key_uint(key, value); }
+
+  std::uint64_t positive() const {
+    const std::uint64_t parsed = count();
+    if (parsed < 1) throw std::invalid_argument("experiment: " + key + " >= 1");
+    return parsed;
+  }
+
+  double fraction() const {
+    const double parsed = real();
+    if (!(parsed >= 0.0 && parsed <= 1.0)) {
+      throw std::invalid_argument("experiment: key '" + key +
+                                  "' must be a fraction in [0, 1]");
+    }
+    return parsed;
+  }
+
+  /// A thread or shard count: the sanity cap is validated up front, and
+  /// 0 (all hardware threads) stays symbolic.
+  std::size_t parallelism() const {
+    const std::size_t resolved = exec::TaskPool::resolve_parallelism(count());
+    return value == "0" ? 0 : resolved;
+  }
+
+  template <typename T, std::size_t N>
+  T spelled(const Spelling<T> (&table)[N]) const {
+    std::string options;
+    for (const auto& entry : table) {
+      if (value == entry.text) return entry.value;
+      if (!options.empty()) options += '|';
+      options += entry.text;
+    }
+    throw std::invalid_argument("experiment: " + key + " must be " + options +
+                                ", got '" + value + "'");
+  }
+};
+
+using Spec = ExperimentSpec;
+
+struct KeyRow {
+  const char* name;
+  Family family;
+  void (*set)(Spec& spec, const Entry& entry);
+};
+
+/// Every spec key, declared once: its name, its mode family and its
+/// setter, which validates the value.
+constexpr KeyRow kKeys[] = {
+    // --- base -----------------------------------------------------------------
+    {"name", kBase, [](Spec& s, const Entry& e) { s.name = e.value; }},
+    {"description", kBase, [](Spec& s, const Entry& e) { s.description = e.value; }},
+    {"model", kBase,
+     [](Spec& s, const Entry& e) { s.model = e.spelled(kModelSpellings); }},
+    {"mode", kBase,
+     [](Spec& s, const Entry& e) {
+       const Family mode = e.spelled(kModeSpellings);
+       s.monitor.enabled = mode == kMonitor;
+       s.aggregate.enabled = mode == kAggregate;
+       // A family key set before the mode is held to it too.
+       check_mode_keys(s);
+     }},
+    {"trace", kBase, [](Spec& s, const Entry& e) { s.trace = e.value; }},
+    {"preset", kBase,
+     [](Spec& s, const Entry& e) {
+       if (e.value != "sprint_5tuple" && e.value != "sprint_prefix24" &&
+           e.value != "abilene" && e.value != "custom") {
+         throw std::invalid_argument("experiment: unknown preset '" + e.value + "'");
+       }
+       s.preset = e.value;
+     }},
+    {"beta", kBase, [](Spec& s, const Entry& e) { s.beta = e.real(); }},
+    {"dist", kBase, [](Spec& s, const Entry& e) { s.dist = e.value; }},
+    {"duration", kBase, [](Spec& s, const Entry& e) { s.duration_s = e.real(); }},
+    {"flow-rate", kBase, [](Spec& s, const Entry& e) { s.flow_rate_per_s = e.real(); }},
+    {"flow-rate-scale", kBase,
+     [](Spec& s, const Entry& e) { s.flow_rate_scale = e.real(); }},
+    {"trace-seed", kBase, [](Spec& s, const Entry& e) { s.trace_seed = e.count(); }},
+    {"packet-size", kBase,
+     [](Spec& s, const Entry& e) {
+       s.packet_size_bytes = static_cast<std::uint32_t>(e.count());
+     }},
+    {"epochs", kBase, [](Spec& s, const Entry& e) { s.epochs = e.positive(); }},
+    {"epoch-gap", kBase, [](Spec& s, const Entry& e) { s.epoch_gap_s = e.real(); }},
+    {"onoff", kBase, [](Spec& s, const Entry& e) { s.on_off = parse_onoff(e.value); }},
+    {"churn", kBase, [](Spec& s, const Entry& e) { s.churn = parse_churn(e.value); }},
+    {"bin", kBase, [](Spec& s, const Entry& e) { s.bin_seconds = e.real(); }},
+    {"t", kBase, [](Spec& s, const Entry& e) { s.top_t = e.count(); }},
+    {"rates", kBase,
+     [](Spec& s, const Entry& e) {
+       s.sampling_rates.clear();
+       for (const auto& rate : split(e.value, ',')) {
+         s.sampling_rates.push_back(key_double(e.key, rate));
+       }
+     }},
+    {"runs", kBase,
+     [](Spec& s, const Entry& e) { s.runs = static_cast<int>(e.count()); }},
+    {"seed", kBase, [](Spec& s, const Entry& e) { s.seed = e.count(); }},
+    {"ties", kBase,
+     [](Spec& s, const Entry& e) { s.tie_policy = e.spelled(kTieSpellings); }},
+    {"definition", kBase,
+     [](Spec& s, const Entry& e) { s.definition = e.spelled(kDefinitionSpellings); }},
+    {"threads", kBase, [](Spec& s, const Entry& e) { s.num_threads = e.parallelism(); }},
+    {"shards", kBase, [](Spec& s, const Entry& e) { s.num_shards = e.parallelism(); }},
+    {"estimator", kBase,
+     [](Spec& s, const Entry& e) {
+       s.estimator = parse_estimator(e.value);
+       s.estimator_grammar = e.value;
+     }},
+    {"metric", kBase,
+     [](Spec& s, const Entry& e) { s.metric = e.spelled(kMetricSpellings); }},
+    {"n", kBase,
+     [](Spec& s, const Entry& e) {
+       s.exact_n = std::llround(e.real());
+       if (s.exact_n < 1) throw std::invalid_argument("experiment: n >= 1");
+     }},
+    {"target", kBase,
+     [](Spec& s, const Entry& e) {
+       s.optimal_target = e.real();
+       if (!(s.optimal_target > 0.0 && s.optimal_target < 1.0)) {
+         throw std::invalid_argument("experiment: target in (0,1)");
+       }
+     }},
+    {"pairwise", kBase,
+     [](Spec& s, const Entry& e) { s.pairwise = e.spelled(kPairwiseSpellings); }},
+    {"counting", kBase,
+     [](Spec& s, const Entry& e) { s.counting = e.spelled(kCountingSpellings); }},
+    {"exact-pairwise", kBase,
+     [](Spec& s, const Entry& e) {
+       const auto pairwise = e.spelled(kExactPairwiseSpellings);
+       s.exact_discrete = !pairwise;
+       if (pairwise) s.pairwise = *pairwise;
+     }},
+    {"max-size", kBase,
+     [](Spec& s, const Entry& e) {
+       const double parsed = e.real();
+       s.exact_max_size = std::llround(parsed);
+       if (parsed != static_cast<double>(s.exact_max_size) || s.exact_max_size < 2 ||
+           s.exact_max_size > 8192) {
+         // The context build is O(max-size^2) time and O(max-size) memory
+         // (core/discrete_context.hpp): the cap keeps a typo such as
+         // max-size = 1e9 from asking for ~1e18 steps. The C++ API
+         // (core::DiscreteContextConfig) is uncapped.
+         throw std::invalid_argument(
+             "experiment: max-size must be an integer in [2, 8192]");
+       }
+     }},
+    {"tail-tol", kBase,
+     [](Spec& s, const Entry& e) {
+       s.exact_tail_tol = e.real();
+       if (!(s.exact_tail_tol > 0.0 && s.exact_tail_tol < 1.0)) {
+         throw std::invalid_argument("experiment: tail-tol in (0,1)");
+       }
+     }},
+
+    // --- batch: the exact model's fixed rate (the monitor and the fleet
+    // sample at `rates`) ----------------------------------------------------
+    {"rate", kBatch,
+     [](Spec& s, const Entry& e) {
+       s.exact_rate = e.real();
+       if (!(s.exact_rate > 0.0 && s.exact_rate <= 1.0)) {
+         throw std::invalid_argument("experiment: rate in (0,1]");
+       }
+     }},
+
+    // --- monitor -------------------------------------------------------------
+    {"window", kMonitor,
+     [](Spec& s, const Entry& e) {
+       s.monitor.window_s = e.real();
+       if (s.monitor.window_s < 0.0) {
+         throw std::invalid_argument("experiment: window >= 0 (0 = use bin)");
+       }
+     }},
+    {"snapshot-every", kMonitor,
+     [](Spec& s, const Entry& e) { s.monitor.snapshot_every = e.positive(); }},
+    {"overload", kMonitor,
+     [](Spec& s, const Entry& e) { s.monitor.shed = e.spelled(kOverloadSpellings); }},
+    {"ewma", kMonitor,
+     [](Spec& s, const Entry& e) {
+       s.monitor.ewma_alpha = e.real();
+       if (!(s.monitor.ewma_alpha > 0.0 && s.monitor.ewma_alpha <= 1.0)) {
+         throw std::invalid_argument("experiment: ewma must be in (0, 1]");
+       }
+     }},
+    {"budget", kMonitor,
+     [](Spec& s, const Entry& e) { s.monitor.window_packet_budget = e.count(); }},
+    {"watchdog-ms", kMonitor,
+     [](Spec& s, const Entry& e) {
+       s.monitor.watchdog_ms = static_cast<std::uint32_t>(e.count());
+     }},
+    {"on-stall", kMonitor,
+     [](Spec& s, const Entry& e) {
+       s.monitor.fail_on_stall = e.spelled(kOnStallSpellings);
+     }},
+    {"fault.corrupt", kMonitor,
+     [](Spec& s, const Entry& e) { s.monitor.fault.corrupt_fraction = e.real(); }},
+    {"fault.truncate", kMonitor,
+     [](Spec& s, const Entry& e) { s.monitor.fault.truncate_fraction = e.real(); }},
+    {"fault.stall-every", kMonitor,
+     [](Spec& s, const Entry& e) { s.monitor.fault.stall_every_batches = e.count(); }},
+    {"fault.stall-ms", kMonitor,
+     [](Spec& s, const Entry& e) {
+       s.monitor.fault.stall_ms = static_cast<std::uint32_t>(e.count());
+     }},
+    {"fault.burst-flows", kMonitor,
+     [](Spec& s, const Entry& e) { s.monitor.fault.burst_flows = e.count(); }},
+    {"fault.burst-every", kMonitor,
+     [](Spec& s, const Entry& e) { s.monitor.fault.burst_every_s = e.real(); }},
+    {"fault.burst-duration", kMonitor,
+     [](Spec& s, const Entry& e) { s.monitor.fault.burst_duration_s = e.real(); }},
+    {"fault.seed", kMonitor,
+     [](Spec& s, const Entry& e) { s.monitor.fault.seed = e.count(); }},
+
+    // --- aggregate -----------------------------------------------------------
+    {"agents", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.agents = e.positive(); }},
+    {"split", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.split = e.spelled(kSplitSpellings); }},
+    {"deadline-ms", kAggregate,
+     [](Spec& s, const Entry& e) {
+       s.aggregate.deadline_ms = static_cast<std::uint32_t>(e.count());
+     }},
+    {"quarantine-after", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.quarantine_after = e.positive(); }},
+    {"readmit-after", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.readmit_after = e.positive(); }},
+    {"summary", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.summary = e.spelled(kSummarySpellings); }},
+    {"summary-slots", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.summary_slots = e.positive(); }},
+    {"union-capacity", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.union_capacity = e.count(); }},
+    {"chan.drop", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.chan.drop_fraction = e.fraction(); }},
+    {"chan.corrupt", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.chan.corrupt_fraction = e.fraction(); }},
+    {"chan.delay", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.chan.delay_fraction = e.fraction(); }},
+    {"chan.delay-windows", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.chan.delay_windows = e.positive(); }},
+    {"chan.duplicate", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.chan.duplicate_fraction = e.fraction(); }},
+    {"chan.outage-agent", kAggregate,
+     [](Spec& s, const Entry& e) {
+       s.aggregate.chan.outage_agent = static_cast<std::uint32_t>(e.count());
+     }},
+    {"chan.outage-from", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.chan.outage_from = e.count(); }},
+    {"chan.outage-windows", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.chan.outage_windows = e.count(); }},
+    {"chan.seed", kAggregate,
+     [](Spec& s, const Entry& e) { s.aggregate.chan.seed = e.count(); }},
+};
+
+const KeyRow* find_key(const std::string& key) {
+  for (const KeyRow& row : kKeys) {
+    if (key == row.name) return &row;
+  }
+  return nullptr;
 }
 
-const std::vector<std::string>& monitor_mode_keys() {
-  static const std::vector<std::string> keys = {
-      "budget",          "ewma",
-      "fault.burst-duration", "fault.burst-every",
-      "fault.burst-flows", "fault.corrupt",
-      "fault.seed",      "fault.stall-every",
-      "fault.stall-ms",  "fault.truncate",
-      "on-stall",        "overload",
-      "snapshot-every",  "watchdog-ms",
-      "window"};
-  return keys;
-}
-
-const std::vector<std::string>& aggregate_mode_keys() {
-  static const std::vector<std::string> keys = {
-      "agents",          "chan.corrupt",
-      "chan.delay",      "chan.delay-windows",
-      "chan.drop",       "chan.duplicate",
-      "chan.outage-agent", "chan.outage-from",
-      "chan.outage-windows", "chan.seed",
-      "deadline-ms",     "quarantine-after",
-      "readmit-after",   "split",
-      "summary",         "summary-slots",
-      "union-capacity"};
-  return keys;
-}
-
-/// "unknown key 'x' (valid keys for mode=monitor: ...)" — the key list
-/// is the base set plus the active mode's family, sorted.
+/// "unknown key 'x' (valid keys for mode=monitor: ...)": the base keys
+/// plus the active mode's family, sorted, so a typo points at the right
+/// family.
 std::string unknown_key_message(const ExperimentSpec& spec, const std::string& key) {
-  const char* mode = spec.aggregate.enabled ? "aggregate"
-                     : spec.monitor.enabled ? "monitor"
-                                            : "batch";
-  std::vector<std::string> keys = base_mode_keys();
-  const auto& extra = spec.monitor.enabled     ? monitor_mode_keys()
-                      : spec.aggregate.enabled ? aggregate_mode_keys()
-                                               : batch_mode_keys();
-  keys.insert(keys.end(), extra.begin(), extra.end());
+  const Family mode = active_mode(spec);
+  std::vector<std::string> keys;
+  for (const KeyRow& row : kKeys) {
+    if (row.family == kBase || row.family == mode) keys.emplace_back(row.name);
+  }
   std::sort(keys.begin(), keys.end());
-  std::string message =
-      "experiment: unknown key '" + key + "' (valid keys for mode=" + mode + ": ";
+  std::string message = "experiment: unknown key '" + key + "' (valid keys for mode=" +
+                        spelling(kModeSpellings, mode) + ": ";
   for (std::size_t i = 0; i < keys.size(); ++i) {
     if (i > 0) message += ", ";
     message += keys[i];
   }
   message += "; plus sweep <param>)";
   return message;
+}
+
+/// The first family key the spec set that its current mode does not read.
+const std::string* stray_family_key(const ExperimentSpec& spec) {
+  for (const std::string& key : spec.family_keys) {
+    const KeyRow* row = find_key(key);
+    if (row == nullptr || row->family != active_mode(spec)) return &key;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -460,11 +631,8 @@ EstimatorStage parse_estimator(const std::string& grammar) {
 
 const std::vector<std::string>& experiment_keys() {
   static const std::vector<std::string> keys = [] {
-    std::vector<std::string> all = base_mode_keys();
-    for (const auto* family : {&batch_mode_keys(), &monitor_mode_keys(),
-                               &aggregate_mode_keys()}) {
-      all.insert(all.end(), family->begin(), family->end());
-    }
+    std::vector<std::string> all;
+    for (const KeyRow& row : kKeys) all.emplace_back(row.name);
     std::sort(all.begin(), all.end());
     return all;
   }();
@@ -476,273 +644,21 @@ void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
   std::string sweep_param;
   if (sweep_key(key, sweep_param)) {
     set_axis(spec, sweep_param, value);
-  } else if (key == "name") {
-    spec.name = value;
-  } else if (key == "description") {
-    spec.description = value;
-  } else if (key == "model") {
-    if (value == "exact") {
-      spec.model = ExperimentModel::kExact;
-    } else if (value == "mc") {
-      spec.model = ExperimentModel::kMc;
-    } else if (value == "packet") {
-      spec.model = ExperimentModel::kPacket;
-    } else {
-      throw std::invalid_argument("experiment: model must be exact|mc|packet, got '" +
-                                  value + "'");
-    }
-  } else if (key == "trace") {
-    spec.trace = value;
-  } else if (key == "preset") {
-    if (value != "sprint_5tuple" && value != "sprint_prefix24" &&
-        value != "abilene" && value != "custom") {
-      throw std::invalid_argument("experiment: unknown preset '" + value + "'");
-    }
-    spec.preset = value;
-  } else if (key == "beta") {
-    spec.beta = key_double(key, value);
-  } else if (key == "dist") {
-    spec.dist = value;
-  } else if (key == "duration") {
-    spec.duration_s = key_double(key, value);
-  } else if (key == "flow-rate") {
-    spec.flow_rate_per_s = key_double(key, value);
-  } else if (key == "flow-rate-scale") {
-    spec.flow_rate_scale = key_double(key, value);
-  } else if (key == "trace-seed") {
-    spec.trace_seed = key_uint(key, value);
-  } else if (key == "packet-size") {
-    spec.packet_size_bytes = static_cast<std::uint32_t>(key_uint(key, value));
-  } else if (key == "epochs") {
-    spec.epochs = key_uint(key, value);
-    if (spec.epochs < 1) throw std::invalid_argument("experiment: epochs >= 1");
-  } else if (key == "epoch-gap") {
-    spec.epoch_gap_s = key_double(key, value);
-  } else if (key == "onoff") {
-    spec.on_off = parse_onoff(value);
-  } else if (key == "churn") {
-    spec.churn = parse_churn(value);
-  } else if (key == "bin") {
-    spec.bin_seconds = key_double(key, value);
-  } else if (key == "t") {
-    spec.top_t = key_uint(key, value);
-  } else if (key == "rates") {
-    spec.sampling_rates.clear();
-    for (const auto& rate : split(value, ',')) {
-      spec.sampling_rates.push_back(key_double(key, rate));
-    }
-  } else if (key == "runs") {
-    spec.runs = static_cast<int>(key_uint(key, value));
-  } else if (key == "seed") {
-    spec.seed = key_uint(key, value);
-  } else if (key == "ties") {
-    if (value == "paper") {
-      spec.tie_policy = metrics::TiePolicy::kPaper;
-    } else if (value == "lenient") {
-      spec.tie_policy = metrics::TiePolicy::kLenient;
-    } else {
-      throw std::invalid_argument("experiment: ties must be paper|lenient, got '" +
-                                  value + "'");
-    }
-  } else if (key == "definition") {
-    if (value == "5tuple") {
-      spec.definition = packet::FlowDefinition::kFiveTuple;
-    } else if (value == "prefix24") {
-      spec.definition = packet::FlowDefinition::kDstPrefix24;
-    } else {
-      throw std::invalid_argument(
-          "experiment: definition must be 5tuple|prefix24, got '" + value + "'");
-    }
-  } else if (key == "threads") {
-    // Validates the sanity cap up front (0 = all hardware threads).
-    spec.num_threads = exec::TaskPool::resolve_parallelism(key_uint(key, value));
-    if (value == "0") spec.num_threads = 0;  // keep the symbolic 0
-  } else if (key == "shards") {
-    spec.num_shards = exec::TaskPool::resolve_parallelism(key_uint(key, value));
-    if (value == "0") spec.num_shards = 0;
-  } else if (key == "metric") {
-    if (value == "ranking") {
-      spec.metric = ExactMetric::kRanking;
-    } else if (value == "detection") {
-      spec.metric = ExactMetric::kDetection;
-    } else if (value == "optimal_rate") {
-      spec.metric = ExactMetric::kOptimalRate;
-    } else if (value == "gaussian_error") {
-      spec.metric = ExactMetric::kGaussianError;
-    } else {
-      throw std::invalid_argument(
-          "experiment: metric must be ranking|detection|optimal_rate|"
-          "gaussian_error, got '" + value + "'");
-    }
-  } else if (key == "n") {
-    spec.exact_n = std::llround(key_double(key, value));
-    if (spec.exact_n < 1) throw std::invalid_argument("experiment: n >= 1");
-  } else if (key == "rate") {
-    if (spec.monitor.enabled || spec.aggregate.enabled) {
-      throw std::invalid_argument(unknown_key_message(spec, key));
-    }
-    spec.exact_rate = key_double(key, value);
-    if (!(spec.exact_rate > 0.0 && spec.exact_rate <= 1.0)) {
-      throw std::invalid_argument("experiment: rate in (0,1]");
-    }
-    spec.exact_rate_given = true;
-  } else if (key == "target") {
-    spec.optimal_target = key_double(key, value);
-    if (!(spec.optimal_target > 0.0 && spec.optimal_target < 1.0)) {
-      throw std::invalid_argument("experiment: target in (0,1)");
-    }
-  } else if (key == "pairwise") {
-    if (value == "gaussian") {
-      spec.pairwise = core::PairwiseModel::kGaussian;
-    } else if (value == "hybrid") {
-      spec.pairwise = core::PairwiseModel::kHybrid;
-    } else {
-      throw std::invalid_argument("experiment: pairwise must be gaussian|hybrid");
-    }
-  } else if (key == "counting") {
-    if (value == "paper") {
-      spec.counting = core::PairCounting::kPaper;
-    } else if (value == "unordered") {
-      spec.counting = core::PairCounting::kUnordered;
-    } else {
-      throw std::invalid_argument("experiment: counting must be paper|unordered");
-    }
-  } else if (key == "exact-pairwise") {
-    if (value == "gaussian") {
-      spec.pairwise = core::PairwiseModel::kGaussian;
-      spec.exact_discrete = false;
-    } else if (value == "hybrid") {
-      spec.pairwise = core::PairwiseModel::kHybrid;
-      spec.exact_discrete = false;
-    } else if (value == "exact-discrete") {
-      spec.exact_discrete = true;
-    } else {
-      throw std::invalid_argument(
-          "experiment: exact-pairwise must be gaussian|hybrid|exact-discrete");
-    }
-  } else if (key == "max-size") {
-    const double parsed = key_double(key, value);
-    spec.exact_max_size = std::llround(parsed);
-    if (parsed != static_cast<double>(spec.exact_max_size) ||
-        spec.exact_max_size < 2 || spec.exact_max_size > 8192) {
-      // The table build is O(max-size^2) memory and O(max-size^3) work;
-      // the cap keeps a typo from asking for terabytes. The C++ API
-      // (core::DiscreteContextConfig) is uncapped.
-      throw std::invalid_argument(
-          "experiment: max-size must be an integer in [2, 8192]");
-    }
-  } else if (key == "tail-tol") {
-    spec.exact_tail_tol = key_double(key, value);
-    if (!(spec.exact_tail_tol > 0.0 && spec.exact_tail_tol < 1.0)) {
-      throw std::invalid_argument("experiment: tail-tol in (0,1)");
-    }
-  } else if (key == "window") {
-    spec.monitor.window_s = key_double(key, value);
-    if (spec.monitor.window_s < 0.0) {
-      throw std::invalid_argument("experiment: window >= 0 (0 = use bin)");
-    }
-    spec.monitor.window_given = true;
-  } else if (key == "estimator") {
-    spec.estimator = parse_estimator(value);
-    spec.estimator_grammar = value;
-  } else if (key == "mode") {
-    if (value == "batch") {
-      spec.monitor.enabled = false;
-      spec.aggregate.enabled = false;
-    } else if (value == "monitor") {
-      spec.monitor.enabled = true;
-      spec.aggregate.enabled = false;
-    } else if (value == "aggregate") {
-      spec.monitor.enabled = false;
-      spec.aggregate.enabled = true;
-    } else {
-      throw std::invalid_argument(
-          "experiment: mode must be batch|monitor|aggregate, got '" + value + "'");
-    }
-    // A `rate` given before the mode is as unknown as one given after it.
-    if (spec.exact_rate_given && (spec.monitor.enabled || spec.aggregate.enabled)) {
-      throw std::invalid_argument(unknown_key_message(spec, "rate"));
-    }
-  } else if (key == "snapshot-every") {
-    spec.monitor.snapshot_every = key_uint(key, value);
-    if (spec.monitor.snapshot_every < 1) {
-      throw std::invalid_argument("experiment: snapshot-every >= 1");
-    }
-  } else if (key == "overload") {
-    if (value == "block") {
-      spec.monitor.shed = false;
-    } else if (value == "shed") {
-      spec.monitor.shed = true;
-    } else {
-      throw std::invalid_argument("experiment: overload must be block|shed, got '" +
-                                  value + "'");
-    }
-  } else if (key == "ewma") {
-    spec.monitor.ewma_alpha = key_double(key, value);
-    if (!(spec.monitor.ewma_alpha > 0.0 && spec.monitor.ewma_alpha <= 1.0)) {
-      throw std::invalid_argument("experiment: ewma must be in (0, 1]");
-    }
-  } else if (key == "budget") {
-    spec.monitor.window_packet_budget = key_uint(key, value);
-  } else if (key == "watchdog-ms") {
-    spec.monitor.watchdog_ms = static_cast<std::uint32_t>(key_uint(key, value));
-  } else if (key == "on-stall") {
-    if (value == "rotate") {
-      spec.monitor.fail_on_stall = false;
-    } else if (value == "fail") {
-      spec.monitor.fail_on_stall = true;
-    } else {
-      throw std::invalid_argument("experiment: on-stall must be rotate|fail, got '" +
-                                  value + "'");
-    }
-  } else if (key.rfind("fault.", 0) == 0) {
-    apply_fault_entry(spec.monitor.fault, key, value);
-  } else if (key == "agents") {
-    spec.aggregate.agents = key_uint(key, value);
-    if (spec.aggregate.agents < 1) {
-      throw std::invalid_argument("experiment: agents >= 1");
-    }
-  } else if (key == "split") {
-    if (value == "flow") {
-      spec.aggregate.split = agg::FleetSplit::kFlow;
-    } else if (value == "packet") {
-      spec.aggregate.split = agg::FleetSplit::kPacket;
-    } else {
-      throw std::invalid_argument("experiment: split must be flow|packet, got '" +
-                                  value + "'");
-    }
-  } else if (key == "deadline-ms") {
-    spec.aggregate.deadline_ms = static_cast<std::uint32_t>(key_uint(key, value));
-  } else if (key == "quarantine-after") {
-    spec.aggregate.quarantine_after = key_uint(key, value);
-    if (spec.aggregate.quarantine_after < 1) {
-      throw std::invalid_argument("experiment: quarantine-after >= 1");
-    }
-  } else if (key == "readmit-after") {
-    spec.aggregate.readmit_after = key_uint(key, value);
-    if (spec.aggregate.readmit_after < 1) {
-      throw std::invalid_argument("experiment: readmit-after >= 1");
-    }
-  } else if (key == "summary") {
-    if (value == "table") {
-      spec.aggregate.summary = agg::SummaryKind::kFlowTable;
-    } else if (value == "spacesaving") {
-      spec.aggregate.summary = agg::SummaryKind::kSpaceSaving;
-    } else {
-      throw std::invalid_argument(
-          "experiment: summary must be table|spacesaving, got '" + value + "'");
-    }
-  } else if (key == "summary-slots") {
-    spec.aggregate.summary_slots = key_uint(key, value);
-    if (spec.aggregate.summary_slots < 1) {
-      throw std::invalid_argument("experiment: summary-slots >= 1");
-    }
-  } else if (key == "union-capacity") {
-    spec.aggregate.union_capacity = key_uint(key, value);
-  } else if (key.rfind("chan.", 0) == 0) {
-    apply_chan_entry(spec.aggregate.chan, key, value);
-  } else {
+    return;
+  }
+  // Until a mode is set every family key is taken, since the mode may
+  // still come; once it is, another family's key is as unknown as a typo.
+  const KeyRow* row = find_key(key);
+  const Family mode = active_mode(spec);
+  if (row == nullptr || (row->family != kBase && mode != kBatch &&
+                         row->family != mode)) {
     throw std::invalid_argument(unknown_key_message(spec, key));
+  }
+  row->set(spec, Entry{key, value});
+  if (row->family != kBase &&
+      std::find(spec.family_keys.begin(), spec.family_keys.end(), key) ==
+          spec.family_keys.end()) {
+    spec.family_keys.push_back(key);
   }
 }
 
@@ -786,7 +702,6 @@ ExperimentSpec parse_experiment_file(const std::string& path) {
     const std::string key = trim(line.substr(0, eq));
     try {
       apply_experiment_entry(spec, key, trim(line.substr(eq + 1)));
-      if (key == "trace") spec.trace = spec_relative_trace(path, spec.trace);
     } catch (const std::invalid_argument& e) {
       // File, line and offending key up front; the entry's own message
       // carries the value diagnosis.
@@ -794,17 +709,17 @@ ExperimentSpec parse_experiment_file(const std::string& path) {
                   "key '" + key + "': " + e.what());
     }
   }
-  try {
-    check_mode_keys(spec);
-  } catch (const std::invalid_argument& e) {
-    throw Error(ErrorCategory::kSpec, path, "key 'window': " + std::string(e.what()));
+  if (const std::string* key = stray_family_key(spec)) {
+    throw Error(ErrorCategory::kSpec, path,
+                "key '" + *key + "': " + unknown_key_message(spec, *key));
   }
+  spec.trace = spec_relative_trace(path, spec.trace);
   return spec;
 }
 
 void check_mode_keys(const ExperimentSpec& spec) {
-  if (spec.monitor.window_given && !spec.monitor.enabled) {
-    throw std::invalid_argument(unknown_key_message(spec, "window"));
+  if (const std::string* key = stray_family_key(spec)) {
+    throw std::invalid_argument(unknown_key_message(spec, *key));
   }
 }
 
@@ -941,8 +856,9 @@ std::shared_ptr<const trace::TraceSource> make_base_trace_source(
 std::shared_ptr<const trace::TraceSource> make_trace_source(
     const ExperimentSpec& spec) {
   auto source = make_base_trace_source(spec);
-  // Fault injection only arms in monitor mode: batch figure runs keep
-  // their clean traces even if a spec carries stray fault.* keys.
+  // Fault injection only arms in monitor mode. The grammar refuses
+  // fault.* keys in other modes, but a spec built in code can still set
+  // MonitorOptions::fault; batch figure runs keep their clean traces.
   if (spec.monitor.enabled && spec.monitor.fault.any()) {
     return std::make_shared<trace::FaultInjectingTraceSource>(std::move(source),
                                                               spec.monitor.fault);

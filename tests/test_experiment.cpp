@@ -258,10 +258,10 @@ TEST(ExperimentSpecFile, UnknownKeyErrorListsExperimentKeys) {
   }
 }
 
-// `window` is checked once the mode is final, whatever the key order:
-// before `mode = monitor` it is the monitor's window, under any other
-// mode (the default batch one included) it is refused by the parser and
-// by run_experiment alike.
+// `window` is the monitor's, whatever the key order: before `mode =
+// monitor` it is the monitor's window; after another mode it is refused
+// at the key; under the default batch mode it is refused by the parser
+// and by run_experiment alike.
 TEST(ExperimentSpecFile, WindowIsMonitorOnly) {
   fsim::ExperimentSpec monitor;
   fsim::apply_experiment_entry(monitor, "window", "30");
@@ -271,8 +271,8 @@ TEST(ExperimentSpecFile, WindowIsMonitorOnly) {
 
   fsim::ExperimentSpec aggregate;
   fsim::apply_experiment_entry(aggregate, "mode", "aggregate");
-  fsim::apply_experiment_entry(aggregate, "window", "30");
-  EXPECT_THROW(fsim::check_mode_keys(aggregate), std::invalid_argument);
+  EXPECT_THROW(fsim::apply_experiment_entry(aggregate, "window", "30"),
+               std::invalid_argument);
 
   const std::string path = write_temp_spec("exp_window_first.spec",
                                            "window = 30\n"

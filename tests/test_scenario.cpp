@@ -673,6 +673,92 @@ TEST(SpecGrammar, RateIsUnknownOutsideBatchMode) {
   }
 }
 
+// Every mode-family key is refused outside its family's mode, like
+// `rate` above: after the mode (at the key), before it (at `mode`), under
+// the default batch mode (check_mode_keys), in a file or on the command
+// line. The error names the key.
+TEST(SpecGrammar, FamilyKeysAreUnknownOutsideTheirMode) {
+  struct Case {
+    const char* mode;
+    const char* key;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"batch", "ewma", "0.3"},           {"batch", "budget", "1000"},
+      {"batch", "snapshot-every", "2"},   {"batch", "fault.corrupt", "0.01"},
+      {"monitor", "agents", "2"},         {"monitor", "chan.drop", "0.1"},
+      {"aggregate", "watchdog-ms", "50"}, {"aggregate", "fault.seed", "9"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.key) + " under mode=" + c.mode);
+    const bool batch = std::string(c.mode) == "batch";
+    const std::string model = batch ? "exact" : "packet";
+    const std::string unknown = std::string("unknown key '") + c.key + "'";
+    const auto expect_unknown = [&unknown](const auto& action) {
+      try {
+        action();
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(unknown), std::string::npos) << e.what();
+      }
+    };
+
+    // After the mode: at the key, or (batch) once the mode is final.
+    fsim::ExperimentSpec after;
+    fsim::apply_experiment_entry(after, "model", model);
+    fsim::apply_experiment_entry(after, "mode", c.mode);
+    if (batch) {
+      fsim::apply_experiment_entry(after, c.key, c.value);
+      expect_unknown([&] { fsim::check_mode_keys(after); });
+    } else {
+      expect_unknown([&] { fsim::apply_experiment_entry(after, c.key, c.value); });
+    }
+
+    // Before the mode: at `mode`.
+    fsim::ExperimentSpec before;
+    fsim::apply_experiment_entry(before, "model", model);
+    fsim::apply_experiment_entry(before, c.key, c.value);
+    expect_unknown([&] { fsim::apply_experiment_entry(before, "mode", c.mode); });
+
+    // Spec files, in both orders and (batch) with no mode line at all.
+    const std::string key_line = std::string(c.key) + " = " + c.value + "\n";
+    const std::string mode_line = std::string("mode = ") + c.mode + "\n";
+    std::vector<std::string> bodies = {key_line + mode_line, mode_line + key_line};
+    if (batch) bodies.push_back(key_line);
+    for (const std::string& body : bodies) {
+      const std::string file = write_temp("spec_family.spec", "model = " + model + "\n" + body);
+      try {
+        (void)fsim::parse_experiment_file(file);
+        ADD_FAILURE() << "spec file accepted:\n" << body;
+      } catch (const flowrank::Error& e) {
+        EXPECT_EQ(e.category(), flowrank::ErrorCategory::kSpec);
+        EXPECT_NE(std::string(e.what()).find(unknown), std::string::npos) << e.what();
+      }
+      std::remove(file.c_str());
+    }
+
+    // --key overrides, with and without --mode.
+    const std::string flag = std::string("--") + c.key;
+    const char* with_mode[] = {"test",     "--model", model.c_str(), "--mode",
+                               c.mode, flag.c_str(), c.value};
+    const flowrank::util::Cli cli(7, with_mode);
+    expect_unknown([&] {
+      fsim::ExperimentSpec spec;
+      fsim::apply_experiment_overrides(spec, cli);
+      fsim::check_mode_keys(spec);
+    });
+    if (batch) {
+      const char* no_mode[] = {"test", "--model", model.c_str(), flag.c_str(), c.value};
+      const flowrank::util::Cli bare(5, no_mode);
+      const fsim::ExperimentSpec spec = fsim::experiment_from_cli(bare);
+      std::ostringstream out;
+      flowrank::report::CsvResultSink sink(out);
+      expect_unknown([&] { (void)fsim::run_experiment(spec, sink); });
+      EXPECT_TRUE(out.str().empty());
+    }
+  }
+}
+
 TEST(SpecGrammar, MakeFleetConfigMapsSpecOntoFleet) {
   fsim::ExperimentSpec spec;
   fsim::apply_experiment_entry(spec, "mode", "aggregate");
@@ -752,4 +838,30 @@ TEST(SpecGrammar, EveryCheckedInSpecParses) {
   // 8 workload specs + 19 figure specs at the time of writing; a glob
   // that silently matched nothing must not pass.
   EXPECT_GE(parsed, 27u);
+}
+
+// experiment_echo emits only keys the parser accepts, spelled as the
+// parser spells them: replaying a checked-in spec's echo onto a fresh
+// spec reproduces the echo.
+TEST(SpecGrammar, EchoReplaysToTheSameEcho) {
+  namespace fs = std::filesystem;
+  std::size_t replayed = 0;
+  for (const char* dir : {"scenarios", "scenarios/figures"}) {
+    for (const auto& entry : fs::directory_iterator(fs::path(FLOWRANK_SOURCE_DIR) / dir)) {
+      if (entry.path().extension() != ".spec") continue;
+      const auto echo =
+          fsim::experiment_echo(fsim::parse_experiment_file(entry.path().string()));
+      fsim::ExperimentSpec spec;
+      try {
+        for (const auto& [key, value] : echo) fsim::apply_experiment_entry(spec, key, value);
+        fsim::check_mode_keys(spec);
+      } catch (const std::invalid_argument& e) {
+        ADD_FAILURE() << entry.path() << ": " << e.what();
+        continue;
+      }
+      EXPECT_EQ(fsim::experiment_echo(spec), echo) << entry.path();
+      ++replayed;
+    }
+  }
+  EXPECT_GE(replayed, 28u);
 }
