@@ -9,18 +9,30 @@
 //                        std::bernoulli_distribution on every offer();
 //  * legacy_run_binned_simulation — the PR 2 sequential Monte-Carlo
 //                        sweep (per-flow std::binomial_distribution
-//                        construction, per-run true-ranking sort).
+//                        construction, per-run true-ranking sort);
+//  * legacy_misranking_gaussian — Eq. (2) as the continuous ranking model
+//                        evaluated it pair by pair before it cached pair
+//                        spreads (validate, divide, square root and the
+//                        platform libm's erfc per call), with
+//                        legacy_ranking_pair_terms listing the pairs one
+//                        evaluation called it on.
 //
 // Bench-only: nothing in the library links this header.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <random>
+#include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
+#include "flowrank/core/model_common.hpp"
+#include "flowrank/core/ranking_model.hpp"
 #include "flowrank/flowtable/flow_table.hpp"
 #include "flowrank/metrics/rank_metrics.hpp"
 #include "flowrank/numeric/binomial.hpp"
+#include "flowrank/numeric/quadrature.hpp"
 #include "flowrank/packet/flow_key.hpp"
 #include "flowrank/packet/records.hpp"
 #include "flowrank/sim/binned_sim.hpp"
@@ -173,6 +185,65 @@ inline flowrank::sim::SimResult legacy_run_binned_simulation(
     }
   }
   return result;
+}
+
+inline double legacy_misranking_gaussian(double s1, double s2, double p) {
+  if (!(s1 > 0.0) || !(s2 > 0.0)) {
+    throw std::invalid_argument("misranking_gaussian: sizes must be > 0");
+  }
+  if (!(p > 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("misranking_gaussian: p in (0,1]");
+  }
+  const double variance_scale = 2.0 * (1.0 / p - 1.0) * (s1 + s2);
+  if (variance_scale == 0.0) return s1 == s2 ? 0.5 : 0.0;
+  return 0.5 * std::erfc(std::abs(s2 - s1) / std::sqrt(variance_scale));
+}
+
+/// The (first, second) size arguments of every Eq. (2) call one
+/// evaluation of `config`'s quadrature grid makes, in order: per outer
+/// node, its A integral (companion smaller) then its B integral, each
+/// laid out by core::for_each_toward_panel as core/ranking_model.cpp
+/// does.
+struct LegacyPairTerms {
+  std::vector<double> first, second;
+};
+
+inline LegacyPairTerms legacy_ranking_pair_terms(
+    const flowrank::core::RankingModelConfig& config) {
+  namespace fc = flowrank::core;
+  const auto& dist = *config.size_dist;
+  const auto& quad = config.quad;
+  const double y_max =
+      std::min(1.0, fc::outer_z_max(config.t, quad) / static_cast<double>(config.n));
+  const double width = y_max / quad.outer_panels;
+  LegacyPairTerms terms;
+  const auto append = [&](double lo, double hi, bool focus_on_lo, double x) {
+    fc::for_each_toward_panel(lo, hi, focus_on_lo, quad, [&](double a, double b, int order) {
+      const double mid = 0.5 * (a + b);
+      const double half = 0.5 * (b - a);
+      for (const double node : flowrank::numeric::gauss_legendre(order).nodes) {
+        const double size = dist.tail_quantile(mid + half * node);
+        terms.first.push_back(focus_on_lo ? size : x);
+        terms.second.push_back(focus_on_lo ? x : size);
+      }
+    });
+  };
+  for (int i = 0; i < quad.outer_panels; ++i) {
+    const double lo = width * i;
+    const double hi = i + 1 == quad.outer_panels ? y_max : width * (i + 1);
+    for (const double node : flowrank::numeric::gauss_legendre(quad.outer_order).nodes) {
+      const double y = 0.5 * (lo + hi) + 0.5 * (hi - lo) * node;
+      const double x = dist.tail_quantile(y);
+      if (fc::top_probability(y, config.t, config.n - 1, quad) > 0.0 && 1.0 > y) {
+        append(y, 1.0, /*focus_on_lo=*/true, x);
+      }
+      if (config.counting == fc::PairCounting::kPaper && config.t >= 2 &&
+          fc::top_probability(y, config.t - 1, config.n - 1, quad) > 0.0 && y > 0.0) {
+        append(0.0, y, /*focus_on_lo=*/false, x);
+      }
+    }
+  }
+  return terms;
 }
 
 }  // namespace bench

@@ -37,6 +37,7 @@
 #include "flowrank/numeric/binomial.hpp"
 #include "flowrank/numeric/incbeta.hpp"
 #include "flowrank/numeric/quadrature.hpp"
+#include "flowrank/numeric/special.hpp"
 #include "flowrank/sampler/packet_sampler.hpp"
 #include "flowrank/sim/binned_sim.hpp"
 #include "flowrank/trace/bin_counts.hpp"
@@ -112,18 +113,89 @@ BENCHMARK(BM_MisrankingHybrid);
 
 // --- model evaluation: the paper's "hours vs seconds" ablation ---------------
 
-void BM_RankingModelContinuous(benchmark::State& state) {
+// The continuous model's two halves on perfbench plan_exact's first
+// continuous shape (beta = 1.5, N = 200 000, t = 10) at p = 0.708, close
+// to that query's answer: the p-free build (size quantiles, and the
+// pairs' spreads) and one evaluate(p). Items are pairwise terms, so the
+// rows read per term. BM_RankingPerCallEvaluate is the path evaluate(p)
+// replaced, on the same pairs: one call of the frozen per-call Eq. (2)
+// through a function pointer per term.
+constexpr double kPlanRate = 0.708;
+
+flowrank::core::RankingModelConfig plan_continuous_config() {
   flowrank::core::RankingModelConfig cfg;
-  cfg.n = 2000;
-  cfg.t = 5;
-  cfg.p = 0.2;
+  cfg.n = 200000;
+  cfg.t = 10;
   cfg.size_dist = std::make_shared<flowrank::dist::Pareto>(
-      flowrank::dist::Pareto::from_mean(9.6, 2.5));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(flowrank::core::evaluate_ranking_model(cfg));
-  }
+      flowrank::dist::Pareto::from_mean(9.6, 1.5));
+  return cfg;
 }
-BENCHMARK(BM_RankingModelContinuous);
+
+void BM_RankingContextBuild(benchmark::State& state) {
+  const auto cfg = plan_continuous_config();
+  std::size_t terms = 0;
+  for (auto _ : state) {
+    const flowrank::core::RankingModelContext context(cfg);
+    terms = context.pairwise_terms();
+    benchmark::DoNotOptimize(terms);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * terms));
+  state.counters["terms"] = static_cast<double>(terms);
+}
+BENCHMARK(BM_RankingContextBuild)->Unit(benchmark::kMillisecond);
+
+void BM_RankingContextEvaluate(benchmark::State& state) {
+  const flowrank::core::RankingModelContext context(plan_continuous_config());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(context.evaluate(kPlanRate));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * context.pairwise_terms()));
+  state.counters["terms"] = static_cast<double>(context.pairwise_terms());
+}
+BENCHMARK(BM_RankingContextEvaluate)->Unit(benchmark::kMillisecond);
+
+void BM_RankingPerCallEvaluate(benchmark::State& state) {
+  const auto cfg = plan_continuous_config();
+  const auto terms = bench::legacy_ranking_pair_terms(cfg);
+  if (terms.first.size() != flowrank::core::RankingModelContext(cfg).pairwise_terms()) {
+    state.SkipWithError("per-call pairs differ from the context's terms");
+    return;
+  }
+  double (*pm)(double, double, double) = bench::legacy_misranking_gaussian;
+  benchmark::DoNotOptimize(pm);
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < terms.first.size(); ++i) {
+      sum += pm(terms.first[i], terms.second[i], kPlanRate);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * terms.first.size()));
+  state.counters["terms"] = static_cast<double>(terms.first.size());
+}
+BENCHMARK(BM_RankingPerCallEvaluate)->Unit(benchmark::kMillisecond);
+
+// One inner integral's worth of erfc values (the default layout's 292
+// nodes) at plan_exact's rate: ascending spreads whose arguments c * r
+// straddle erfc's 0.46875 and 4 regime edges, so the batch walks three
+// runs. Items are erfc values.
+void BM_ErfcScaled(benchmark::State& state) {
+  std::vector<double> spreads(292);
+  for (std::size_t i = 0; i < spreads.size(); ++i) {
+    const double u = static_cast<double>(i) / static_cast<double>(spreads.size());
+    spreads[i] = 6.0 * u * u;
+  }
+  std::vector<double> out(spreads.size());
+  const double r = flowrank::core::gaussian_rate_factor(kPlanRate);
+  for (auto _ : state) {
+    flowrank::numeric::erfc_scaled(spreads, r, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * spreads.size()));
+}
+BENCHMARK(BM_ErfcScaled);
 
 /// The paper-scale discrete config the compute-layer acceptance numbers
 /// are quoted against (S = 3000 support). Arg(0) selects the support cap.

@@ -22,7 +22,10 @@ items_per_second), and the Monte-Carlo count-path rows
 (BM_BinomialThinner at every rate, BM_BinFlowCounts and
 BM_RankMetricsContext, each with items_per_second), and the planner
 rows (BM_PlanSamplingRate/discrete and /continuous, each with its
-evaluations counter and items_per_second).
+evaluations counter and items_per_second), and the continuous model's
+stage rows (BM_RankingContextBuild, BM_RankingContextEvaluate, the
+per-call BM_RankingPerCallEvaluate it replaced, and BM_ErfcScaled, each
+with items_per_second).
 
 Rows may be plain iterations (a single-repetition run) or the aggregates
 of a repeated run (bench/run_bench.sh writes only those): a `_median`
@@ -47,6 +50,13 @@ COUNT_PATH_ROWS = ("BM_BinomialThinner", "BM_BinFlowCounts", "BM_RankMetricsCont
 # BM_BinomialThinner's argument is the sampling rate in thousandths.
 THINNER_RATES = ("1", "10", "100", "500")
 PLANNER_ROWS = ("BM_PlanSamplingRate/discrete", "BM_PlanSamplingRate/continuous")
+# The continuous model's stages (items = pairwise terms or erfc values).
+CONTINUOUS_ROWS = (
+    "BM_RankingContextBuild",
+    "BM_RankingContextEvaluate",
+    "BM_RankingPerCallEvaluate",
+    "BM_ErfcScaled",
+)
 
 
 def main() -> int:
@@ -89,6 +99,7 @@ def main() -> int:
     count_path_seen = set()
     thinner_rates_seen = set()
     planner_seen = set()
+    continuous_seen = set()
     for row in doc.get("benchmarks", []):
         name = row.get("name", "")
         if row.get("run_type") == "aggregate":
@@ -107,6 +118,10 @@ def main() -> int:
             count_path_seen.add(base)
             if base == "BM_BinomialThinner":
                 thinner_rates_seen.add(name.split("/")[1])
+            if "items_per_second" not in row:
+                errors.append(f"{name}: missing items_per_second throughput")
+        if base in CONTINUOUS_ROWS:
+            continuous_seen.add(base)
             if "items_per_second" not in row:
                 errors.append(f"{name}: missing items_per_second throughput")
         if name in PLANNER_ROWS:
@@ -159,6 +174,9 @@ def main() -> int:
     for bench in PLANNER_ROWS:
         if bench not in planner_seen:
             errors.append(f"no {bench} row: planner coverage dropped")
+    for bench in CONTINUOUS_ROWS:
+        if bench not in continuous_seen:
+            errors.append(f"no {bench} row: continuous-model coverage dropped")
     missing_rates = sorted(set(THINNER_RATES) - thinner_rates_seen, key=int)
     if missing_rates:
         errors.append(f"no BM_BinomialThinner row for rate(s) {', '.join(missing_rates)}")
@@ -169,7 +187,8 @@ def main() -> int:
         return 1
     print(
         f"bench counters check passed: BM_ShardedIngest shards {sorted(seen)}, "
-        "exact-discrete, trace-expansion, count-path and planner rows present, "
+        "exact-discrete, trace-expansion, count-path, planner and continuous-model rows "
+        "present, "
         "Release build, accounting counters present"
     )
     return 0

@@ -18,6 +18,8 @@ compiler cannot see because they are project policy, not C++ rules:
  * iteration over unordered containers is either provably
    order-insensitive or sorted -- each such loop carries an
    `// unordered-ok: <reason>` comment, reviewed like a cast;
+ * one erfc: the models call numeric::erfc, never the platform libm's
+   (whose bits differ across platforms);
  * include hygiene (#pragma once, no <iostream> in headers, no
    `using namespace std`);
  * every file that declares a util::Mutex names what it guards
@@ -116,6 +118,14 @@ BANNED = [
         "lgamma writes the global signgam (data race); use numeric::log_gamma/log_factorial "
         "(lgamma_r under the hood)",
     ),
+    (
+        "libm-erfc",
+        # The models' results must not depend on the platform libm's erfc:
+        # one in-repo erfc (numeric::erfc / numeric::erfc_scaled), whose
+        # bits every compiler reproduces. numeric::erfc( does not match.
+        re.compile(r"\bstd::erfc\b|(?<!numeric::)\berfc\s*\("),
+        "libm erfc differs across platforms; use numeric::erfc or numeric::erfc_scaled",
+    ),
 ]
 
 # Path-prefix allowlists, relative to the repo root with forward slashes.
@@ -131,6 +141,8 @@ ALLOWLIST = {
     "guarded-by-missing": ("src/flowrank/util/sync.hpp",),
     # special.cpp wraps lgamma_r exactly once (and documents why).
     "lgamma-signgam": ("src/flowrank/numeric/special.cpp",),
+    # special.* declares and defines the one erfc.
+    "libm-erfc": ("src/flowrank/numeric/special.",),
     # bytes.hpp IS the sanctioned byte layer: its stream read/write pair
     # holds the only reinterpret_casts, over byte spans it sized itself.
     "raw-byte-cast": ("src/flowrank/util/bytes.hpp",),

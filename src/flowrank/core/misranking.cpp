@@ -58,13 +58,19 @@ double misranking_gaussian(double s1, double s2, double p) {
   if (!(p > 0.0 && p <= 1.0)) {
     throw std::invalid_argument("misranking_gaussian: p in (0,1]");
   }
-  const double variance_scale = 2.0 * (1.0 / p - 1.0) * (s1 + s2);
-  if (variance_scale == 0.0) {
-    // p == 1: sampling is the identity.
-    return s1 == s2 ? 0.5 : 0.0;
+  const double spread = gaussian_spread(s1, s2);
+  if (p == 1.0) {
+    // Sampling is the identity; r is infinite and 0 * r must not reach erfc.
+    return spread == 0.0 ? 0.5 : 0.0;
   }
-  return 0.5 * numeric::erfc(std::abs(s2 - s1) / std::sqrt(variance_scale));
+  return 0.5 * numeric::erfc(spread * gaussian_rate_factor(p));
 }
+
+double gaussian_spread(double s1, double s2) {
+  return std::abs(s2 - s1) / std::sqrt(2.0 * (s1 + s2));
+}
+
+double gaussian_rate_factor(double p) { return std::sqrt(p / (1.0 - p)); }
 
 double misranking_hybrid(double s1, double s2, double p) {
   if (s1 > s2) std::swap(s1, s2);

@@ -16,10 +16,24 @@ namespace flowrank::core {
 [[nodiscard]] double misranking_exact(std::int64_t s1, std::int64_t s2, double p);
 
 /// Gaussian approximation, Eq. (2):
-///   Pm(S1,S2) = (1/2) erfc( |S2-S1| / sqrt(2 (1/p - 1)(S1+S2)) ).
+///   Pm(S1,S2) = (1/2) erfc( |S2-S1| / sqrt(2 (1/p - 1)(S1+S2)) ),
+/// computed as (1/2) erfc(c r) with the pair's spread
+/// c = gaussian_spread(S1, S2), which does not depend on p, and the
+/// rate factor r = gaussian_rate_factor(p), which does not depend on the
+/// pair. A caller that keeps c can evaluate the pair at many rates for
+/// one product and one erfc each, bit for bit this function.
 /// Continuous in the sizes; valid when p*max(S1,S2) is at least a few
-/// packets. At p == 1 returns 0 for distinct sizes (sampling is lossless).
+/// packets. At p == 1 (r infinite) returns 0 for distinct sizes (sampling
+/// is lossless) and 1/2 for equal ones. Exactly symmetric in (S1, S2).
 [[nodiscard]] double misranking_gaussian(double s1, double s2, double p);
+
+/// c = |S2-S1| / sqrt(2 (S1+S2)), the p-free factor of Eq. (2)'s erfc
+/// argument. Exactly symmetric; requires S1, S2 > 0 (unchecked).
+[[nodiscard]] double gaussian_spread(double s1, double s2);
+
+/// r = sqrt(p / (1-p)), the pair-free factor of Eq. (2)'s erfc argument.
+/// Requires 0 < p < 1 (unchecked; p == 1 gives +inf).
+[[nodiscard]] double gaussian_rate_factor(double p);
 
 /// Absolute error |exact - gaussian| on integer sizes (Fig. 3).
 [[nodiscard]] double misranking_abs_error(std::int64_t s1, std::int64_t s2, double p);

@@ -1,12 +1,15 @@
 #include "flowrank/core/ranking_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "flowrank/core/misranking.hpp"
 #include "flowrank/numeric/quadrature.hpp"
+#include "flowrank/numeric/special.hpp"
 
 namespace flowrank::core {
 
@@ -14,19 +17,26 @@ namespace {
 
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
+/// Erfc values the Gaussian pass holds at once, on the stack. A
+/// Gauss-Legendre panel has at most 128 nodes, so every panel fits; the
+/// default layout's 292 nodes per inner integral take one batch.
+constexpr std::size_t kErfcBatch = 512;
+
 /// Appends the panels of integrate_toward(f, lo, hi, focus_on_lo, quad):
-/// each panel's half-width and the sizes x(v) at its Gauss-Legendre
-/// nodes, with integrate_gl's node arithmetic, so the cached sizes are the
-/// ones the one-shot quadrature evaluates.
+/// each panel's half-width and, at its Gauss-Legendre nodes, the sizes
+/// x(v) (or, when `gaussian`, the spreads gaussian_spread(x, x(v))), with
+/// integrate_gl's node arithmetic, so the cached sizes are the ones the
+/// one-shot quadrature evaluates.
 void append_inner(const dist::FlowSizeDistribution& dist, double lo, double hi,
-                  bool focus_on_lo, const QuadratureOptions& quad,
-                  std::vector<double>& panel_half, std::vector<double>& sizes) {
+                  bool focus_on_lo, const QuadratureOptions& quad, bool gaussian,
+                  double x, std::vector<double>& panel_half, std::vector<double>& terms) {
   for_each_toward_panel(lo, hi, focus_on_lo, quad, [&](double a, double b, int order) {
     const auto& rule = numeric::gauss_legendre(order);
     const double mid = 0.5 * (a + b);
     const double half = 0.5 * (b - a);
     for (const double node : rule.nodes) {
-      sizes.push_back(dist.tail_quantile(mid + half * node));
+      const double size = dist.tail_quantile(mid + half * node);
+      terms.push_back(gaussian ? gaussian_spread(x, size) : size);
     }
     panel_half.push_back(half);
   });
@@ -87,31 +97,66 @@ RankingModelContext::RankingModelContext(const RankingModelConfig& config)
       b_index_.push_back(b ? integrals++ : kNone);
     }
   }
+  const bool gaussian = pairwise_ == PairwiseModel::kGaussian;
   panel_half_.reserve(integrals * panel_rules_.size());
-  sizes_.reserve(integrals * inner_sizes_);
+  terms_.reserve(integrals * inner_sizes_);
   for (std::size_t node = 0; node < ys.size(); ++node) {
     if (a_index_[node] != kNone) {
-      append_inner(dist, ys[node], 1.0, /*focus_on_lo=*/true, quad, panel_half_, sizes_);
+      append_inner(dist, ys[node], 1.0, /*focus_on_lo=*/true, quad, gaussian, x_[node],
+                   panel_half_, terms_);
     }
     if (b_index_[node] != kNone) {
-      append_inner(dist, 0.0, ys[node], /*focus_on_lo=*/false, quad, panel_half_, sizes_);
+      append_inner(dist, 0.0, ys[node], /*focus_on_lo=*/false, quad, gaussian, x_[node],
+                   panel_half_, terms_);
     }
   }
 }
 
-double RankingModelContext::inner_integral(std::uint32_t index, double x,
-                                           bool companion_smaller, double p) const {
-  const auto pm = pairwise_ == PairwiseModel::kGaussian ? misranking_gaussian
-                                                        : misranking_hybrid;
+double RankingModelContext::gaussian_integral(std::uint32_t index, double r,
+                                              bool lossless) const {
   const std::size_t panels = panel_rules_.size();
   const double* half = panel_half_.data() + index * panels;
-  const double* size = sizes_.data() + index * inner_sizes_;
+  const double* spread = terms_.data() + index * inner_sizes_;
+  std::array<double, kErfcBatch> erfc_values;
+  double acc = 0.0;
+  for (std::size_t first = 0; first < panels;) {
+    // The next panels that fit in one batch.
+    std::size_t last = first;
+    std::size_t count = 0;
+    while (last < panels && count + panel_rules_[last]->weights.size() <= kErfcBatch) {
+      count += panel_rules_[last]->weights.size();
+      ++last;
+    }
+    const std::span<const double> c(spread, count);
+    if (lossless) {
+      // erfc(c * inf), without the 0 * inf of an equal-size pair.
+      for (std::size_t i = 0; i < count; ++i) erfc_values[i] = c[i] == 0.0 ? 1.0 : 0.0;
+    } else {
+      numeric::erfc_scaled(c, r, std::span<double>(erfc_values.data(), count));
+    }
+    // misranking_gaussian's 0.5 * erfc, summed as integrate_gl does.
+    const double* value = erfc_values.data();
+    for (; first < last; ++first) {
+      double sum = 0.0;
+      for (const double w : panel_rules_[first]->weights) sum += w * (0.5 * *value++);
+      acc += sum * half[first];
+    }
+    spread += count;
+  }
+  return acc;
+}
+
+double RankingModelContext::hybrid_integral(std::uint32_t index, double x,
+                                            bool companion_smaller, double p) const {
+  const std::size_t panels = panel_rules_.size();
+  const double* half = panel_half_.data() + index * panels;
+  const double* size = terms_.data() + index * inner_sizes_;
   double acc = 0.0;
   for (std::size_t j = 0; j < panels; ++j) {
-    const auto& weights = panel_rules_[j]->weights;
     double sum = 0.0;
-    for (const double w : weights) {
-      sum += w * (companion_smaller ? pm(*size, x, p) : pm(x, *size, p));
+    for (const double w : panel_rules_[j]->weights) {
+      sum += w * (companion_smaller ? misranking_hybrid(*size, x, p)
+                                    : misranking_hybrid(x, *size, p));
       ++size;
     }
     acc += sum * half[j];
@@ -123,6 +168,13 @@ RankingModelResult RankingModelContext::evaluate(double p) const {
   if (!(p > 0.0 && p <= 1.0)) {
     throw std::invalid_argument("ranking model: requires p in (0,1]");
   }
+  const bool gaussian = pairwise_ == PairwiseModel::kGaussian;
+  const bool lossless = p == 1.0;
+  const double r = lossless ? 0.0 : gaussian_rate_factor(p);
+  const auto inner = [&](std::uint32_t index, std::size_t node, bool companion_smaller) {
+    return gaussian ? gaussian_integral(index, r, lossless)
+                    : hybrid_integral(index, x_[node], companion_smaller, p);
+  };
   // The panel sums of numeric::integrate_gl and integrate_toward, in
   // their order: sum w_k f(node_k) per panel, then scale by the panel's
   // half-width and add.
@@ -133,11 +185,11 @@ RankingModelResult RankingModelContext::evaluate(double p) const {
     for (const double w : outer_rule_->weights) {
       double a_term = 0.0;
       if (a_index_[node] != kNone) {
-        a_term = pt_t_[node] * inner_integral(a_index_[node], x_[node], true, p);
+        a_term = pt_t_[node] * inner(a_index_[node], node, true);
       }
       double b_term = 0.0;
       if (b_index_[node] != kNone) {
-        b_term = pt_tm1_[node] * inner_integral(b_index_[node], x_[node], false, p);
+        b_term = pt_tm1_[node] * inner(b_index_[node], node, false);
       }
       acc += w * (a_term + b_term);
       ++node;

@@ -55,11 +55,18 @@ struct RankingModelResult {
 /// The p-independent part of the Eq. (3) quadrature, built once per
 /// (n, t, size distribution, quadrature options, pairwise model, pair
 /// counting): the outer nodes y with their sizes x(y) and both top-t
-/// probabilities, and, per inner panel, its half-width and the companion
-/// sizes x(v) = tail_quantile(v) at its nodes. evaluate(p) only applies
-/// the pairwise model to the cached sizes, with the panel sums taken in
-/// the one-shot quadrature's order, so a rate search pays for the size
-/// quantiles once. Immutable once built; evaluate() is const.
+/// probabilities, and, per inner panel, its half-width and one value per
+/// node. For kHybrid that value is the companion size
+/// x(v) = tail_quantile(v); for kGaussian it is the pair's spread
+/// c = gaussian_spread(x(y), x(v)), stored in place of the size, so
+/// that Eq. (2) at rate p is (1/2) erfc(c r) with one r per evaluation.
+/// evaluate(p) applies the pairwise model to the cached values, with the
+/// panel sums taken in the one-shot quadrature's order, so a rate search
+/// pays for the size quantiles once. The Gaussian pass computes one
+/// inner integral's erfc values at a time with numeric::erfc_scaled
+/// (spreads are monotone within each panel and ascend from panel to
+/// panel, so an integral makes few regime runs). Immutable once built;
+/// evaluate() is const.
 class RankingModelContext {
  public:
   /// Ignores config.p. Throws std::invalid_argument without a size
@@ -69,10 +76,18 @@ class RankingModelContext {
   /// The model at rate p. Throws std::invalid_argument unless 0 < p <= 1.
   [[nodiscard]] RankingModelResult evaluate(double p) const;
 
+  /// Pairwise probabilities one evaluate() computes: one per cached
+  /// inner node.
+  [[nodiscard]] std::size_t pairwise_terms() const { return terms_.size(); }
+
  private:
-  /// Inner integral `index`, panel by panel in integrate_toward's layout.
-  [[nodiscard]] double inner_integral(std::uint32_t index, double x,
-                                      bool companion_smaller, double p) const;
+  /// Inner integral `index` under Eq. (2), with r = gaussian_rate_factor(p)
+  /// (ignored when `lossless`, p == 1).
+  [[nodiscard]] double gaussian_integral(std::uint32_t index, double r,
+                                         bool lossless) const;
+  /// Inner integral `index` under misranking_hybrid, against outer size x.
+  [[nodiscard]] double hybrid_integral(std::uint32_t index, double x,
+                                       bool companion_smaller, double p) const;
 
   std::int64_t n_ = 0;
   std::int64_t t_ = 0;
@@ -88,7 +103,8 @@ class RankingModelContext {
   /// least as large) integral, or kNone when the term is zero.
   std::vector<std::uint32_t> a_index_, b_index_;
   std::vector<double> panel_half_;  ///< per inner panel
-  std::vector<double> sizes_;       ///< per inner node
+  /// Per inner node: the spread c (kGaussian) or companion size (kHybrid).
+  std::vector<double> terms_;
 };
 
 /// Evaluates the continuous ranking model:

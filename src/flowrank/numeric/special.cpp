@@ -1,5 +1,6 @@
 #include "flowrank/numeric/special.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -102,10 +103,203 @@ double log1m_exp(double x) {
   return std::log1p(-std::exp(x));
 }
 
-double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+namespace {
 
-double normal_sf(double x) { return 0.5 * std::erfc(x / std::sqrt(2.0)); }
+// --- erfc ---------------------------------------------------------------
+//
+// Cody's three rational forms (the coefficients of netlib specfun's
+// CALERF). Every kernel below is straight-line double arithmetic, so one
+// kernel applied to a run of inputs is a loop the compiler vectorizes,
+// and the scalar and batch forms share the kernels bit for bit. The
+// CMake build compiles this file with -ffp-contract=off: a fused
+// multiply-add would round differently on targets that have one.
 
-double erfc(double x) { return std::erfc(x); }
+// erf(x) ~ x P(x^2) / Q(x^2) on |x| <= 0.46875.
+constexpr double kErfP[5] = {3.16112374387056560e00, 1.13864154151050156e02,
+                             3.77485237685302021e02, 3.20937758913846947e03,
+                             1.85777706184603153e-1};
+constexpr double kErfQ[4] = {2.36012909523441209e01, 2.44024637934444173e02,
+                             1.28261652607737228e03, 2.84423683343917062e03};
+// erfc(x) ~ exp(-x^2) P(x) / Q(x) on 0.46875 < x <= 4.
+constexpr double kMidP[9] = {5.64188496988670089e-1, 8.88314979438837594e00,
+                             6.61191906371416295e01, 2.98635138197400131e02,
+                             8.81952221241769090e02, 1.71204761263407058e03,
+                             2.05107837782607147e03, 1.23033935479799725e03,
+                             2.15311535474403846e-8};
+constexpr double kMidQ[8] = {1.57449261107098347e01, 1.17693950891312499e02,
+                             5.37181101862009858e02, 1.62138957456669019e03,
+                             3.29079923573345963e03, 4.36261909014324716e03,
+                             3.43936767414372164e03, 1.23033935480374942e03};
+// erfc(x) ~ exp(-x^2) / x (1/sqrt(pi) - z P(z) / Q(z)), z = 1/x^2, on
+// 4 < x < kErfcCutoff.
+constexpr double kTailP[6] = {3.05326634961232344e-1, 3.60344899949804439e-1,
+                              1.25781726111229246e-1, 1.60837851487422766e-2,
+                              6.58749161529837803e-4, 1.63153871373020978e-2};
+constexpr double kTailQ[5] = {2.56852019228982242e00, 1.87295284992346725e00,
+                              5.27905102951428412e-1, 6.05183413124413191e-2,
+                              2.33520497626869185e-3};
+constexpr double kInvSqrtPi = 5.6418958354775628695e-1;
+
+constexpr double kSmallLimit = 0.46875;
+constexpr double kMidLimit = 4.0;
+// erfc drops under DBL_MIN at x ~ 26.5433 (erfc(26.55) ~ 1.6e-308);
+// exp(-x^2) is a normal number for every x below the cutoff, and beyond
+// it erfc is reported as 0.
+constexpr double kErfcCutoff = 26.55;
+
+// exp kernel (fdlibm's e_exp.c): x = k ln2 + r, |r| <= ln2/2, and
+// exp(r) = 1 + r + r c / (2 - c) with c = r - r^2 R(r^2).
+constexpr double kLn2Hi = 0x1.62e42feep-1;  // 32 bits: k ln2Hi is exact
+constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+constexpr double kInvLn2 = 0x1.71547652b82fep+0;
+constexpr double kExpP1 = 1.66666666666666019037e-01;
+constexpr double kExpP2 = -2.77777777770155933842e-03;
+constexpr double kExpP3 = 6.61375632143793436117e-05;
+constexpr double kExpP4 = -1.65339022054652515390e-06;
+constexpr double kExpP5 = 4.13813679705723846039e-08;
+// Adding 1.5 * 2^52 rounds to an integer (1.5 * 2^48: to a multiple of
+// 1/16) and leaves the integer in the low mantissa bits.
+constexpr double kRoundInt = 0x1.8p52;
+constexpr double kRoundSixteenth = 0x1.8p48;
+
+/// exp(-y^2) for 0.46875 < y < kErfcCutoff. y^2 = h^2 + d exactly up to
+/// the rounding of d, where h is y rounded to a multiple of 1/16 (h^2
+/// and y - h are exact) and d = (y - h)(y + h); the reduction subtracts
+/// k ln2 from the exact -h^2 before d enters, as Cody's exp(-h^2)
+/// exp(-d) product does with one exp instead of two.
+inline double exp_neg_square(double y) {
+  const double h = (y + kRoundSixteenth) - kRoundSixteenth;
+  const double h2 = h * h;
+  const double d = (y - h) * (y + h);
+  const double shifted = -(h2 + d) * kInvLn2 + kRoundInt;
+  const double k = shifted - kRoundInt;
+  const double hi = -h2 - k * kLn2Hi;  // exact: both are multiples of 2^-32
+  const double lo = d + k * kLn2Lo;
+  const double r = hi - lo;
+  const double t = r * r;
+  const double c = r - t * (kExpP1 + t * (kExpP2 + t * (kExpP3 + t * (kExpP4 + t * kExpP5))));
+  const double e = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+  // 2^k from the integer in `shifted`'s low bits: k in [-1018, 0], so
+  // the biased exponent k + 1023 is that of a normal number.
+  const double scale = std::bit_cast<double>((std::bit_cast<std::uint64_t>(shifted) << 52) +
+                                             (std::uint64_t{1023} << 52));
+  return e * scale;
+}
+
+/// |x| <= 0.46875: 1 - erf(x).
+inline double erfc_small(double x) {
+  const double z = x * x;
+  double num = kErfP[4] * z;
+  double den = z;
+  for (int i = 0; i < 3; ++i) {
+    num = (num + kErfP[i]) * z;
+    den = (den + kErfQ[i]) * z;
+  }
+  return 1.0 - x * (num + kErfP[3]) / (den + kErfQ[3]);
+}
+
+/// 0.46875 < y <= 4.
+inline double erfc_mid(double y) {
+  double num = kMidP[8] * y;
+  double den = y;
+  for (int i = 0; i < 7; ++i) {
+    num = (num + kMidP[i]) * y;
+    den = (den + kMidQ[i]) * y;
+  }
+  return exp_neg_square(y) * ((num + kMidP[7]) / (den + kMidQ[7]));
+}
+
+/// 4 < y < kErfcCutoff.
+inline double erfc_tail(double y) {
+  const double z = 1.0 / (y * y);
+  double num = kTailP[5] * z;
+  double den = z;
+  for (int i = 0; i < 4; ++i) {
+    num = (num + kTailP[i]) * z;
+    den = (den + kTailQ[i]) * z;
+  }
+  const double ratio = z * (num + kTailP[4]) / (den + kTailQ[4]);
+  return exp_neg_square(y) * ((kInvSqrtPi - ratio) / y);
+}
+
+// Negative x: erfc(x) = 2 - erfc(-x). Regimes of their own, so that no
+// kernel selects on the sign (a conditional subtraction keeps the
+// compiler from vectorizing the run).
+inline double erfc_mid_neg(double x) { return 2.0 - erfc_mid(-x); }
+inline double erfc_tail_neg(double x) { return 2.0 - erfc_tail(-x); }
+
+/// |x| >= kErfcCutoff, infinities and NaN.
+inline double erfc_far(double x) { return x > 0.0 ? 0.0 : (x < 0.0 ? 2.0 : x); }
+
+enum Regime { kSmall, kMid, kMidNeg, kTail, kTailNeg, kFar };
+
+inline Regime erfc_regime(double x) {
+  const double y = std::abs(x);
+  if (y <= kSmallLimit) return kSmall;
+  if (y <= kMidLimit) return x > 0.0 ? kMid : kMidNeg;
+  if (y < kErfcCutoff) return x > 0.0 ? kTail : kTailNeg;
+  return kFar;  // NaN too
+}
+
+/// erfc_regime(x) == regime, as one or two comparisons: the run scan's
+/// test, cheaper than classifying every input.
+inline bool in_regime(Regime regime, double x) {
+  switch (regime) {
+    case kSmall: return std::abs(x) <= kSmallLimit;
+    case kMid: return x > kSmallLimit && x <= kMidLimit;
+    case kMidNeg: return x < -kSmallLimit && x >= -kMidLimit;
+    case kTail: return x > kMidLimit && x < kErfcCutoff;
+    case kTailNeg: return x < -kMidLimit && x > -kErfcCutoff;
+    case kFar: break;
+  }
+  return !(std::abs(x) < kErfcCutoff);
+}
+
+/// out[i] = kernel(c[i] * r) over [begin, end).
+template <double (*Kernel)(double)>
+void apply_run(const double* c, double r, double* out, std::size_t begin,
+               std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) out[i] = Kernel(c[i] * r);
+}
+
+}  // namespace
+
+double normal_cdf(double x) { return 0.5 * erfc(-x / std::sqrt(2.0)); }
+
+double normal_sf(double x) { return 0.5 * erfc(x / std::sqrt(2.0)); }
+
+double erfc(double x) {
+  switch (erfc_regime(x)) {
+    case kSmall: return erfc_small(x);
+    case kMid: return erfc_mid(x);
+    case kMidNeg: return erfc_mid_neg(x);
+    case kTail: return erfc_tail(x);
+    case kTailNeg: return erfc_tail_neg(x);
+    case kFar: break;
+  }
+  return erfc_far(x);
+}
+
+void erfc_scaled(std::span<const double> c, double r, std::span<double> out) {
+  if (c.size() != out.size()) {
+    throw std::invalid_argument("erfc_scaled: c and out differ in size");
+  }
+  const std::size_t n = c.size();
+  std::size_t begin = 0;
+  while (begin < n) {
+    const Regime regime = erfc_regime(c[begin] * r);
+    std::size_t end = begin + 1;
+    while (end < n && in_regime(regime, c[end] * r)) ++end;
+    switch (regime) {
+      case kSmall: apply_run<erfc_small>(c.data(), r, out.data(), begin, end); break;
+      case kMid: apply_run<erfc_mid>(c.data(), r, out.data(), begin, end); break;
+      case kMidNeg: apply_run<erfc_mid_neg>(c.data(), r, out.data(), begin, end); break;
+      case kTail: apply_run<erfc_tail>(c.data(), r, out.data(), begin, end); break;
+      case kTailNeg: apply_run<erfc_tail_neg>(c.data(), r, out.data(), begin, end); break;
+      case kFar: apply_run<erfc_far>(c.data(), r, out.data(), begin, end); break;
+    }
+    begin = end;
+  }
+}
 
 }  // namespace flowrank::numeric

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 namespace flowrank::numeric {
 
@@ -31,8 +32,21 @@ namespace flowrank::numeric {
 /// Standard Normal survival function 1 - Φ(x), accurate for large x.
 [[nodiscard]] double normal_sf(double x);
 
-/// Complementary error function; forwards to std::erfc (kept behind a
-/// named function so models read like the paper's equations).
+/// Complementary error function, computed in the repo so that results
+/// do not depend on the platform libm: Cody's rational Chebyshev forms
+/// ("Rational Chebyshev approximations for the error function", Math.
+/// Comp. 1969) on |x| <= 0.46875, |x| <= 4 and |x| below 26.55, where
+/// erfc(x) drops under DBL_MIN; beyond, 0 (or 2 for negative x). The
+/// exp(-x^2) factor comes from an in-repo exp of an exactly split x^2.
+/// Plain double arithmetic, no FMA: the same bits under every
+/// IEEE-conforming compiler. Within 8 ulp of glibc's erfc wherever that
+/// is at least DBL_MIN.
 [[nodiscard]] double erfc(double x);
+
+/// out[i] = erfc(c[i] * r), bit for bit the scalar erfc, in branch-free
+/// runs of inputs that share one of erfc's regimes (a sorted input makes
+/// a handful of runs, each a loop the compiler vectorizes). Throws
+/// std::invalid_argument unless the spans have the same size.
+void erfc_scaled(std::span<const double> c, double r, std::span<double> out);
 
 }  // namespace flowrank::numeric

@@ -6,10 +6,12 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "flowrank/dist/exponential.hpp"
@@ -224,6 +226,20 @@ struct Entry {
   double real() const { return key_double(key, value); }
   std::uint64_t count() const { return key_uint(key, value); }
 
+  /// count(), narrowed to T; a value above T's range throws
+  /// flowrank::Error naming the key instead of wrapping.
+  template <typename T>
+  T narrow() const {
+    const std::uint64_t parsed = count();
+    constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    if (parsed > kMax) {
+      throw Error(ErrorCategory::kSpec, "experiment",
+                  "key '" + key + "' must be at most " + std::to_string(kMax) + ", got '" +
+                      value + "'");
+    }
+    return static_cast<T>(parsed);
+  }
+
   std::uint64_t positive() const {
     const std::uint64_t parsed = count();
     if (parsed < 1) throw std::invalid_argument("experiment: " + key + " >= 1");
@@ -301,7 +317,7 @@ constexpr KeyRow kKeys[] = {
     {"trace-seed", kBase, [](Spec& s, const Entry& e) { s.trace_seed = e.count(); }},
     {"packet-size", kBase,
      [](Spec& s, const Entry& e) {
-       s.packet_size_bytes = static_cast<std::uint32_t>(e.count());
+       s.packet_size_bytes = e.narrow<std::uint32_t>();
      }},
     {"epochs", kBase, [](Spec& s, const Entry& e) { s.epochs = e.positive(); }},
     {"epoch-gap", kBase, [](Spec& s, const Entry& e) { s.epoch_gap_s = e.real(); }},
@@ -317,7 +333,7 @@ constexpr KeyRow kKeys[] = {
        }
      }},
     {"runs", kBase,
-     [](Spec& s, const Entry& e) { s.runs = static_cast<int>(e.count()); }},
+     [](Spec& s, const Entry& e) { s.runs = e.narrow<int>(); }},
     {"seed", kBase, [](Spec& s, const Entry& e) { s.seed = e.count(); }},
     {"ties", kBase,
      [](Spec& s, const Entry& e) { s.tie_policy = e.spelled(kTieSpellings); }},
@@ -409,7 +425,7 @@ constexpr KeyRow kKeys[] = {
      [](Spec& s, const Entry& e) { s.monitor.window_packet_budget = e.count(); }},
     {"watchdog-ms", kMonitor,
      [](Spec& s, const Entry& e) {
-       s.monitor.watchdog_ms = static_cast<std::uint32_t>(e.count());
+       s.monitor.watchdog_ms = e.narrow<std::uint32_t>();
      }},
     {"on-stall", kMonitor,
      [](Spec& s, const Entry& e) {
@@ -423,7 +439,7 @@ constexpr KeyRow kKeys[] = {
      [](Spec& s, const Entry& e) { s.monitor.fault.stall_every_batches = e.count(); }},
     {"fault.stall-ms", kMonitor,
      [](Spec& s, const Entry& e) {
-       s.monitor.fault.stall_ms = static_cast<std::uint32_t>(e.count());
+       s.monitor.fault.stall_ms = e.narrow<std::uint32_t>();
      }},
     {"fault.burst-flows", kMonitor,
      [](Spec& s, const Entry& e) { s.monitor.fault.burst_flows = e.count(); }},
@@ -441,7 +457,7 @@ constexpr KeyRow kKeys[] = {
      [](Spec& s, const Entry& e) { s.aggregate.split = e.spelled(kSplitSpellings); }},
     {"deadline-ms", kAggregate,
      [](Spec& s, const Entry& e) {
-       s.aggregate.deadline_ms = static_cast<std::uint32_t>(e.count());
+       s.aggregate.deadline_ms = e.narrow<std::uint32_t>();
      }},
     {"quarantine-after", kAggregate,
      [](Spec& s, const Entry& e) { s.aggregate.quarantine_after = e.positive(); }},
@@ -465,7 +481,7 @@ constexpr KeyRow kKeys[] = {
      [](Spec& s, const Entry& e) { s.aggregate.chan.duplicate_fraction = e.fraction(); }},
     {"chan.outage-agent", kAggregate,
      [](Spec& s, const Entry& e) {
-       s.aggregate.chan.outage_agent = static_cast<std::uint32_t>(e.count());
+       s.aggregate.chan.outage_agent = e.narrow<std::uint32_t>();
      }},
     {"chan.outage-from", kAggregate,
      [](Spec& s, const Entry& e) { s.aggregate.chan.outage_from = e.count(); }},
@@ -707,6 +723,11 @@ ExperimentSpec parse_experiment_file(const std::string& path) {
       // carries the value diagnosis.
       throw Error(ErrorCategory::kSpec, path + ":" + std::to_string(line_no),
                   "key '" + key + "': " + e.what());
+    } catch (const Error& e) {
+      // An entry's own spec Error (a count beyond its field's range)
+      // already names the key; it gains the file and line.
+      if (e.category() != ErrorCategory::kSpec) throw;
+      throw Error(ErrorCategory::kSpec, path + ":" + std::to_string(line_no), e.message());
     }
   }
   if (const std::string* key = stray_family_key(spec)) {

@@ -22,6 +22,7 @@ Error::Error(ErrorCategory category, std::string context,
     : std::runtime_error(context + ": " + message + " [" +
                          error_category_name(category) + "]"),
       category_(category),
-      context_(std::move(context)) {}
+      context_(std::move(context)),
+      message_(message) {}
 
 }  // namespace flowrank

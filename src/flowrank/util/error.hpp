@@ -37,10 +37,14 @@ class Error : public std::runtime_error {
   [[nodiscard]] ErrorCategory category() const noexcept { return category_; }
   /// The subsystem that threw ("trace_io", "ingest", "report", ...).
   [[nodiscard]] const std::string& context() const noexcept { return context_; }
+  /// The message without context and category, for a caller that rethrows
+  /// it under a more precise context.
+  [[nodiscard]] const std::string& message() const noexcept { return message_; }
 
  private:
   ErrorCategory category_;
   std::string context_;
+  std::string message_;
 };
 
 }  // namespace flowrank

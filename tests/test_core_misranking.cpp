@@ -7,6 +7,7 @@
 
 #include "flowrank/core/misranking.hpp"
 #include "flowrank/core/optimal_rate.hpp"
+#include "flowrank/numeric/special.hpp"
 #include "flowrank/util/rng.hpp"
 
 namespace fc = flowrank::core;
@@ -78,6 +79,35 @@ TEST(Misranking, SymmetricInSizes) {
     EXPECT_DOUBLE_EQ(fc::misranking_gaussian(17, 60, p),
                      fc::misranking_gaussian(60, 17, p));
   }
+}
+
+// Eq. (2) as (1/2) erfc(c r): the spread c is the pair's, exactly
+// symmetric; the rate factor r is the rate's. The product is the
+// function bit for bit, and p == 1 is lossless without erfc(0 * inf).
+TEST(Misranking, GaussianSplitsIntoSpreadAndRate) {
+  const double sizes[][2] = {{17, 60}, {3.25, 3.5}, {1000, 1001}, {2.0, 5e6}, {40, 40}};
+  for (const auto& pair : sizes) {
+    const double a = pair[0];
+    const double b = pair[1];
+    EXPECT_EQ(fc::gaussian_spread(a, b), fc::gaussian_spread(b, a));
+    for (const double p : {1e-4, 0.01, 0.2, 0.708, 0.999}) {
+      const double pm = fc::misranking_gaussian(a, b, p);
+      EXPECT_EQ(pm, fc::misranking_gaussian(b, a, p)) << a << " " << b << " p=" << p;
+      EXPECT_EQ(pm, 0.5 * flowrank::numeric::erfc(fc::gaussian_spread(a, b) *
+                                                  fc::gaussian_rate_factor(p)));
+      // The unsplit Eq. (2) argument, in long double (in double, 1/p - 1
+      // loses digits as p nears 1), through the platform libm.
+      const long double pl = p;
+      const auto argument = static_cast<double>(
+          std::abs(static_cast<long double>(b) - a) /
+          std::sqrt(2.0L * (1.0L / pl - 1.0L) * (static_cast<long double>(a) + b)));
+      const double direct = 0.5 * std::erfc(argument);
+      EXPECT_NEAR(pm, direct, 1e-13 * direct + 1e-300) << a << " " << b << " p=" << p;
+    }
+    EXPECT_EQ(fc::misranking_gaussian(a, b, 1.0), a == b ? 0.5 : 0.0);
+  }
+  EXPECT_EQ(fc::misranking_gaussian(7.5, 7.5, 1.0), 0.5);
+  EXPECT_EQ(fc::misranking_gaussian(7.5, 7.25, 1.0), 0.0);
 }
 
 TEST(Misranking, LimitsInSamplingRate) {

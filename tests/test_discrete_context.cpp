@@ -63,7 +63,9 @@ fc::DiscreteModelResult one_shot(std::int64_t n, std::int64_t t, double p,
 // also keeps the value of the earlier pairwise-table build (summed pair
 // by pair, each pair clamped at 1), which the interchanged order must
 // stay within 1e-13 of. The Gaussian-pairwise row is computed pair by
-// pair in both, so its two columns agree bit for bit.
+// pair in both; its second pair of columns is instead its value before
+// Eq. (2) became (1/2) erfc(c r) with the in-repo erfc (2 and 1 ulp
+// below the canonical pair).
 TEST(DiscreteModelContext, GoldenBitIdentity) {
   const struct {
     std::int64_t n, t;
@@ -84,7 +86,7 @@ TEST(DiscreteModelContext, GoldenBitIdentity) {
        0x1.4be75c72f7be6p-10, 0x1.e536fae712ae1p+1},
       {1500, 4, 0.25, 400, 3.0, false, 0x1.1018279a8dcd6p-8, 0x1.8de952eaa51f3p+4,
        0x1.1018279a8dcd6p-8, 0x1.8de952eaa51f3p+4},
-      {1500, 4, 0.25, 500, 2.5, true, 0x1.83dbef380b298p-10, 0x1.1b9a60facaa97p+3,
+      {1500, 4, 0.25, 500, 2.5, true, 0x1.83dbef380b29ap-10, 0x1.1b9a60facaa98p+3,
        0x1.83dbef380b298p-10, 0x1.1b9a60facaa97p+3},
   };
   for (const auto& g : goldens) {
@@ -94,10 +96,6 @@ TEST(DiscreteModelContext, GoldenBitIdentity) {
     EXPECT_EQ(g.metric, r.metric) << "n=" << g.n << " t=" << g.t << " p=" << g.p;
     EXPECT_NEAR(g.table_pbar, r.mean_pair_misranking, 1e-13 * g.table_pbar);
     EXPECT_NEAR(g.table_metric, r.metric, 1e-13 * g.table_metric);
-    if (g.gaussian) {
-      EXPECT_EQ(g.table_pbar, r.mean_pair_misranking);
-      EXPECT_EQ(g.table_metric, r.metric);
-    }
   }
 }
 

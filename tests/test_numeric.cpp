@@ -1,6 +1,11 @@
 // Unit and property tests for the numeric substrate.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +86,128 @@ TEST(Special, DomainErrors) {
   EXPECT_THROW((void)fn::log_gamma(0.0), std::domain_error);
   EXPECT_THROW((void)fn::log_factorial(-1), std::domain_error);
   EXPECT_THROW((void)fn::log1m_exp(0.5), std::domain_error);
+}
+
+// ---------------------------------------------------------------------------
+// erfc: the in-repo Cody erfc and its batch form
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Distance in units in the last place between two doubles of one sign.
+std::int64_t ulp_distance(double a, double b) {
+  const auto ia = std::bit_cast<std::int64_t>(a);
+  const auto ib = std::bit_cast<std::int64_t>(b);
+  return ia > ib ? ia - ib : ib - ia;
+}
+
+}  // namespace
+
+// A dense grid of [0, 27] (step 2^-14, so every regime edge is a grid
+// point) against the platform libm: within 8 ulp wherever libm's erfc
+// is at least DBL_MIN, in [0, DBL_MIN] beyond, and non-increasing.
+// The negative half, 2 - erfc(|x|), is held to the same bound.
+TEST(Erfc, WithinEightUlpOfLibm) {
+  constexpr double kStep = 0x1p-14;
+  const double dbl_min = std::numeric_limits<double>::min();
+  double previous = 2.0;
+  std::int64_t worst = 0;
+  for (int i = 0; i <= 27 * (1 << 14); ++i) {
+    const double x = i * kStep;
+    const double got = fn::erfc(x);
+    const double libm = std::erfc(x);
+    if (libm >= dbl_min) {
+      worst = std::max(worst, ulp_distance(got, libm));
+    } else {
+      EXPECT_GE(got, 0.0) << "x=" << x;
+      EXPECT_LE(got, dbl_min) << "x=" << x;
+    }
+    EXPECT_LE(got, previous) << "x=" << x;
+    previous = got;
+    const std::int64_t negative = ulp_distance(fn::erfc(-x), std::erfc(-x));
+    EXPECT_LE(negative, 8) << "x=" << -x;
+  }
+  EXPECT_LE(worst, 8);
+  EXPECT_EQ(fn::erfc(0.0), 1.0);
+  EXPECT_EQ(fn::erfc(-0.0), 1.0);
+  EXPECT_EQ(fn::erfc(std::numeric_limits<double>::infinity()), 0.0);
+  EXPECT_EQ(fn::erfc(-std::numeric_limits<double>::infinity()), 2.0);
+  EXPECT_TRUE(std::isnan(fn::erfc(std::numeric_limits<double>::quiet_NaN())));
+}
+
+// Hexfloat captures of the in-repo erfc: the same bits under every
+// compiler (the library builds numeric/special.cpp without contraction),
+// so the clang CI job checks them too. Regime edges, both sides of each,
+// the tail down to 26.5, and negative arguments.
+TEST(Erfc, HexfloatGolden) {
+  const struct {
+    double x, erfc;
+  } goldens[] = {
+      {0x1p-30, 0x1.fffffff6f9145p-1},
+      {0x1.999999999999ap-4, 0x1.c66b42bb6099ap-1},
+      {0x1.ep-2, 0x1.03c82ab5eb832p-1},
+      {0x1.e000000000001p-2, 0x1.03c82ab5eb831p-1},
+      {0x1.8p-1, 0x1.27c6d14c5e341p-2},
+      {0x1p+0, 0x1.4226162fbddd6p-3},
+      {0x1.e451b93037d63p+0, 0x1.e8ffe4f38c60ep-8},
+      {0x1.4p+1, 0x1.aab859b20ac9fp-12},
+      {0x1p+2, 0x1.08ddd13bd35e7p-26},
+      {0x1.0000000000001p+2, 0x1.08ddd13bd35c4p-26},
+      {0x1.8p+2, 0x1.8cf81557d20b6p-56},
+      {0x1.4p+3, 0x1.7d8a7f2a8a2cfp-149},
+      {0x1.4p+4, 0x1.b54f244df93dfp-583},
+      {0x1.a8p+4, 0x1.3df6725a60cf5p-1019},
+      {-0x1.3333333333333p-2, 0x1.5420e22077a84p+0},
+      {-0x1.8p+0, 0x1.f752aab89bd7p+0},
+      {-0x1.4p+2, 0x1.fffffffffe4f4p+0},
+  };
+  for (const auto& g : goldens) {
+    EXPECT_EQ(fn::erfc(g.x), g.erfc) << std::hexfloat << "x=" << g.x;
+  }
+}
+
+// erfc_scaled(c, r) is the scalar erfc(c[i] * r) bit for bit, whatever
+// the order of its input: ascending, descending and shuffled arguments
+// that straddle every regime edge (0.46875, 4 and the DBL_MIN cutoff),
+// on both sides of zero, with the non-finite values.
+TEST(Erfc, BatchEqualsScalarBitForBit) {
+  std::vector<double> c;
+  for (const double edge : {0.0, 0.46875, 4.0, 26.543, 26.55}) {
+    for (const double sign : {1.0, -1.0}) {
+      double x = sign * edge;
+      for (int k = 0; k < 3; ++k) x = std::nextafter(x, -sign * 30.0);
+      for (int k = 0; k < 7; ++k) {
+        c.push_back(x);
+        x = std::nextafter(x, sign * 30.0);
+      }
+    }
+  }
+  for (int i = -640; i <= 640; ++i) c.push_back(i / 20.0 + 0.013);
+  c.push_back(std::numeric_limits<double>::infinity());
+  c.push_back(-std::numeric_limits<double>::infinity());
+  c.push_back(std::numeric_limits<double>::quiet_NaN());
+
+  std::vector<double> ascending = c;
+  std::sort(ascending.begin(), ascending.end(),
+            [](double a, double b) { return a < b || (std::isnan(b) && !std::isnan(a)); });
+  std::vector<double> descending(ascending.rbegin(), ascending.rend());
+  std::vector<double> shuffled = c;
+  std::mt19937_64 engine(26);
+  std::shuffle(shuffled.begin(), shuffled.end(), engine);
+
+  for (const auto* input : {&ascending, &descending, &shuffled}) {
+    for (const double r : {1.0, 0.37, 1.557}) {
+      std::vector<double> out(input->size());
+      fn::erfc_scaled(*input, r, out);
+      for (std::size_t i = 0; i < input->size(); ++i) {
+        const double scalar = fn::erfc((*input)[i] * r);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]), std::bit_cast<std::uint64_t>(scalar))
+            << "c=" << (*input)[i] << " r=" << r;
+      }
+    }
+  }
+  std::vector<double> short_out(2);
+  EXPECT_THROW(fn::erfc_scaled(c, 1.0, short_out), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

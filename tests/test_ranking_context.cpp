@@ -3,7 +3,9 @@
 //
 // The oracle is reference_quadrature() below: the one-shot evaluation the
 // library ran before the grid was cached, each size quantile computed
-// where the integrand needs it. Caching the sizes must not change a bit.
+// where the integrand needs it. Caching the sizes (under Eq. (2), the
+// pairs' spreads, with one batch of erfc values per inner integral)
+// must not change a bit.
 #include <algorithm>
 #include <cstdint>
 #include <memory>

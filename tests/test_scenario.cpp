@@ -466,6 +466,67 @@ TEST(SpecGrammar, ThreadCapValidatedAtParseTime) {
   EXPECT_THROW(fsim::apply_experiment_overrides(spec, cli), std::invalid_argument);
 }
 
+// Counts stored in a narrower field are range-checked, not wrapped: one
+// past the field's range fails naming the key, from a file and from the
+// command line, and the range's last value is accepted.
+TEST(SpecGrammar, NarrowCountsAreRangeChecked) {
+  struct Case {
+    const char* mode;
+    const char* key;
+    const char* too_big;
+    const char* largest;
+  };
+  const Case cases[] = {
+      {"batch", "packet-size", "4294967796", "4294967295"},
+      {"batch", "runs", "2147483648", "2147483647"},
+      {"monitor", "watchdog-ms", "4294967296", "4294967295"},
+      {"monitor", "fault.stall-ms", "4294967296", "4294967295"},
+      {"aggregate", "deadline-ms", "4294967296", "4294967295"},
+      {"aggregate", "chan.outage-agent", "4294967296", "4294967295"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.key) + " = " + c.too_big);
+    const std::string named = std::string("key '") + c.key + "'";
+    const auto expect_refused = [&named](const auto& action) {
+      try {
+        action();
+        ADD_FAILURE() << "accepted";
+      } catch (const flowrank::Error& e) {
+        EXPECT_EQ(e.category(), flowrank::ErrorCategory::kSpec);
+        EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << e.what();
+      }
+    };
+    const std::string head = std::string("model = packet\nmode = ") + c.mode + "\n";
+    const std::string file =
+        write_temp("spec_narrow.spec", head + c.key + " = " + c.too_big + "\n");
+    expect_refused([&] { (void)fsim::parse_experiment_file(file); });
+    try {
+      (void)fsim::parse_experiment_file(file);
+    } catch (const flowrank::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("spec_narrow.spec:3: "), std::string::npos)
+          << e.what();
+    }
+    std::remove(file.c_str());
+
+    const std::string flag = std::string("--") + c.key;
+    for (const char* value : {c.too_big, c.largest}) {
+      const char* argv[] = {"test", "--model", "packet", "--mode", c.mode, flag.c_str(), value};
+      const flowrank::util::Cli cli(7, argv);
+      fsim::ExperimentSpec spec;
+      if (value == c.too_big) {
+        expect_refused([&] { fsim::apply_experiment_overrides(spec, cli); });
+      } else {
+        EXPECT_NO_THROW(fsim::apply_experiment_overrides(spec, cli));
+      }
+    }
+  }
+  fsim::ExperimentSpec spec;
+  fsim::apply_experiment_entry(spec, "packet-size", "4294967295");
+  EXPECT_EQ(spec.packet_size_bytes, 4294967295u);
+  fsim::apply_experiment_entry(spec, "runs", "2147483647");
+  EXPECT_EQ(spec.runs, 2147483647);
+}
+
 TEST(SpecGrammar, FileReplaySpecRunsEndToEnd) {
   const auto trace = ft::generate_flow_trace(tiny_sprint(11));
   const std::string frt1 = ::testing::TempDir() + "spec_replay.frt1";
