@@ -147,6 +147,23 @@ void build_gaussian_sums(const std::vector<double>& pmf, std::int64_t lo, double
 
 }  // namespace
 
+DiscreteContextConfig discrete_context_config(const DiscreteModelConfig& config) {
+  if (!config.size_pmf) {
+    throw std::invalid_argument("discrete model: size_pmf is required");
+  }
+  if (config.t < 1 || config.t > config.n) {
+    throw std::invalid_argument("discrete model: requires 1 <= t <= N");
+  }
+  DiscreteContextConfig context;
+  context.p = config.p;
+  context.size_pmf = config.size_pmf;
+  context.max_size = config.max_size;
+  context.tail_tolerance = config.tail_tolerance;
+  context.gaussian_pairwise = config.gaussian_pairwise;
+  context.num_threads = config.num_threads;
+  return context;
+}
+
 DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) {
   if (!config.size_pmf) {
     throw std::invalid_argument("discrete model: size_pmf is required");
@@ -166,6 +183,7 @@ DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) 
   }
 
   p_ = config.p;
+  source_ = config.size_pmf;
   lo_ = lo;
   hi_ = hi;
   const auto count = static_cast<std::size_t>(hi - lo + 1);
@@ -202,24 +220,50 @@ DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) 
   pool.parallel_for(2, pass, 2);
 }
 
-DiscreteModelResult DiscreteModelContext::evaluate(std::int64_t n,
-                                                   std::int64_t t) const {
+DiscreteTopWeights DiscreteModelContext::top_weights(std::int64_t n,
+                                                     std::int64_t t) const {
   if (t < 1 || t > n) {
     throw std::invalid_argument("discrete model: requires 1 <= t <= N");
   }
+  DiscreteTopWeights weights;
+  weights.source_ = source_;
+  weights.lo_ = lo_;
+  weights.hi_ = hi_;
+  weights.n_ = n;
+  weights.t_ = t;
+  // Pt(i,t,N-1) in Eq. (3) is a binomial over the N-2 other flows.
+  const std::int64_t trials = n - 2;
+  const std::size_t count = pmf_.size();
+  weights.pt_t_.assign(count, 0.0);
+  weights.pt_tm1_.assign(count, 0.0);
+  for (std::size_t r = 0; r < count; ++r) {
+    if (pmf_[r] <= 0.0) continue;  // the fold skips the size
+    weights.pt_t_[r] = numeric::binomial_cdf(t - 1, trials, ccdf_[r]);
+    weights.pt_tm1_[r] = numeric::binomial_cdf(t - 2, trials, ccdf_[r]);
+  }
+  return weights;
+}
+
+DiscreteModelResult DiscreteModelContext::evaluate(std::int64_t n,
+                                                   std::int64_t t) const {
+  return evaluate(top_weights(n, t));
+}
+
+DiscreteModelResult DiscreteModelContext::evaluate(const DiscreteTopWeights& weights) const {
+  if (weights.source_ != source_ || weights.lo_ != lo_ || weights.hi_ != hi_) {
+    throw std::invalid_argument(
+        "discrete model: top-t weights were made for another size pmf or support");
+  }
   // Eq. (3) after the Pt(i,t,N) cancellation:
   //   P̄mt = (N/t) sum_i p_i [ Pt(i,t,N-1) A_i + Pt(i,t-1,N-1) B_i ]
-  // with binomials over N-2 trials inside Pt(.,.,N-1).
-  const std::int64_t trials = n - 2;
+  const std::int64_t n = weights.n_;
+  const std::int64_t t = weights.t_;
   double pbar = 0.0;
   const std::size_t count = pmf_.size();
   for (std::size_t r = 0; r < count; ++r) {
     const double pi_mass = pmf_[r];
     if (pi_mass <= 0.0) continue;
-    const double tail_prob = ccdf_[r];
-    const double pt_t = numeric::binomial_cdf(t - 1, trials, tail_prob);
-    const double pt_tm1 = numeric::binomial_cdf(t - 2, trials, tail_prob);
-    pbar += pi_mass * (pt_t * a_sum_[r] + pt_tm1 * b_sum_[r]);
+    pbar += pi_mass * (weights.pt_t_[r] * a_sum_[r] + weights.pt_tm1_[r] * b_sum_[r]);
   }
   pbar *= static_cast<double>(n) / static_cast<double>(t);
 

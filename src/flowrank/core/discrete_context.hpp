@@ -9,6 +9,12 @@
 // terms per support point, so a whole (n, t) sweep costs one build plus
 // near-free marginal cells.
 //
+// The fold itself splits once more. Its per-size weights, the top-t
+// probabilities Pt(i, t, N-1) and Pt(i, t-1, N-1) (two binomial cdfs over
+// N-2 trials at P{size >= i}), depend on (size pmf, max_size, n, t) and
+// not on p: DiscreteTopWeights holds them, so a rate search computes them
+// once per query and each probe's evaluate() is one multiply-add per size.
+//
 // The exact flavor never forms a pairwise table. Eq. (1) is a k-sum,
 // Pm(j, i) = sum_k b(k, j) C_i(k) with C_i the clamped Bin(i, p) cdf, and
 // swapping it with the pmf-weighted j-sum turns each partial sum into one
@@ -57,6 +63,32 @@ struct DiscreteContextConfig {
   std::size_t num_threads = 1;
 };
 
+/// The context key of a one-shot config, with
+/// evaluate_discrete_ranking_model's checks in its order: throws
+/// std::invalid_argument without a size pmf or unless 1 <= t <= n.
+[[nodiscard]] DiscreteContextConfig discrete_context_config(const DiscreteModelConfig& config);
+
+class DiscreteModelContext;
+
+/// The p-independent weights of the Eq. (3) fold at one (n, t), per
+/// support size of one context's pmf and support cap: valid for every
+/// context built from the same pmf object and max_size, at any p.
+class DiscreteTopWeights {
+ public:
+  [[nodiscard]] std::int64_t n() const noexcept { return n_; }
+  [[nodiscard]] std::int64_t t() const noexcept { return t_; }
+
+ private:
+  friend class DiscreteModelContext;
+  std::shared_ptr<const dist::Discretized> source_;  ///< the pmf they were made for
+  std::int64_t lo_ = 0;
+  std::int64_t hi_ = 0;
+  std::int64_t n_ = 0;
+  std::int64_t t_ = 0;
+  /// Pt(i, t, N-1) and Pt(i, t-1, N-1) by size - lo; 0 where the pmf is.
+  std::vector<double> pt_t_, pt_tm1_;
+};
+
 /// The reusable partial sums. Immutable once built; evaluate() is const
 /// and thread-safe, so one context can serve concurrent sweep cells.
 class DiscreteModelContext {
@@ -66,9 +98,19 @@ class DiscreteModelContext {
   /// or tail above tolerance).
   explicit DiscreteModelContext(const DiscreteContextConfig& config);
 
-  /// Eq. (3) fold over the cached sums: O(S) binomial cdf evaluations.
+  /// Eq. (3) fold over the cached sums: evaluate(top_weights(n, t)).
   /// Throws std::invalid_argument unless 1 <= t <= n.
   [[nodiscard]] DiscreteModelResult evaluate(std::int64_t n, std::int64_t t) const;
+
+  /// The fold's weights at (n, t): O(S) binomial cdf evaluations, none
+  /// of which depends on p. Throws std::invalid_argument unless
+  /// 1 <= t <= n.
+  [[nodiscard]] DiscreteTopWeights top_weights(std::int64_t n, std::int64_t t) const;
+
+  /// Eq. (3) fold over the cached sums with precomputed weights, bit for
+  /// bit evaluate(weights.n(), weights.t()). Throws std::invalid_argument
+  /// unless the weights were made for this context's pmf and support.
+  [[nodiscard]] DiscreteModelResult evaluate(const DiscreteTopWeights& weights) const;
 
   [[nodiscard]] double p() const noexcept { return p_; }
   [[nodiscard]] std::int64_t min_size() const noexcept { return lo_; }
@@ -87,6 +129,9 @@ class DiscreteModelContext {
 
  private:
   double p_ = 0.0;
+  /// The pmf, held so that a weights check by identity cannot meet a
+  /// reused address.
+  std::shared_ptr<const dist::Discretized> source_;
   std::int64_t lo_ = 0;  ///< smallest size with positive mass
   std::int64_t hi_ = 0;  ///< support cap (config.max_size)
   std::vector<double> pmf_, ccdf_;    ///< size pmf / P{size >= i} rows

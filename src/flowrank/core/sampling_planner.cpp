@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "flowrank/core/discrete_context.hpp"
 #include "flowrank/numeric/roots.hpp"
 
 namespace flowrank::core {
@@ -177,12 +179,15 @@ PlannerResult plan_sampling_rate(DiscreteModelConfig config, double target,
     throw std::invalid_argument(
         "plan_sampling_rate: the discrete model needs p_max < 1");
   }
+  // p is part of the context key, so each evaluation builds a context;
+  // the fold's top-t weights do not depend on p and are made once.
+  std::optional<DiscreteTopWeights> weights;
   return plan_sampling_rate(
       [&](double p) {
-        // p is part of the context key, so each evaluation rebuilds the
-        // context — which is exactly why the build has to be fast.
         config.p = p;
-        return evaluate_discrete_ranking_model(config).metric;
+        const DiscreteModelContext context(discrete_context_config(config));
+        if (!weights) weights = context.top_weights(config.n, config.t);
+        return context.evaluate(*weights).metric;
       },
       target, p_min, p_max);
 }

@@ -74,9 +74,10 @@ struct PlannerResult {
 /// Discrete-model goal: the same search, but every evaluation is the
 /// exact discrete ranking model (Eqs. 1 and 3) instead of the continuous
 /// quadrature. p is part of the context key, so each evaluation builds a
-/// DiscreteModelContext, O(max_size^2). `config.p` is ignored. Unlike the continuous
-/// overload, p_max must stay strictly below 1 (the discrete model's
-/// domain is p in (0,1)).
+/// DiscreteModelContext, O(max_size^2); the fold's top-t weights are made
+/// once per query (DiscreteTopWeights). `config.p` is ignored. Unlike the
+/// continuous overload, p_max must stay strictly below 1 (the discrete
+/// model's domain is p in (0,1)).
 [[nodiscard]] PlannerResult plan_sampling_rate(DiscreteModelConfig config,
                                                double target = 1.0,
                                                double p_min = 1e-4,

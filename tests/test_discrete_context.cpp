@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "flowrank/core/ranking_model.hpp"
 #include "flowrank/core/sampling_planner.hpp"
 #include "flowrank/dist/pareto.hpp"
+#include "flowrank/numeric/binomial.hpp"
 
 namespace fc = flowrank::core;
 namespace fd = flowrank::dist;
@@ -266,4 +268,61 @@ TEST(DiscreteModelContext, ValidationErrors) {
   EXPECT_THROW((void)context.evaluate(2000, 0), std::invalid_argument);
   EXPECT_THROW((void)context.evaluate(2000, 2001), std::invalid_argument);
   EXPECT_NO_THROW((void)context.evaluate(2000, 2000));
+}
+
+// The fold with once-per-query weights is the per-probe fold bit for bit:
+// against the fold written out here (two binomial cdfs per size, summed
+// in the context's order) and against evaluate(n, t), with the weights
+// made from a context at another rate, as the planner makes them.
+TEST(DiscreteModelContext, TopWeightsFoldMatchesPerProbeFold) {
+  for (const double beta : {2.0, 2.5, 3.0}) {
+    const auto pmf = pareto_pmf(9.6, beta);
+    auto cfg = context_config(0.5, 600, beta);
+    cfg.size_pmf = pmf;
+    const fc::DiscreteModelContext first(cfg);
+    for (const auto& [n, t] : {std::pair<std::int64_t, std::int64_t>{2000, 10},
+                               {2000, 5}, {1000, 10}, {20000, 1}}) {
+      const fc::DiscreteTopWeights weights = first.top_weights(n, t);
+      EXPECT_EQ(weights.n(), n);
+      EXPECT_EQ(weights.t(), t);
+      for (const double p : {1e-4, 0.3, 0.996}) {
+        SCOPED_TRACE(testing::Message() << "beta=" << beta << " n=" << n << " t=" << t
+                                        << " p=" << p);
+        cfg.p = p;
+        const fc::DiscreteModelContext context(cfg);
+        const auto& a_sum = context.smaller_pair_sums();
+        const auto& b_sum = context.larger_pair_sums();
+        double pbar = 0.0;
+        for (std::int64_t i = context.min_size(); i <= context.max_size(); ++i) {
+          const double mass = pmf->pmf(i);
+          if (mass <= 0.0) continue;
+          const double tail = pmf->ccdf_geq(i);
+          const auto r = static_cast<std::size_t>(i - context.min_size());
+          pbar += mass * (flowrank::numeric::binomial_cdf(t - 1, n - 2, tail) * a_sum[r] +
+                          flowrank::numeric::binomial_cdf(t - 2, n - 2, tail) * b_sum[r]);
+        }
+        pbar *= static_cast<double>(n) / static_cast<double>(t);
+        const fc::DiscreteModelResult once = context.evaluate(weights);
+        EXPECT_EQ(once.mean_pair_misranking, pbar);
+        const fc::DiscreteModelResult per_probe = context.evaluate(n, t);
+        EXPECT_EQ(once.mean_pair_misranking, per_probe.mean_pair_misranking);
+        EXPECT_EQ(once.metric, per_probe.metric);
+      }
+    }
+  }
+}
+
+// Weights are tied to the pmf object and support cap they were made for.
+TEST(DiscreteModelContext, TopWeightsRefuseAnotherContext) {
+  const fc::DiscreteModelContext context(context_config(0.2, 600, 2.5));
+  const auto weights = context.top_weights(2000, 10);
+  EXPECT_NO_THROW((void)context.evaluate(weights));
+  const fc::DiscreteModelContext other_pmf(context_config(0.2, 600, 2.5));
+  EXPECT_THROW((void)other_pmf.evaluate(weights), std::invalid_argument);
+  auto cfg = context_config(0.2, 600, 2.5);
+  const fc::DiscreteModelContext base(cfg);
+  cfg.max_size = 500;
+  const fc::DiscreteModelContext other_cap(cfg);
+  EXPECT_THROW((void)other_cap.evaluate(base.top_weights(2000, 10)), std::invalid_argument);
+  EXPECT_THROW((void)context.top_weights(2000, 0), std::invalid_argument);
 }
