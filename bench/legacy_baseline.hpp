@@ -202,8 +202,7 @@ inline double legacy_misranking_gaussian(double s1, double s2, double p) {
 /// The (first, second) size arguments of every Eq. (2) call one
 /// evaluation of `config`'s quadrature grid makes, in order: per outer
 /// node, its A integral (companion smaller) then its B integral, each
-/// laid out by core::for_each_toward_panel as core/ranking_model.cpp
-/// does.
+/// laid out by core::TowardLayout as core/ranking_model.cpp does.
 struct LegacyPairTerms {
   std::vector<double> first, second;
 };
@@ -217,8 +216,9 @@ inline LegacyPairTerms legacy_ranking_pair_terms(
       std::min(1.0, fc::outer_z_max(config.t, quad) / static_cast<double>(config.n));
   const double width = y_max / quad.outer_panels;
   LegacyPairTerms terms;
+  const fc::TowardLayout layout(quad);
   const auto append = [&](double lo, double hi, bool focus_on_lo, double x) {
-    fc::for_each_toward_panel(lo, hi, focus_on_lo, quad, [&](double a, double b, int order) {
+    layout.for_each(lo, hi, focus_on_lo, [&](double a, double b, int order) {
       const double mid = 0.5 * (a + b);
       const double half = 0.5 * (b - a);
       for (const double node : flowrank::numeric::gauss_legendre(order).nodes) {

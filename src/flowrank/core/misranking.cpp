@@ -70,6 +70,10 @@ double gaussian_spread(double s1, double s2) {
   return std::abs(s2 - s1) / std::sqrt(2.0 * (s1 + s2));
 }
 
+void gaussian_spreads(double x, std::span<double> sizes) {
+  for (double& size : sizes) size = std::abs(size - x) / std::sqrt(2.0 * (x + size));
+}
+
 double gaussian_rate_factor(double p) { return std::sqrt(p / (1.0 - p)); }
 
 double misranking_hybrid(double s1, double s2, double p) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 namespace flowrank::core {
 
@@ -30,6 +31,11 @@ namespace flowrank::core {
 /// c = |S2-S1| / sqrt(2 (S1+S2)), the p-free factor of Eq. (2)'s erfc
 /// argument. Exactly symmetric; requires S1, S2 > 0 (unchecked).
 [[nodiscard]] double gaussian_spread(double s1, double s2);
+
+/// sizes[i] = gaussian_spread(x, sizes[i]) in place, bit for bit, in one
+/// loop the compiler vectorizes: the spreads of one reference size x
+/// against a batch of companion sizes.
+void gaussian_spreads(double x, std::span<double> sizes);
 
 /// r = sqrt(p / (1-p)), the pair-free factor of Eq. (2)'s erfc argument.
 /// Requires 0 < p < 1 (unchecked; p == 1 gives +inf).

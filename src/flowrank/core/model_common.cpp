@@ -26,31 +26,20 @@ double outer_z_max(std::int64_t t, const QuadratureOptions& opts) {
   return td + 20.0 * std::sqrt(td) + opts.z_max_pad;
 }
 
-void for_each_toward_panel(double lo, double hi, bool focus_on_lo,
-                           const QuadratureOptions& opts,
-                           const std::function<void(double, double, int)>& panel) {
-  const double width = hi - lo;
-  const double eps = opts.tail_epsilon;
+TowardLayout::TowardLayout(const QuadratureOptions& opts)
+    : eps_(opts.tail_epsilon),
+      inner_panels_(opts.inner_panels),
+      inner_order_(opts.inner_order) {
   // Geometric panel edges in distance-from-focus, from eps*width to width.
-  const int panels = opts.inner_panels;
-  const double log_ratio = std::log(1.0 / eps) / panels;
-  double prev = eps * width;
-  // Sliver adjacent to the focus: integrand there is bounded (Pm <= 1), so
-  // one straight panel suffices.
-  panel(focus_on_lo ? lo : hi - prev, focus_on_lo ? lo + prev : hi, 4);
-  for (int i = 1; i <= panels; ++i) {
-    const double next = i == panels ? width : eps * width * std::exp(log_ratio * i);
-    panel(focus_on_lo ? lo + prev : hi - next, focus_on_lo ? lo + next : hi - prev,
-          opts.inner_order);
-    prev = next;
-  }
+  const double log_ratio = std::log(1.0 / eps_) / inner_panels_;
+  for (int i = 1; i < inner_panels_; ++i) growth_.push_back(std::exp(log_ratio * i));
 }
 
 double integrate_toward(const std::function<double(double)>& f, double lo, double hi,
                         bool focus_on_lo, const QuadratureOptions& opts) {
   if (!(hi > lo)) return 0.0;
   double acc = 0.0;
-  for_each_toward_panel(lo, hi, focus_on_lo, opts, [&](double a, double b, int order) {
+  TowardLayout(opts).for_each(lo, hi, focus_on_lo, [&](double a, double b, int order) {
     acc += numeric::integrate_gl(f, a, b, order);
   });
   return acc;

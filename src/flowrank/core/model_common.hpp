@@ -6,8 +6,10 @@
 // off super-exponentially past y ≈ t/N, which bounds the outer integrals.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "flowrank/dist/flow_size_distribution.hpp"
 
@@ -60,14 +62,50 @@ struct QuadratureOptions {
 /// negligible against N^2-scale pair counts.
 [[nodiscard]] double outer_z_max(std::int64_t t, const QuadratureOptions& opts);
 
-/// Calls `panel(a, b, order)` for each Gauss-Legendre panel [a, b] of
-/// integrate_toward's layout over [lo, hi], in its summation order: a
-/// 4-point sliver of width tail_epsilon*(hi-lo) at the focus endpoint,
-/// then inner_panels panels of order inner_order whose distances from the
-/// focus grow geometrically up to hi-lo. Requires hi > lo.
-void for_each_toward_panel(double lo, double hi, bool focus_on_lo,
-                           const QuadratureOptions& opts,
-                           const std::function<void(double, double, int)>& panel);
+/// integrate_toward's panel layout: over [lo, hi], a 4-point sliver of
+/// width tail_epsilon*(hi-lo) at the focus endpoint, then inner_panels
+/// panels of order inner_order whose distances from the focus grow
+/// geometrically up to hi-lo. The growth factors exp(i ln(1/eps) /
+/// inner_panels) are the same for every range, so they are computed once
+/// per layout; the edges have the bits of computing them per range.
+class TowardLayout {
+ public:
+  explicit TowardLayout(const QuadratureOptions& opts);
+
+  /// Panels per range and the Gauss-Legendre order of panel j, in
+  /// summation order.
+  [[nodiscard]] std::size_t panels() const noexcept {
+    return inner_panels_ > 0 ? static_cast<std::size_t>(inner_panels_) + 1 : 1;
+  }
+  [[nodiscard]] int order(std::size_t j) const noexcept {
+    return j == 0 ? kSliverOrder : inner_order_;
+  }
+
+  /// Calls `panel(a, b, order)` for each panel [a, b] of [lo, hi], in
+  /// summation order. Requires hi > lo.
+  template <class Panel>
+  void for_each(double lo, double hi, bool focus_on_lo, Panel&& panel) const {
+    const double width = hi - lo;
+    double prev = eps_ * width;
+    // Sliver adjacent to the focus: the integrand there is bounded
+    // (Pm <= 1), so one straight panel suffices.
+    panel(focus_on_lo ? lo : hi - prev, focus_on_lo ? lo + prev : hi, kSliverOrder);
+    for (int i = 1; i <= inner_panels_; ++i) {
+      const double next =
+          i == inner_panels_ ? width : eps_ * width * growth_[static_cast<std::size_t>(i - 1)];
+      panel(focus_on_lo ? lo + prev : hi - next, focus_on_lo ? lo + next : hi - prev,
+            inner_order_);
+      prev = next;
+    }
+  }
+
+ private:
+  static constexpr int kSliverOrder = 4;
+  double eps_ = 0.0;
+  int inner_panels_ = 0;
+  int inner_order_ = 0;
+  std::vector<double> growth_;  ///< exp(log_ratio * i), i = 1 .. inner_panels - 1
+};
 
 /// Integrates `f(v)` over v in [lo, hi] with panels geometrically
 /// concentrated toward the `focus` endpoint (which must be lo or hi).

@@ -22,24 +22,30 @@ constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 /// default layout's 292 nodes per inner integral take one batch.
 constexpr std::size_t kErfcBatch = 512;
 
-/// Appends the panels of integrate_toward(f, lo, hi, focus_on_lo, quad):
-/// each panel's half-width and, at its Gauss-Legendre nodes, the sizes
-/// x(v) (or, when `gaussian`, the spreads gaussian_spread(x, x(v))), with
-/// integrate_gl's node arithmetic, so the cached sizes are the ones the
-/// one-shot quadrature evaluates.
-void append_inner(const dist::FlowSizeDistribution& dist, double lo, double hi,
-                  bool focus_on_lo, const QuadratureOptions& quad, bool gaussian,
+/// Appends one inner integral of integrate_toward(f, lo, hi, focus_on_lo,
+/// quad): each panel's half-width and, at its Gauss-Legendre nodes, the
+/// sizes x(v) (or, when `gaussian`, the spreads gaussian_spread(x, x(v))),
+/// with integrate_gl's node arithmetic, so the cached sizes are the ones
+/// the one-shot quadrature evaluates. The nodes go into `terms` first and
+/// become sizes, then spreads, in place: one batch quantile and one
+/// spread pass per integral.
+void append_inner(const dist::FlowSizeDistribution& dist, const TowardLayout& layout,
+                  const std::vector<const numeric::GaussLegendreRule*>& rules,
+                  std::size_t sizes, double lo, double hi, bool focus_on_lo, bool gaussian,
                   double x, std::vector<double>& panel_half, std::vector<double>& terms) {
-  for_each_toward_panel(lo, hi, focus_on_lo, quad, [&](double a, double b, int order) {
-    const auto& rule = numeric::gauss_legendre(order);
+  const std::size_t first = terms.size();
+  terms.resize(first + sizes);
+  double* node_value = terms.data() + first;
+  std::size_t panel = 0;
+  layout.for_each(lo, hi, focus_on_lo, [&](double a, double b, int) {
     const double mid = 0.5 * (a + b);
     const double half = 0.5 * (b - a);
-    for (const double node : rule.nodes) {
-      const double size = dist.tail_quantile(mid + half * node);
-      terms.push_back(gaussian ? gaussian_spread(x, size) : size);
-    }
+    for (const double node : rules[panel++]->nodes) *node_value++ = mid + half * node;
     panel_half.push_back(half);
   });
+  const std::span<double> values(terms.data() + first, sizes);
+  dist.tail_quantiles(values, values);
+  if (gaussian) gaussian_spreads(x, values);
 }
 
 }  // namespace
@@ -57,11 +63,11 @@ RankingModelContext::RankingModelContext(const RankingModelConfig& config)
   outer_rule_ = &numeric::gauss_legendre(quad.outer_order);
   // Every inner integral has integrate_toward's panel layout; only the
   // edges depend on the range.
-  for_each_toward_panel(0.0, 1.0, /*focus_on_lo=*/true, quad,
-                        [this](double, double, int order) {
-                          panel_rules_.push_back(&numeric::gauss_legendre(order));
-                          inner_sizes_ += static_cast<std::size_t>(order);
-                        });
+  const TowardLayout layout(quad);
+  for (std::size_t j = 0; j < layout.panels(); ++j) {
+    panel_rules_.push_back(&numeric::gauss_legendre(layout.order(j)));
+    inner_sizes_ += static_cast<std::size_t>(layout.order(j));
+  }
 
   // Eq. (3), continuous, after the Pt(i,t,N) cancellation (see DESIGN.md):
   //   P̄mt = (N/t) ∫_0^1 [ Pt(y;t,N-1) A(y) + Pt(y;t-1,N-1) B(y) ] dy
@@ -82,7 +88,6 @@ RankingModelContext::RankingModelContext(const RankingModelConfig& config)
     for (const double node : outer_rule_->nodes) {
       const double y = mid + half * node;
       ys.push_back(y);
-      x_.push_back(dist.tail_quantile(y));
       // Pt(i,t,N-1) in the paper is a binomial over N-2 other flows;
       // top_probability(y,t,m) computes P{Bin(m-1,y) <= t-1}, so pass m = N-1.
       const double pt_t = top_probability(y, t_, n_ - 1, quad);
@@ -97,17 +102,19 @@ RankingModelContext::RankingModelContext(const RankingModelConfig& config)
       b_index_.push_back(b ? integrals++ : kNone);
     }
   }
+  x_.resize(ys.size());
+  dist.tail_quantiles(ys, x_);
   const bool gaussian = pairwise_ == PairwiseModel::kGaussian;
   panel_half_.reserve(integrals * panel_rules_.size());
   terms_.reserve(integrals * inner_sizes_);
   for (std::size_t node = 0; node < ys.size(); ++node) {
     if (a_index_[node] != kNone) {
-      append_inner(dist, ys[node], 1.0, /*focus_on_lo=*/true, quad, gaussian, x_[node],
-                   panel_half_, terms_);
+      append_inner(dist, layout, panel_rules_, inner_sizes_, ys[node], 1.0,
+                   /*focus_on_lo=*/true, gaussian, x_[node], panel_half_, terms_);
     }
     if (b_index_[node] != kNone) {
-      append_inner(dist, 0.0, ys[node], /*focus_on_lo=*/false, quad, gaussian, x_[node],
-                   panel_half_, terms_);
+      append_inner(dist, layout, panel_rules_, inner_sizes_, 0.0, ys[node],
+                   /*focus_on_lo=*/false, gaussian, x_[node], panel_half_, terms_);
     }
   }
 }

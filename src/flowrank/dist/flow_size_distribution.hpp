@@ -7,7 +7,9 @@
 // trace generator and Monte-Carlo validation additionally draw samples.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -35,6 +37,19 @@ class FlowSizeDistribution {
   /// Inverse of ccdf: the size x with P{X > x} = y, for y in (0, 1].
   /// Throws std::domain_error outside that range.
   [[nodiscard]] virtual double tail_quantile(double y) const = 0;
+
+  /// out[i] = tail_quantile(y[i]) bit for bit, one virtual call for the
+  /// whole batch; out may be y itself (in place). The default loops over
+  /// the scalar; an override computes the same bits faster (Pareto's runs
+  /// one vectorized kernel). Throws std::invalid_argument unless the spans
+  /// have the same size, and std::domain_error as tail_quantile does; an
+  /// override checks every y before it writes.
+  virtual void tail_quantiles(std::span<const double> y, std::span<double> out) const {
+    if (y.size() != out.size()) {
+      throw std::invalid_argument("tail_quantiles: y and out differ in size");
+    }
+    for (std::size_t i = 0; i < y.size(); ++i) out[i] = tail_quantile(y[i]);
+  }
 
   /// Draws one flow size.
   [[nodiscard]] virtual double sample(util::Engine& engine) const = 0;

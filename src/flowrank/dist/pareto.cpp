@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "flowrank/numeric/special.hpp"
+
 namespace flowrank::dist {
 
 Pareto::Pareto(double min, double beta) : min_(min), beta_(beta) {
@@ -40,7 +42,15 @@ double Pareto::ccdf(double x) const {
 
 double Pareto::tail_quantile(double y) const {
   check_tail_quantile_arg(y);
-  return min_ * std::pow(y, -1.0 / beta_);
+  return min_ * numeric::unit_power(y, -1.0 / beta_);
+}
+
+void Pareto::tail_quantiles(std::span<const double> y, std::span<double> out) const {
+  if (y.size() != out.size()) {
+    throw std::invalid_argument("tail_quantiles: y and out differ in size");
+  }
+  for (const double v : y) check_tail_quantile_arg(v);
+  numeric::scaled_unit_powers(y, -1.0 / beta_, min_, out);
 }
 
 double Pareto::sample(util::Engine& engine) const {

@@ -8,7 +8,10 @@
 
 namespace flowrank::dist {
 
-/// Pareto(min, beta): ccdf(x) = (x / min)^-beta for x >= min.
+/// Pareto(min, beta): ccdf(x) = (x / min)^-beta for x >= min. The
+/// quantiles, scalar and batch, are min * numeric::unit_power(y, -1/beta)
+/// (in-repo log and exp kernels, within 2 ulp of min * std::pow(y,
+/// -1/beta)); ccdf and sample keep std::pow.
 class Pareto final : public FlowSizeDistribution {
  public:
   /// Throws std::invalid_argument unless min > 0 and beta > 0.
@@ -23,6 +26,7 @@ class Pareto final : public FlowSizeDistribution {
   [[nodiscard]] double mean() const override;
   [[nodiscard]] double ccdf(double x) const override;
   [[nodiscard]] double tail_quantile(double y) const override;
+  void tail_quantiles(std::span<const double> y, std::span<double> out) const override;
   [[nodiscard]] double sample(util::Engine& engine) const override;
   [[nodiscard]] std::shared_ptr<FlowSizeDistribution> clone() const override;
 

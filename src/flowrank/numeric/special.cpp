@@ -262,6 +262,114 @@ void apply_run(const double* c, double r, double* out, std::size_t begin,
   for (std::size_t i = begin; i < end; ++i) out[i] = Kernel(c[i] * r);
 }
 
+// --- unit power ---------------------------------------------------------
+//
+// y^e = exp(e log y) for y in (0, 1] and e <= 0. A plain exp(e log y)
+// would scale log y's rounding by |e log y| (~35 ulp at y ~ 1e-15), so
+// log y is carried as hi + lo and the product e log y is formed exactly
+// before the exp kernel above reduces it.
+
+// log kernel (fdlibm's e_log.c): y = 2^k z with z in [0.7, 1.4), f = z - 1
+// (exact), s = f / (2 + f) and log(1 + f) = f - (f^2/2 - s (f^2/2 + R)),
+// R = Lg1 s^2 + ... + Lg7 s^14.
+constexpr double kLg1 = 6.666666666666735130e-01;
+constexpr double kLg2 = 3.999999999940941908e-01;
+constexpr double kLg3 = 2.857142874366239149e-01;
+constexpr double kLg4 = 2.222219843214978396e-01;
+constexpr double kLg5 = 1.818357216161805012e-01;
+constexpr double kLg6 = 1.531383769920937332e-01;
+constexpr double kLg7 = 1.479819860511658591e-01;
+// Bits of ~0.7: subtracting them before taking the exponent field puts z
+// in [0.7, 1.4) (musl's log reduction), with integer operations only.
+constexpr std::uint64_t kLogOffset = 0x3fe6955500000000;
+constexpr std::uint64_t kExponentOne = std::uint64_t{1023} << 52;
+// 2^52 + 1023 + 54: the biased exponent of y 2^54 in the low mantissa
+// bits of 2^52 reads y's exponent after subtracting it.
+constexpr double kUnbias = 0x1p52 + 1077.0;
+// Veltkamp's splitter: a * (2^27 + 1) splits a double into two halves
+// whose products are exact.
+constexpr double kSplitter = 0x1p27 + 1.0;
+// e log y above this overflows any double (exp(709.79) does already).
+// Raising log y to kMaxExpArg / e, the log floor, keeps the exponent
+// arithmetic in range and the result infinite. The floor is an argument
+// of the kernel, computed once per call: a clamp at a compile-time
+// constant gets specialized into a branch, and the loop would not
+// vectorize.
+constexpr double kMaxExpArg = 746.0;
+
+/// a = hi + lo with hi holding a's upper 26 bits.
+inline void split(double a, double& hi, double& lo) {
+  const double t = kSplitter * a;
+  hi = t - (t - a);
+  lo = a - hi;
+}
+
+/// y^e for y in (0, 1] and e <= 0 with |e| < 2^969; 1 at y = 1.
+/// `log_floor` is kMaxExpArg / e.
+inline double unit_power_kernel(double y, double e, double log_floor) {
+  // y 2^54 is exact and normal for every y in (0, 1], subnormal y too,
+  // so no input needs a branch of its own.
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(y * 0x1p54);
+  const std::uint64_t biased = (bits - kLogOffset + kExponentOne) >> 52;  // k + 54 + 1023
+  const double z = std::bit_cast<double>(bits - (biased << 52) + kExponentOne);
+  const double k = std::bit_cast<double>(biased | std::bit_cast<std::uint64_t>(0x1p52)) - kUnbias;
+  // log(1 + f) = f - c.
+  const double f = z - 1.0;
+  const double s = f / (2.0 + f);
+  const double s2 = s * s;
+  const double s4 = s2 * s2;
+  const double r = s2 * (kLg1 + s4 * (kLg3 + s4 * (kLg5 + s4 * kLg7))) +
+                   s4 * (kLg2 + s4 * (kLg4 + s4 * kLg6));
+  const double hfsq = 0.5 * f * f;
+  const double c = hfsq - s * (hfsq + r);
+  // log y = k ln2 + f - c as hi + lo: |c| < |f|, and k ln2Hi is exact and
+  // either 0 or larger than |f - c|, so both sums below are exact
+  // two-sums in their fast form.
+  const double m_hi = f - c;
+  const double m_lo = (f - m_hi) - c;
+  const double a = k * kLn2Hi;
+  const double sum = a + m_hi;
+  const double l_lo = ((a - sum) + m_hi) + (m_lo + k * kLn2Lo);
+  const double l_hi = sum < log_floor ? log_floor : sum;
+  // x = e log y, with e * l_hi's rounding error recovered exactly.
+  double e_hi, e_lo, l_hi_hi, l_hi_lo;
+  split(e, e_hi, e_lo);
+  split(l_hi, l_hi_hi, l_hi_lo);
+  const double p = e * l_hi;
+  const double p_err = ((e_hi * l_hi_hi - p) + e_hi * l_hi_lo + e_lo * l_hi_hi) + e_lo * l_hi_lo;
+  const double x_lo = p_err + e * l_lo;
+  // exp(p + x_lo), p in [0, ~746]: x = n ln2 + (hi - lo) as in
+  // exp_neg_square, and 2^n as two factors so that every partial
+  // exponent is a normal one (n reaches 1077).
+  const double shifted = p * kInvLn2 + kRoundInt;
+  const double n = shifted - kRoundInt;
+  const double hi = p - n * kLn2Hi;  // exact
+  const double lo = n * kLn2Lo - x_lo;
+  const double rr = hi - lo;
+  const double t = rr * rr;
+  const double cc = rr - t * (kExpP1 + t * (kExpP2 + t * (kExpP3 + t * (kExpP4 + t * kExpP5))));
+  const double ex = 1.0 - ((lo - (rr * cc) / (2.0 - cc)) - hi);
+  const double half = 0.5 * n + kRoundInt;  // round(n / 2) in the low bits
+  const double rest = (n - (half - kRoundInt)) + kRoundInt;
+  const double scale_a =
+      std::bit_cast<double>((std::bit_cast<std::uint64_t>(half) << 52) + kExponentOne);
+  const double scale_b =
+      std::bit_cast<double>((std::bit_cast<std::uint64_t>(rest) << 52) + kExponentOne);
+  return ex * scale_a * scale_b;
+}
+
+/// The largest |e| unit_power_kernel takes: Veltkamp's split of e must
+/// not overflow.
+constexpr double kMaxExponent = 0x1p969;
+
+/// Checks e and returns its log floor (none for e = 0: y^0 = 1).
+double unit_power_log_floor(double e) {
+  if (!(e <= 0.0 && e > -kMaxExponent)) {
+    throw std::domain_error("unit_power: requires e in (-2^969, 0]");
+  }
+  return e < 0.0 ? kMaxExpArg / e : -std::numeric_limits<double>::infinity();
+}
+
 }  // namespace
 
 double normal_cdf(double x) { return 0.5 * erfc(-x / std::sqrt(2.0)); }
@@ -300,6 +408,34 @@ void erfc_scaled(std::span<const double> c, double r, std::span<double> out) {
     }
     begin = end;
   }
+}
+
+double unit_power(double y, double e) {
+  if (!(y > 0.0 && y <= 1.0)) throw std::domain_error("unit_power: requires y in (0, 1]");
+  return unit_power_kernel(y, e, unit_power_log_floor(e));
+}
+
+void scaled_unit_powers(std::span<const double> y, double e, double scale,
+                        std::span<double> out) {
+  if (y.size() != out.size()) {
+    throw std::invalid_argument("scaled_unit_powers: y and out differ in size");
+  }
+  const double log_floor = unit_power_log_floor(e);
+  for (const double v : y) {
+    if (!(v > 0.0 && v <= 1.0)) {
+      throw std::domain_error("scaled_unit_powers: requires y in (0, 1]");
+    }
+  }
+  const std::size_t n = y.size();
+  double* dst = out.data();
+  if (y.data() == dst) {
+    // In place: one pointer, so the loop vectorizes without the overlap
+    // check that would send it down its scalar version.
+    for (std::size_t i = 0; i < n; ++i) dst[i] = scale * unit_power_kernel(dst[i], e, log_floor);
+    return;
+  }
+  const double* in = y.data();
+  for (std::size_t i = 0; i < n; ++i) dst[i] = scale * unit_power_kernel(in[i], e, log_floor);
 }
 
 }  // namespace flowrank::numeric
