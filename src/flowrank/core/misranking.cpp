@@ -3,13 +3,43 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "flowrank/numeric/binomial.hpp"
 #include "flowrank/numeric/special.hpp"
 
+// AVX2 clone of the spread loop, as numeric/special.cpp builds its
+// kernels.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define FLOWRANK_KERNELS_AVX2 1
+#else
+#define FLOWRANK_KERNELS_AVX2 0
+#endif
+
 namespace flowrank::core {
 
 namespace {
+
+/// gaussian_spread(x, size) in place, compiled once per instruction set
+/// (see numeric::Isa): no FMA, and this file builds with
+/// -ffp-contract=off, so both clones give the same bits.
+inline void spreads(double x, double* sizes, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    sizes[i] = std::abs(sizes[i] - x) / std::sqrt(2.0 * (x + sizes[i]));
+  }
+}
+
+[[gnu::flatten]] void spreads_baseline(double x, double* sizes, std::size_t n) {
+  spreads(x, sizes, n);
+}
+
+#if FLOWRANK_KERNELS_AVX2
+[[gnu::flatten, gnu::target("avx2")]] void spreads_avx2(double x, double* sizes,
+                                                        std::size_t n) {
+  spreads(x, sizes, n);
+}
+#endif
+
 void check_args(std::int64_t s1, std::int64_t s2, double p) {
   if (s1 < 1 || s2 < 1) {
     throw std::invalid_argument("misranking: flow sizes must be >= 1 packet");
@@ -71,7 +101,18 @@ double gaussian_spread(double s1, double s2) {
 }
 
 void gaussian_spreads(double x, std::span<double> sizes) {
-  for (double& size : sizes) size = std::abs(size - x) / std::sqrt(2.0 * (x + size));
+  gaussian_spreads(numeric::dispatched_isa(), x, sizes);
+}
+
+void gaussian_spreads(numeric::Isa isa, double x, std::span<double> sizes) {
+  if (!numeric::isa_supported(isa)) {
+    throw std::invalid_argument(std::string("gaussian_spreads: this CPU cannot run the ") +
+                                numeric::isa_name(isa) + " clone");
+  }
+#if FLOWRANK_KERNELS_AVX2
+  if (isa == numeric::Isa::kAvx2) return spreads_avx2(x, sizes.data(), sizes.size());
+#endif
+  spreads_baseline(x, sizes.data(), sizes.size());
 }
 
 double gaussian_rate_factor(double p) { return std::sqrt(p / (1.0 - p)); }

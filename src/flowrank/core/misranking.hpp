@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <span>
 
+#include "flowrank/numeric/special.hpp"
+
 namespace flowrank::core {
 
 /// Exact misranking probability, Eq. (1):
@@ -33,9 +35,14 @@ namespace flowrank::core {
 [[nodiscard]] double gaussian_spread(double s1, double s2);
 
 /// sizes[i] = gaussian_spread(x, sizes[i]) in place, bit for bit, in one
-/// loop the compiler vectorizes: the spreads of one reference size x
-/// against a batch of companion sizes.
+/// loop the compiler vectorizes, on the dispatched instruction set
+/// (numeric::Isa): the spreads of one reference size x against a batch
+/// of companion sizes.
 void gaussian_spreads(double x, std::span<double> sizes);
+
+/// Test-only entry point: the spread loop on one chosen clone. Throws
+/// std::invalid_argument unless numeric::isa_supported(isa).
+void gaussian_spreads(numeric::Isa isa, double x, std::span<double> sizes);
 
 /// r = sqrt(p / (1-p)), the pair-free factor of Eq. (2)'s erfc argument.
 /// Requires 0 < p < 1 (unchecked; p == 1 gives +inf).

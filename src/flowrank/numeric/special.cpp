@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 // std::lgamma is not thread-safe: C99 requires it to store the sign of
@@ -15,6 +16,14 @@
 // so switching changes no returned bits. Under -std=c++20 (strict ANSI)
 // glibc hides the declaration, so declare it ourselves; `noexcept`
 // matches glibc's __THROW.
+// AVX2 clones of the batch kernels: x86-64 under GCC or clang, whose
+// `target` attribute and __builtin_cpu_supports they use.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define FLOWRANK_KERNELS_AVX2 1
+#else
+#define FLOWRANK_KERNELS_AVX2 0
+#endif
+
 #if defined(__GLIBC__)
 #if defined(__STRICT_ANSI__)
 extern "C" double lgamma_r(double, int*) noexcept;
@@ -25,6 +34,24 @@ extern "C" double lgamma_r(double, int*) noexcept;
 #endif
 
 namespace flowrank::numeric {
+
+bool isa_supported(Isa isa) noexcept {
+  switch (isa) {
+    case Isa::kBaseline: return true;
+    case Isa::kAvx2:
+#if FLOWRANK_KERNELS_AVX2
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx2") != 0;
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+const char* isa_name(Isa isa) noexcept {
+  return isa == Isa::kAvx2 ? "avx2" : "baseline";
+}
 
 namespace {
 // The only lgamma spelling allowed in this repo (the linter bans the
@@ -370,7 +397,85 @@ double unit_power_log_floor(double e) {
   return e < 0.0 ? kMaxExpArg / e : -std::numeric_limits<double>::infinity();
 }
 
+/// erfc_scaled's walk: maximal runs of one regime, one kernel loop each.
+inline void erfc_runs(const double* c, double r, double* out, std::size_t n) {
+  std::size_t begin = 0;
+  while (begin < n) {
+    const Regime regime = erfc_regime(c[begin] * r);
+    std::size_t end = begin + 1;
+    while (end < n && in_regime(regime, c[end] * r)) ++end;
+    switch (regime) {
+      case kSmall: apply_run<erfc_small>(c, r, out, begin, end); break;
+      case kMid: apply_run<erfc_mid>(c, r, out, begin, end); break;
+      case kMidNeg: apply_run<erfc_mid_neg>(c, r, out, begin, end); break;
+      case kTail: apply_run<erfc_tail>(c, r, out, begin, end); break;
+      case kTailNeg: apply_run<erfc_tail_neg>(c, r, out, begin, end); break;
+      case kFar: apply_run<erfc_far>(c, r, out, begin, end); break;
+    }
+    begin = end;
+  }
+}
+
+/// dst[i] = scale * y[i]^e over validated inputs.
+inline void unit_powers(const double* y, double* dst, std::size_t n, double e, double scale,
+                        double log_floor) {
+  if (y == dst) {
+    // In place: one pointer, so the loop vectorizes without the overlap
+    // check that would send it down its scalar version.
+    for (std::size_t i = 0; i < n; ++i) dst[i] = scale * unit_power_kernel(dst[i], e, log_floor);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) dst[i] = scale * unit_power_kernel(y[i], e, log_floor);
+}
+
+// --- instruction-set clones ----------------------------------------------
+//
+// Each batch kernel is compiled twice from the one source above: for
+// baseline x86-64 (SSE2) and for AVX2. `flatten` inlines the whole call
+// tree into each clone, so every loop in it is vectorized for that
+// instruction set. AVX2 brings no FMA, and this file builds with
+// -ffp-contract=off, so both clones make the same IEEE operations in the
+// same order: the same bits. Other targets compile the baseline only.
+
+[[gnu::flatten]] void erfc_runs_baseline(const double* c, double r, double* out,
+                                         std::size_t n) {
+  erfc_runs(c, r, out, n);
+}
+
+[[gnu::flatten]] void unit_powers_baseline(const double* y, double* dst, std::size_t n,
+                                           double e, double scale, double log_floor) {
+  unit_powers(y, dst, n, e, scale, log_floor);
+}
+
+#if FLOWRANK_KERNELS_AVX2
+[[gnu::flatten, gnu::target("avx2")]] void erfc_runs_avx2(const double* c, double r,
+                                                          double* out, std::size_t n) {
+  erfc_runs(c, r, out, n);
+}
+
+[[gnu::flatten, gnu::target("avx2")]] void unit_powers_avx2(const double* y, double* dst,
+                                                            std::size_t n, double e,
+                                                            double scale, double log_floor) {
+  unit_powers(y, dst, n, e, scale, log_floor);
+}
+#endif
+
+void check_isa(Isa isa) {
+  if (!isa_supported(isa)) {
+    throw std::invalid_argument(std::string("numeric kernels: this CPU cannot run the ") +
+                                isa_name(isa) + " clones");
+  }
+}
+
+/// The kernels' instruction set, chosen once when the library loads.
+/// Zero-initialized storage reads Isa::kBaseline, so a call made during
+/// another file's static initialization, before this one, still gets
+/// the right bits.
+const Isa kDispatchedIsa = isa_supported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kBaseline;
+
 }  // namespace
+
+Isa dispatched_isa() noexcept { return kDispatchedIsa; }
 
 double normal_cdf(double x) { return 0.5 * erfc(-x / std::sqrt(2.0)); }
 
@@ -389,25 +494,18 @@ double erfc(double x) {
 }
 
 void erfc_scaled(std::span<const double> c, double r, std::span<double> out) {
+  erfc_scaled(dispatched_isa(), c, r, out);
+}
+
+void erfc_scaled(Isa isa, std::span<const double> c, double r, std::span<double> out) {
   if (c.size() != out.size()) {
     throw std::invalid_argument("erfc_scaled: c and out differ in size");
   }
-  const std::size_t n = c.size();
-  std::size_t begin = 0;
-  while (begin < n) {
-    const Regime regime = erfc_regime(c[begin] * r);
-    std::size_t end = begin + 1;
-    while (end < n && in_regime(regime, c[end] * r)) ++end;
-    switch (regime) {
-      case kSmall: apply_run<erfc_small>(c.data(), r, out.data(), begin, end); break;
-      case kMid: apply_run<erfc_mid>(c.data(), r, out.data(), begin, end); break;
-      case kMidNeg: apply_run<erfc_mid_neg>(c.data(), r, out.data(), begin, end); break;
-      case kTail: apply_run<erfc_tail>(c.data(), r, out.data(), begin, end); break;
-      case kTailNeg: apply_run<erfc_tail_neg>(c.data(), r, out.data(), begin, end); break;
-      case kFar: apply_run<erfc_far>(c.data(), r, out.data(), begin, end); break;
-    }
-    begin = end;
-  }
+  check_isa(isa);
+#if FLOWRANK_KERNELS_AVX2
+  if (isa == Isa::kAvx2) return erfc_runs_avx2(c.data(), r, out.data(), c.size());
+#endif
+  erfc_runs_baseline(c.data(), r, out.data(), c.size());
 }
 
 double unit_power(double y, double e) {
@@ -417,25 +515,27 @@ double unit_power(double y, double e) {
 
 void scaled_unit_powers(std::span<const double> y, double e, double scale,
                         std::span<double> out) {
+  scaled_unit_powers(dispatched_isa(), y, e, scale, out);
+}
+
+void scaled_unit_powers(Isa isa, std::span<const double> y, double e, double scale,
+                        std::span<double> out) {
   if (y.size() != out.size()) {
     throw std::invalid_argument("scaled_unit_powers: y and out differ in size");
   }
+  check_isa(isa);
   const double log_floor = unit_power_log_floor(e);
   for (const double v : y) {
     if (!(v > 0.0 && v <= 1.0)) {
       throw std::domain_error("scaled_unit_powers: requires y in (0, 1]");
     }
   }
-  const std::size_t n = y.size();
-  double* dst = out.data();
-  if (y.data() == dst) {
-    // In place: one pointer, so the loop vectorizes without the overlap
-    // check that would send it down its scalar version.
-    for (std::size_t i = 0; i < n; ++i) dst[i] = scale * unit_power_kernel(dst[i], e, log_floor);
-    return;
+#if FLOWRANK_KERNELS_AVX2
+  if (isa == Isa::kAvx2) {
+    return unit_powers_avx2(y.data(), out.data(), y.size(), e, scale, log_floor);
   }
-  const double* in = y.data();
-  for (std::size_t i = 0; i < n; ++i) dst[i] = scale * unit_power_kernel(in[i], e, log_floor);
+#endif
+  unit_powers_baseline(y.data(), out.data(), y.size(), e, scale, log_floor);
 }
 
 }  // namespace flowrank::numeric

@@ -45,8 +45,9 @@ namespace flowrank::numeric {
 
 /// out[i] = erfc(c[i] * r), bit for bit the scalar erfc, in branch-free
 /// runs of inputs that share one of erfc's regimes (a sorted input makes
-/// a handful of runs, each a loop the compiler vectorizes). Throws
-/// std::invalid_argument unless the spans have the same size.
+/// a handful of runs, each a loop the compiler vectorizes), on the
+/// dispatched instruction set (see Isa). Throws std::invalid_argument
+/// unless the spans have the same size.
 void erfc_scaled(std::span<const double> c, double r, std::span<double> out);
 
 /// y^e for y in (0, 1] and e in (-2^969, 0], computed in the repo as
@@ -59,10 +60,37 @@ void erfc_scaled(std::span<const double> c, double r, std::span<double> out);
 [[nodiscard]] double unit_power(double y, double e);
 
 /// out[i] = scale * unit_power(y[i], e), bit for bit, in one loop the
-/// compiler vectorizes; out may be y itself. Throws std::invalid_argument
-/// unless the spans have the same size, std::domain_error (before any
-/// write) if e or some y[i] is outside unit_power's domain.
+/// compiler vectorizes, on the dispatched instruction set; out may be y
+/// itself. Throws std::invalid_argument unless the spans have the same
+/// size, std::domain_error (before any write) if e or some y[i] is
+/// outside unit_power's domain.
 void scaled_unit_powers(std::span<const double> y, double e, double scale,
+                        std::span<double> out);
+
+/// The instruction sets the batch kernels (erfc_scaled,
+/// scaled_unit_powers, core::gaussian_spreads) are compiled for, each
+/// from one source: baseline x86-64 and, on x86-64 under GCC or clang,
+/// AVX2 (no FMA, no AVX-512). Both clones give the same bits; the
+/// library picks AVX2 when the CPU has it, once, when it loads.
+enum class Isa {
+  kBaseline,
+  kAvx2,
+};
+
+/// The instruction set the batch kernels run on in this process.
+[[nodiscard]] Isa dispatched_isa() noexcept;
+
+/// Whether this build and CPU can run `isa`'s clones.
+[[nodiscard]] bool isa_supported(Isa isa) noexcept;
+
+/// "baseline" or "avx2".
+[[nodiscard]] const char* isa_name(Isa isa) noexcept;
+
+/// Test-only entry points: the batch kernels on one chosen clone, so
+/// that a test can hold the clones to the same bits. Throw
+/// std::invalid_argument unless isa_supported(isa); otherwise as above.
+void erfc_scaled(Isa isa, std::span<const double> c, double r, std::span<double> out);
+void scaled_unit_powers(Isa isa, std::span<const double> y, double e, double scale,
                         std::span<double> out);
 
 }  // namespace flowrank::numeric
