@@ -189,10 +189,7 @@ DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) 
   const auto count = static_cast<std::size_t>(hi - lo + 1);
   pmf_.resize(count);
   ccdf_.resize(count);
-  for (std::int64_t i = lo; i <= hi; ++i) {
-    pmf_[static_cast<std::size_t>(i - lo)] = pmf_src.pmf(i);
-    ccdf_[static_cast<std::size_t>(i - lo)] = pmf_src.ccdf_geq(i);
-  }
+  pmf_src.fill_rows(lo, pmf_, ccdf_);
   a_sum_.assign(count, 0.0);
   b_sum_.assign(count, 0.0);
 

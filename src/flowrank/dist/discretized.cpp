@@ -21,6 +21,21 @@ double Discretized::ccdf_geq(std::int64_t i) const {
   return source_->ccdf(static_cast<double>(i - 1));
 }
 
+void Discretized::fill_rows(std::int64_t first, std::span<double> pmf,
+                            std::span<double> ccdf) const {
+  if (pmf.size() != ccdf.size()) {
+    throw std::invalid_argument("Discretized::fill_rows: pmf and ccdf differ in size");
+  }
+  double next = ccdf_geq(first);
+  for (std::size_t k = 0; k < pmf.size(); ++k) {
+    const auto i = first + static_cast<std::int64_t>(k);
+    const double here = next;
+    next = ccdf_geq(i + 1);
+    ccdf[k] = here;
+    pmf[k] = i < min_packets_ ? 0.0 : here - next;  // pmf(i)'s difference
+  }
+}
+
 double Discretized::mean() const {
   if (cached_mean_ >= 0.0) return cached_mean_;
   // E[N] = sum_{i>=1} P{N >= i}; the first min_packets-1 terms are 1.

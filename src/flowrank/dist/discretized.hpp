@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "flowrank/dist/flow_size_distribution.hpp"
@@ -30,6 +31,11 @@ class Discretized {
 
   /// P{N >= i} (== source ccdf at i-1).
   [[nodiscard]] double ccdf_geq(std::int64_t i) const;
+
+  /// pmf[k] = pmf(first + k) and ccdf[k] = ccdf_geq(first + k), bit for
+  /// bit, with one source ccdf per size where the two calls make three.
+  /// Throws std::invalid_argument unless the spans have the same size.
+  void fill_rows(std::int64_t first, std::span<double> pmf, std::span<double> ccdf) const;
 
   /// E[N], computed once by summing ccdf_geq until the tail is negligible.
   [[nodiscard]] double mean() const;
