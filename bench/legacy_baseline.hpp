@@ -15,7 +15,10 @@
 //                        spreads (validate, divide, square root and the
 //                        platform libm's erfc per call), with
 //                        legacy_ranking_pair_terms listing the pairs one
-//                        evaluation called it on.
+//                        evaluation called it on;
+//  * legacy_pareto_tail_quantile — Pareto::tail_quantile as it was before
+//                        the in-repo log and exp kernels: one std::pow per
+//                        size, called once per value.
 //
 // Bench-only: nothing in the library links this header.
 #pragma once
@@ -185,6 +188,13 @@ inline flowrank::sim::SimResult legacy_run_binned_simulation(
     }
   }
   return result;
+}
+
+inline double legacy_pareto_tail_quantile(double min, double beta, double y) {
+  if (!(y > 0.0 && y <= 1.0)) {
+    throw std::domain_error("tail_quantile: y must be in (0, 1]");
+  }
+  return min * std::pow(y, -1.0 / beta);
 }
 
 inline double legacy_misranking_gaussian(double s1, double s2, double p) {

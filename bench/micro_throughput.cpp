@@ -10,6 +10,7 @@
 // `cmake --build build --target bench-json` to refresh BENCH_micro.json.
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <random>
 #include <span>
@@ -194,8 +195,57 @@ void BM_ErfcScaled(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * spreads.size()));
+  state.SetLabel(std::string("isa=") +
+                 flowrank::numeric::isa_name(flowrank::numeric::dispatched_isa()));
 }
 BENCHMARK(BM_ErfcScaled);
+
+// One inner integral's worth of Pareto tail quantiles (the default
+// layout's 292 nodes), in place as the context build computes them, at
+// plan_exact's beta 1.5: nodes from 1 down to 1e-9, spaced as the
+// integral's geometric panels space them. Items are quantiles.
+// BM_ParetoTailQuantilesPow is the path it replaced: the frozen
+// one-std::pow scalar per value.
+std::vector<double> quantile_nodes() {
+  std::vector<double> y(292);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y[i] = std::pow(1e-9, static_cast<double>(i) / static_cast<double>(y.size()));
+  }
+  return y;
+}
+
+void BM_ParetoTailQuantiles(benchmark::State& state) {
+  const auto nodes = quantile_nodes();
+  const flowrank::dist::Pareto pareto = flowrank::dist::Pareto::from_mean(9.6, 1.5);
+  const flowrank::dist::FlowSizeDistribution& dist = pareto;
+  std::vector<double> values(nodes.size());
+  for (auto _ : state) {
+    std::copy(nodes.begin(), nodes.end(), values.begin());
+    dist.tail_quantiles(values, values);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * nodes.size()));
+  state.SetLabel(std::string("isa=") +
+                 flowrank::numeric::isa_name(flowrank::numeric::dispatched_isa()));
+}
+BENCHMARK(BM_ParetoTailQuantiles);
+
+void BM_ParetoTailQuantilesPow(benchmark::State& state) {
+  const auto nodes = quantile_nodes();
+  const flowrank::dist::Pareto pareto = flowrank::dist::Pareto::from_mean(9.6, 1.5);
+  std::vector<double> values(nodes.size());
+  for (auto _ : state) {
+    std::copy(nodes.begin(), nodes.end(), values.begin());
+    for (double& v : values) {
+      v = bench::legacy_pareto_tail_quantile(pareto.min_size(), pareto.beta(), v);
+    }
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * nodes.size()));
+}
+BENCHMARK(BM_ParetoTailQuantilesPow);
 
 /// The paper-scale discrete config the compute-layer acceptance numbers
 /// are quoted against (S = 3000 support). Arg(0) selects the support cap.

@@ -24,8 +24,11 @@ BM_RankMetricsContext, each with items_per_second), and the planner
 rows (BM_PlanSamplingRate/discrete and /continuous, each with its
 evaluations counter and items_per_second), and the continuous model's
 stage rows (BM_RankingContextBuild, BM_RankingContextEvaluate, the
-per-call BM_RankingPerCallEvaluate it replaced, and BM_ErfcScaled, each
-with items_per_second).
+per-call BM_RankingPerCallEvaluate it replaced, BM_ErfcScaled,
+BM_ParetoTailQuantiles and the frozen std::pow row
+BM_ParetoTailQuantilesPow, each with items_per_second; the two batch
+kernel rows, BM_ErfcScaled and BM_ParetoTailQuantiles, also name the
+instruction set they were dispatched to in an `isa=` label).
 
 Rows may be plain iterations (a single-repetition run) or the aggregates
 of a repeated run (bench/run_bench.sh writes only those): a `_median`
@@ -56,7 +59,11 @@ CONTINUOUS_ROWS = (
     "BM_RankingContextEvaluate",
     "BM_RankingPerCallEvaluate",
     "BM_ErfcScaled",
+    "BM_ParetoTailQuantiles",
+    "BM_ParetoTailQuantilesPow",
 )
+# Rows whose kernels run on the dispatched instruction set (numeric::Isa).
+ISA_ROWS = ("BM_ErfcScaled", "BM_ParetoTailQuantiles")
 
 
 def main() -> int:
@@ -124,6 +131,8 @@ def main() -> int:
             continuous_seen.add(base)
             if "items_per_second" not in row:
                 errors.append(f"{name}: missing items_per_second throughput")
+            if base in ISA_ROWS and not row.get("label", "").startswith("isa="):
+                errors.append(f"{name}: missing the 'isa=' label naming the dispatched ISA")
         if name in PLANNER_ROWS:
             planner_seen.add(name)
             for key in ("evaluations", "items_per_second"):

@@ -20,6 +20,9 @@ compiler cannot see because they are project policy, not C++ rules:
    `// unordered-ok: <reason>` comment, reviewed like a cast;
  * one erfc: the models call numeric::erfc, never the platform libm's
    (whose bits differ across platforms);
+ * instruction-set dispatch in one place: target attributes, target
+   pragmas and CPU feature tests appear only in the kernel files whose
+   clones are held to the baseline's bits;
  * include hygiene (#pragma once, no <iostream> in headers, no
    `using namespace std`);
  * every file that declares a util::Mutex names what it guards
@@ -126,6 +129,18 @@ BANNED = [
         re.compile(r"\bstd::erfc\b|(?<!numeric::)\berfc\s*\("),
         "libm erfc differs across platforms; use numeric::erfc or numeric::erfc_scaled",
     ),
+    (
+        "isa-dispatch",
+        # Per-function instruction sets are compiled, dispatched and
+        # tested for equal bits in the kernel files only (numeric::Isa).
+        re.compile(
+            r"\btarget_clones\b|__attribute__\s*\(\(\s*target\s*\(|\bgnu::target\s*\("
+            r"|#\s*pragma\s+GCC\s+target\b|\b__builtin_cpu_supports\b"
+        ),
+        "instruction-set clones live in the kernel files (numeric/special.cpp, "
+        "core/misranking.cpp), which build without contraction and whose clones a "
+        "test holds to the baseline's bits; call their batch kernels instead",
+    ),
 ]
 
 # Path-prefix allowlists, relative to the repo root with forward slashes.
@@ -143,6 +158,13 @@ ALLOWLIST = {
     "lgamma-signgam": ("src/flowrank/numeric/special.cpp",),
     # special.* declares and defines the one erfc.
     "libm-erfc": ("src/flowrank/numeric/special.",),
+    # The kernel files, exactly: each builds with -ffp-contract=off, and
+    # KernelDispatch / GaussianSpreadsMatchScalarOnEveryClone hold their
+    # clones to the baseline's bits.
+    "isa-dispatch": (
+        "src/flowrank/numeric/special.cpp",
+        "src/flowrank/core/misranking.cpp",
+    ),
     # bytes.hpp IS the sanctioned byte layer: its stream read/write pair
     # holds the only reinterpret_casts, over byte spans it sized itself.
     "raw-byte-cast": ("src/flowrank/util/bytes.hpp",),

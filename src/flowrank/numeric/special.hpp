@@ -53,9 +53,10 @@ void erfc_scaled(std::span<const double> c, double r, std::span<double> out);
 /// y^e for y in (0, 1] and e in (-2^969, 0], computed in the repo as
 /// exp(e log y): fdlibm's log and exp kernels in plain double
 /// arithmetic, no FMA, with log y carried as hi + lo and e log y formed
-/// exactly, so the exp sees the product to well under an ulp. Within 2
-/// ulp of glibc's pow on the tested range, exactly 1 at y = 1, inf where
-/// y^e overflows. The same bits under every IEEE-conforming compiler.
+/// exactly, so the exp sees the product to well under an ulp. Within 1
+/// ulp of glibc's pow for |e| <= 4 (the remaining error grows with
+/// |e log y|: 3 ulp at e = -40), exactly 1 at y = 1, inf where y^e
+/// overflows. The same bits under every IEEE-conforming compiler.
 /// Throws std::domain_error outside the domain.
 [[nodiscard]] double unit_power(double y, double e);
 

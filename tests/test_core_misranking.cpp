@@ -2,6 +2,7 @@
 // sampling rate solver.
 #include <cmath>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -84,6 +85,30 @@ TEST(Misranking, SymmetricInSizes) {
 // Eq. (2) as (1/2) erfc(c r): the spread c is the pair's, exactly
 // symmetric; the rate factor r is the rate's. The product is the
 // function bit for bit, and p == 1 is lossless without erfc(0 * inf).
+// gaussian_spreads is gaussian_spread bit for bit, on the dispatched
+// clone and, where the CPU has AVX2, on both clones.
+TEST(Misranking, GaussianSpreadsMatchScalarOnEveryClone) {
+  const double x = 7.25;
+  std::vector<double> sizes;
+  for (int i = 0; i < 300; ++i) sizes.push_back(3.2 * std::pow(1.0 + i / 7.0, 1.3));
+  sizes.push_back(x);
+  std::vector<flowrank::numeric::Isa> clones = {flowrank::numeric::Isa::kBaseline};
+  if (flowrank::numeric::isa_supported(flowrank::numeric::Isa::kAvx2)) {
+    clones.push_back(flowrank::numeric::Isa::kAvx2);
+  }
+  std::vector<double> dispatched = sizes;
+  fc::gaussian_spreads(x, dispatched);
+  for (const auto isa : clones) {
+    std::vector<double> spreads = sizes;
+    fc::gaussian_spreads(isa, x, spreads);
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      EXPECT_EQ(spreads[i], fc::gaussian_spread(x, sizes[i]))
+          << flowrank::numeric::isa_name(isa) << " size=" << sizes[i];
+      EXPECT_EQ(spreads[i], dispatched[i]);
+    }
+  }
+}
+
 TEST(Misranking, GaussianSplitsIntoSpreadAndRate) {
   const double sizes[][2] = {{17, 60}, {3.25, 3.5}, {1000, 1001}, {2.0, 5e6}, {40, 40}};
   for (const auto& pair : sizes) {

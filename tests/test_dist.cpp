@@ -1,7 +1,12 @@
 // Tests for flow-size distributions: analytic identities, sampling
 // agreement, and the discretized adaptor.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,6 +88,129 @@ TEST(Pareto, InvalidParameters) {
   EXPECT_THROW(fd::Pareto(1.0, -1.0), std::invalid_argument);
   EXPECT_THROW((void)fd::Pareto(1.0, 1.5).tail_quantile(0.0), std::domain_error);
   EXPECT_THROW((void)fd::Pareto(1.0, 1.5).tail_quantile(1.5), std::domain_error);
+}
+
+// ---------------------------------------------------------------------------
+// Pareto quantiles: min * y^(-1/beta) from the in-repo log and exp kernels
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Distance in units in the last place between two positive doubles.
+std::int64_t ulp_distance(double a, double b) {
+  const auto ia = std::bit_cast<std::int64_t>(a);
+  const auto ib = std::bit_cast<std::int64_t>(b);
+  return ia > ib ? ia - ib : ib - ia;
+}
+
+/// A dense grid of [2^-60, 1]: 256 points per octave, plus each power of
+/// two's two neighbours.
+std::vector<double> quantile_grid() {
+  std::vector<double> y;
+  for (int i = 0; i <= 60 * 256; ++i) y.push_back(std::exp2(-i / 256.0));
+  for (int k = 0; k <= 60; ++k) {
+    const double power = std::ldexp(1.0, -k);
+    y.push_back(std::nextafter(power, 0.0));
+    if (k > 0) y.push_back(std::nextafter(power, 1.0));
+  }
+  return y;
+}
+
+constexpr double kQuantileBetas[] = {1.05, 1.5, 2.0, 2.5, 3.0, 4.0};
+
+}  // namespace
+
+// Within 4 ulp of min * std::pow(y, -1/beta) (the former definition),
+// exactly min at y = 1, and non-increasing along the grid.
+TEST(ParetoQuantile, WithinFourUlpOfPow) {
+  const std::vector<double> grid = quantile_grid();
+  for (const double beta : kQuantileBetas) {
+    const auto dist = fd::Pareto::from_mean(9.6, beta);
+    std::int64_t worst = 0;
+    for (const double y : grid) {
+      const double want = dist.min_size() * std::pow(y, -1.0 / beta);
+      worst = std::max(worst, ulp_distance(dist.tail_quantile(y), want));
+    }
+    EXPECT_LE(worst, 4) << "beta=" << beta;
+    EXPECT_EQ(dist.tail_quantile(1.0), dist.min_size()) << "beta=" << beta;
+    double previous = dist.tail_quantile(0x1p-60);
+    for (int i = 60 * 256 - 1; i >= 0; --i) {
+      const double q = dist.tail_quantile(std::exp2(-i / 256.0));
+      EXPECT_LE(q, previous) << "beta=" << beta << " i=" << i;
+      previous = q;
+    }
+  }
+}
+
+// The batch is the scalar bit for bit, into another array and in place.
+TEST(ParetoQuantile, BatchEqualsScalarBitForBit) {
+  std::vector<double> y = quantile_grid();
+  y.push_back(std::numeric_limits<double>::min());
+  y.push_back(std::numeric_limits<double>::denorm_min());
+  y.push_back(1e-300);
+  for (const double beta : kQuantileBetas) {
+    const auto dist = fd::Pareto::from_mean(9.6, beta);
+    std::vector<double> out(y.size());
+    dist.tail_quantiles(y, out);
+    std::vector<double> in_place = y;
+    dist.tail_quantiles(in_place, in_place);
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      const double scalar = dist.tail_quantile(y[i]);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]), std::bit_cast<std::uint64_t>(scalar))
+          << "beta=" << beta << " y=" << y[i];
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(in_place[i]), std::bit_cast<std::uint64_t>(scalar))
+          << "beta=" << beta << " y=" << y[i];
+    }
+  }
+}
+
+// Both forms refuse y outside (0, 1]; the batch before it writes.
+TEST(ParetoQuantile, DomainErrors) {
+  const auto dist = fd::Pareto::from_mean(9.6, 1.5);
+  for (const double bad : {0.0, -0.0, -1e-300, 1.0000000000000002, 2.0,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)dist.tail_quantile(bad), std::domain_error) << bad;
+    const std::vector<double> y = {0.5, bad, 0.25};
+    std::vector<double> out(3, -1.0);
+    EXPECT_THROW(dist.tail_quantiles(y, out), std::domain_error) << bad;
+    EXPECT_EQ(out[0], -1.0) << bad;
+  }
+  std::vector<double> short_out(1);
+  EXPECT_THROW(dist.tail_quantiles(std::vector<double>{0.5, 0.25}, short_out),
+               std::invalid_argument);
+}
+
+// Hexfloat captures of Pareto::from_mean(9.6, beta).tail_quantile(y):
+// the same bits under every compiler (numeric/special.cpp builds without
+// contraction), so the clang CI job checks them too. y = 1 and its
+// neighbour below, 2^-60, the smallest normal and subnormal doubles.
+TEST(ParetoQuantile, HexfloatGolden) {
+  const struct {
+    double beta, y, quantile;
+  } goldens[] = {
+      {0x1.0cccccccccccdp+0, 0x1p+0, 0x1.d41d41d41d424p-2},
+      {0x1.0cccccccccccdp+0, 0x1p-60, 0x1.026b878bf6c4fp+56},
+      {0x1.0cccccccccccdp+0, 0x1.fffffffffffffp-1, 0x1.d41d41d41d424p-2},
+      {0x1.8p+0, 0x1p-1, 0x1.45198843124fcp+2},
+      {0x1.8p+0, 0x1.203af9ee75616p-50, 0x1.dcd64fffffff4p+34},
+      {0x1.8p+0, 0x1.999999999999ap-4, 0x1.db4c7760bcff1p+3},
+      {0x1.8p+0, 0x1p-1022, 0x1.02082613df4c4p+683},
+      {0x1.8p+0, 0x0.0000000000001p-1022, 0x1.99999999998d3p+717},
+      {0x1p+1, 0x1.3333333333333p-2, 0x1.186f174f88472p+3},
+      {0x1p+1, 0x1.56e1fc2f8f359p-997, 0x1.7763fd12d819fp+500},
+      {0x1.4p+1, 0x1.3333333333333p-2, 0x1.2a593bd9b8512p+3},
+      {0x1.4p+1, 0x1p-30, 0x1.70a3d70a3d70dp+14},
+      {0x1.8p+1, 0x1.ff7ced916872bp-1, 0x1.99bc936b1cdd4p+2},
+      {0x1.8p+1, 0x1.12e0be826d695p-30, 0x1.8fffffffffffcp+12},
+      {0x1p+2, 0x1.8p-7, 0x1.5e21dd5c5f893p+4},
+      {0x1p+2, 0x1p-60, 0x1.cccccccccccccp+17},
+  };
+  for (const auto& g : goldens) {
+    const auto dist = fd::Pareto::from_mean(9.6, g.beta);
+    EXPECT_EQ(dist.tail_quantile(g.y), g.quantile)
+        << std::hexfloat << "beta=" << g.beta << " y=" << g.y;
+  }
 }
 
 TEST(BoundedPareto, ContractHolds) {
@@ -181,6 +309,22 @@ TEST(Discretized, PmfTelescopesToCcdf) {
   double acc = 0.0;
   for (std::int64_t i = disc.min_packets(); i <= 5000; ++i) acc += disc.pmf(i);
   EXPECT_NEAR(acc, 1.0 - disc.ccdf_geq(5001), 1e-10);
+}
+
+// fill_rows is pmf() and ccdf_geq() bit for bit, from below the support
+// (where the pmf is 0) into the tail.
+TEST(Discretized, FillRowsMatchesPointwise) {
+  const fd::Discretized pmf(std::make_shared<fd::Pareto>(fd::Pareto::from_mean(9.6, 2.0)));
+  const std::int64_t first = pmf.min_packets() - 2;
+  std::vector<double> mass(700), tail(700);
+  pmf.fill_rows(first, mass, tail);
+  for (std::size_t k = 0; k < mass.size(); ++k) {
+    const auto i = first + static_cast<std::int64_t>(k);
+    EXPECT_EQ(mass[k], pmf.pmf(i)) << i;
+    EXPECT_EQ(tail[k], pmf.ccdf_geq(i)) << i;
+  }
+  std::vector<double> short_tail(1);
+  EXPECT_THROW(pmf.fill_rows(first, mass, short_tail), std::invalid_argument);
 }
 
 TEST(Discretized, CcdfConsistentWithSource) {

@@ -211,6 +211,128 @@ TEST(Erfc, BatchEqualsScalarBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
+// unit_power: y^e by the in-repo log and exp kernels
+// ---------------------------------------------------------------------------
+
+// Within 1 ulp of glibc's pow over the whole of (0, 1], subnormal y
+// included, for |e| <= 4 (every Pareto with beta >= 1/4), and within 4
+// ulp at e = -40, where log y's remaining error is scaled up tenfold;
+// y^e overflows to inf where pow's does; exactly 1 at y = 1 and for
+// e = 0.
+TEST(UnitPower, WithinOneUlpOfPowOverTheDomain) {
+  std::mt19937_64 engine(28);
+  for (const double e : {-0.25, -1.0 / 1.05, -0.5, -1.0, -3.5, -4.0, -40.0}) {
+    std::int64_t worst = 0;
+    for (int i = 0; i < 20000; ++i) {
+      const double mantissa = 0.5 + static_cast<double>(engine() >> 12) * 0x1p-53;
+      const double y = std::ldexp(mantissa, -static_cast<int>(engine() % 1075));
+      if (!(y > 0.0)) continue;
+      const double want = std::pow(y, e);
+      const double got = fn::unit_power(y, e);
+      if (std::isinf(want)) {
+        EXPECT_TRUE(std::isinf(got)) << "y=" << y << " e=" << e;
+        continue;
+      }
+      worst = std::max(worst, ulp_distance(got, want));
+    }
+    EXPECT_LE(worst, e < -4.0 ? 4 : 1) << "e=" << e;
+    EXPECT_EQ(fn::unit_power(1.0, e), 1.0);
+  }
+  EXPECT_EQ(fn::unit_power(0x1p-1074, 0.0), 1.0);
+  EXPECT_EQ(fn::unit_power(0.3, -0.0), 1.0);
+}
+
+TEST(UnitPower, DomainErrors) {
+  for (const double y : {0.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)fn::unit_power(y, -0.5), std::domain_error) << y;
+  }
+  for (const double e : {1e-300, 0.5, -0x1p970, -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)fn::unit_power(0.5, e), std::domain_error) << e;
+    std::vector<double> out(1);
+    EXPECT_THROW(fn::scaled_unit_powers(std::vector<double>{0.5}, e, 1.0, out),
+                 std::domain_error)
+        << e;
+  }
+  std::vector<double> out(1);
+  EXPECT_THROW(fn::scaled_unit_powers(std::vector<double>{0.5, 0.25}, -0.5, 1.0, out),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Instruction-set clones of the batch kernels
+// ---------------------------------------------------------------------------
+
+// On a CPU with AVX2, the AVX2 and baseline clones of erfc_scaled and of
+// scaled_unit_powers agree bit for bit, and the dispatched kernel is the
+// AVX2 one. The inputs straddle every erfc regime edge (both signs, the
+// non-finite values) and, for the powers, y near 2^-60, 1, every power of
+// two between, and the subnormals.
+TEST(KernelDispatch, Avx2ClonesMatchBaselineBitForBit) {
+  EXPECT_TRUE(fn::isa_supported(fn::Isa::kBaseline));
+  if (!fn::isa_supported(fn::Isa::kAvx2)) {
+    EXPECT_EQ(fn::dispatched_isa(), fn::Isa::kBaseline);
+    GTEST_SKIP() << "this CPU or build has no AVX2 clones; only the baseline runs";
+  }
+  EXPECT_EQ(fn::dispatched_isa(), fn::Isa::kAvx2);
+
+  std::vector<double> c;
+  for (const double edge : {0.0, 0.46875, 4.0, 26.543, 26.55}) {
+    for (const double sign : {1.0, -1.0}) {
+      double x = sign * edge;
+      for (int k = 0; k < 3; ++k) x = std::nextafter(x, -sign * 30.0);
+      for (int k = 0; k < 7; ++k) {
+        c.push_back(x);
+        x = std::nextafter(x, sign * 30.0);
+      }
+    }
+  }
+  for (int i = -640; i <= 640; ++i) c.push_back(i / 20.0 + 0.013);
+  c.push_back(std::numeric_limits<double>::infinity());
+  c.push_back(-std::numeric_limits<double>::infinity());
+  c.push_back(std::numeric_limits<double>::quiet_NaN());
+  std::sort(c.begin(), c.end(),
+            [](double a, double b) { return a < b || (std::isnan(b) && !std::isnan(a)); });
+  for (const double r : {1.0, 0.37, 1.557}) {
+    std::vector<double> baseline(c.size()), avx2(c.size());
+    fn::erfc_scaled(fn::Isa::kBaseline, c, r, baseline);
+    fn::erfc_scaled(fn::Isa::kAvx2, c, r, avx2);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(baseline[i]), std::bit_cast<std::uint64_t>(avx2[i]))
+          << "c=" << c[i] << " r=" << r;
+    }
+  }
+
+  std::vector<double> y;
+  for (int k = 0; k <= 60; ++k) {
+    const double power = std::ldexp(1.0, -k);
+    double v = power;
+    for (int j = 0; j < 3; ++j) v = std::nextafter(v, 0.0);
+    for (int j = 0; j < 7; ++j) {
+      if (v <= 1.0) y.push_back(v);
+      v = std::nextafter(v, 2.0);
+    }
+  }
+  for (int i = 1; i <= 1000; ++i) y.push_back(i / 1000.0);
+  y.push_back(std::numeric_limits<double>::min());
+  y.push_back(std::numeric_limits<double>::denorm_min());
+  for (const double e : {-1.0 / 1.05, -2.0 / 3.0, -0.25, -3.5}) {
+    std::vector<double> baseline(y.size()), avx2(y.size());
+    fn::scaled_unit_powers(fn::Isa::kBaseline, y, e, 3.2, baseline);
+    fn::scaled_unit_powers(fn::Isa::kAvx2, y, e, 3.2, avx2);
+    std::vector<double> in_place = y;
+    fn::scaled_unit_powers(fn::Isa::kAvx2, in_place, e, 3.2, in_place);
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(baseline[i]), std::bit_cast<std::uint64_t>(avx2[i]))
+          << "y=" << y[i] << " e=" << e;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(baseline[i]),
+                std::bit_cast<std::uint64_t>(in_place[i]))
+          << "y=" << y[i] << " e=" << e;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Incomplete beta
 // ---------------------------------------------------------------------------
 
