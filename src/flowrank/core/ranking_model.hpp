@@ -60,6 +60,12 @@ struct RankingModelResult {
 /// x(v) = tail_quantile(v); for kGaussian it is the pair's spread
 /// c = gaussian_spread(x(y), x(v)), stored in place of the size, so
 /// that Eq. (2) at rate p is (1/2) erfc(c r) with one r per evaluation.
+/// The build lays out one inner integral at a time: its panels
+/// (integrate_toward's layout, TowardLayout, made once per context), its
+/// nodes written into the term array, one batch
+/// FlowSizeDistribution::tail_quantiles over them in place and, for
+/// kGaussian, one core::gaussian_spreads pass in place; the sizes are
+/// the scalar tail_quantile's bit for bit.
 /// evaluate(p) applies the pairwise model to the cached values, with the
 /// panel sums taken in the one-shot quadrature's order, so a rate search
 /// pays for the size quantiles once. The Gaussian pass computes one

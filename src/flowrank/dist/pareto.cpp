@@ -46,9 +46,6 @@ double Pareto::tail_quantile(double y) const {
 }
 
 void Pareto::tail_quantiles(std::span<const double> y, std::span<double> out) const {
-  if (y.size() != out.size()) {
-    throw std::invalid_argument("tail_quantiles: y and out differ in size");
-  }
   for (const double v : y) check_tail_quantile_arg(v);
   numeric::scaled_unit_powers(y, -1.0 / beta_, min_, out);
 }
