@@ -282,11 +282,26 @@ inline bool in_regime(Regime regime, double x) {
   return !(std::abs(x) < kErfcCutoff);
 }
 
-/// out[i] = kernel(c[i] * r) over [begin, end).
-template <double (*Kernel)(double)>
-void apply_run(const double* c, double r, double* out, std::size_t begin,
-               std::size_t end) {
+/// Values the run scan tests at once.
+constexpr std::size_t kScanBlock = 8;
+
+/// The maximal run of regime R that starts at `begin` (c[begin] * r is in
+/// it): out[i] = kernel(c[i] * r) over it. Returns its end. The scan
+/// tests whole blocks branch-free first, then finds the run's last
+/// value one by one.
+template <Regime R, double (*Kernel)(double)>
+std::size_t apply_run(const double* c, double r, double* out, std::size_t begin,
+                      std::size_t n) {
+  std::size_t end = begin + 1;
+  while (n - end >= kScanBlock) {
+    bool all = true;
+    for (std::size_t k = 0; k < kScanBlock; ++k) all &= in_regime(R, c[end + k] * r);
+    if (!all) break;
+    end += kScanBlock;
+  }
+  while (end < n && in_regime(R, c[end] * r)) ++end;
   for (std::size_t i = begin; i < end; ++i) out[i] = Kernel(c[i] * r);
+  return end;
 }
 
 // --- unit power ---------------------------------------------------------
@@ -401,18 +416,14 @@ double unit_power_log_floor(double e) {
 inline void erfc_runs(const double* c, double r, double* out, std::size_t n) {
   std::size_t begin = 0;
   while (begin < n) {
-    const Regime regime = erfc_regime(c[begin] * r);
-    std::size_t end = begin + 1;
-    while (end < n && in_regime(regime, c[end] * r)) ++end;
-    switch (regime) {
-      case kSmall: apply_run<erfc_small>(c, r, out, begin, end); break;
-      case kMid: apply_run<erfc_mid>(c, r, out, begin, end); break;
-      case kMidNeg: apply_run<erfc_mid_neg>(c, r, out, begin, end); break;
-      case kTail: apply_run<erfc_tail>(c, r, out, begin, end); break;
-      case kTailNeg: apply_run<erfc_tail_neg>(c, r, out, begin, end); break;
-      case kFar: apply_run<erfc_far>(c, r, out, begin, end); break;
+    switch (erfc_regime(c[begin] * r)) {
+      case kSmall: begin = apply_run<kSmall, erfc_small>(c, r, out, begin, n); break;
+      case kMid: begin = apply_run<kMid, erfc_mid>(c, r, out, begin, n); break;
+      case kMidNeg: begin = apply_run<kMidNeg, erfc_mid_neg>(c, r, out, begin, n); break;
+      case kTail: begin = apply_run<kTail, erfc_tail>(c, r, out, begin, n); break;
+      case kTailNeg: begin = apply_run<kTailNeg, erfc_tail_neg>(c, r, out, begin, n); break;
+      case kFar: begin = apply_run<kFar, erfc_far>(c, r, out, begin, n); break;
     }
-    begin = end;
   }
 }
 
