@@ -40,6 +40,14 @@ inline void spreads(double x, double* sizes, std::size_t n) {
 }
 #endif
 
+/// The spread loop on `isa`'s clone, which this CPU can run.
+void spreads_on(numeric::Isa isa, double x, std::span<double> sizes) {
+#if FLOWRANK_KERNELS_AVX2
+  if (isa == numeric::Isa::kAvx2) return spreads_avx2(x, sizes.data(), sizes.size());
+#endif
+  spreads_baseline(x, sizes.data(), sizes.size());
+}
+
 void check_args(std::int64_t s1, std::int64_t s2, double p) {
   if (s1 < 1 || s2 < 1) {
     throw std::invalid_argument("misranking: flow sizes must be >= 1 packet");
@@ -101,7 +109,7 @@ double gaussian_spread(double s1, double s2) {
 }
 
 void gaussian_spreads(double x, std::span<double> sizes) {
-  gaussian_spreads(numeric::dispatched_isa(), x, sizes);
+  spreads_on(numeric::dispatched_isa(), x, sizes);
 }
 
 void gaussian_spreads(numeric::Isa isa, double x, std::span<double> sizes) {
@@ -109,10 +117,7 @@ void gaussian_spreads(numeric::Isa isa, double x, std::span<double> sizes) {
     throw std::invalid_argument(std::string("gaussian_spreads: this CPU cannot run the ") +
                                 numeric::isa_name(isa) + " clone");
   }
-#if FLOWRANK_KERNELS_AVX2
-  if (isa == numeric::Isa::kAvx2) return spreads_avx2(x, sizes.data(), sizes.size());
-#endif
-  spreads_baseline(x, sizes.data(), sizes.size());
+  spreads_on(isa, x, sizes);
 }
 
 double gaussian_rate_factor(double p) { return std::sqrt(p / (1.0 - p)); }

@@ -8,14 +8,6 @@
 #include <string>
 #include <vector>
 
-// std::lgamma is not thread-safe: C99 requires it to store the sign of
-// Γ(x) in the global `signgam`, so two pool workers evaluating pmf terms
-// concurrently race on that write (caught by the full-suite TSan job).
-// POSIX's lgamma_r returns the sign through an out-parameter instead and
-// touches no globals; glibc's lgamma is lgamma_r plus the signgam store,
-// so switching changes no returned bits. Under -std=c++20 (strict ANSI)
-// glibc hides the declaration, so declare it ourselves; `noexcept`
-// matches glibc's __THROW.
 // AVX2 clones of the batch kernels: x86-64 under GCC or clang, whose
 // `target` attribute and __builtin_cpu_supports they use.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -24,6 +16,14 @@
 #define FLOWRANK_KERNELS_AVX2 0
 #endif
 
+// std::lgamma is not thread-safe: C99 requires it to store the sign of
+// Γ(x) in the global `signgam`, so two pool workers evaluating pmf terms
+// concurrently race on that write (caught by the full-suite TSan job).
+// POSIX's lgamma_r returns the sign through an out-parameter instead and
+// touches no globals; glibc's lgamma is lgamma_r plus the signgam store,
+// so switching changes no returned bits. Under -std=c++20 (strict ANSI)
+// glibc hides the declaration, so declare it ourselves; `noexcept`
+// matches glibc's __THROW.
 #if defined(__GLIBC__)
 #if defined(__STRICT_ANSI__)
 extern "C" double lgamma_r(double, int*) noexcept;
@@ -478,6 +478,37 @@ void check_isa(Isa isa) {
   }
 }
 
+/// erfc_scaled on `isa`'s clone, which this CPU can run.
+void erfc_scaled_on(Isa isa, std::span<const double> c, double r, std::span<double> out) {
+  if (c.size() != out.size()) {
+    throw std::invalid_argument("erfc_scaled: c and out differ in size");
+  }
+#if FLOWRANK_KERNELS_AVX2
+  if (isa == Isa::kAvx2) return erfc_runs_avx2(c.data(), r, out.data(), c.size());
+#endif
+  erfc_runs_baseline(c.data(), r, out.data(), c.size());
+}
+
+/// scaled_unit_powers on `isa`'s clone, which this CPU can run.
+void scaled_unit_powers_on(Isa isa, std::span<const double> y, double e, double scale,
+                           std::span<double> out) {
+  if (y.size() != out.size()) {
+    throw std::invalid_argument("scaled_unit_powers: y and out differ in size");
+  }
+  const double log_floor = unit_power_log_floor(e);
+  for (const double v : y) {
+    if (!(v > 0.0 && v <= 1.0)) {
+      throw std::domain_error("scaled_unit_powers: requires y in (0, 1]");
+    }
+  }
+#if FLOWRANK_KERNELS_AVX2
+  if (isa == Isa::kAvx2) {
+    return unit_powers_avx2(y.data(), out.data(), y.size(), e, scale, log_floor);
+  }
+#endif
+  unit_powers_baseline(y.data(), out.data(), y.size(), e, scale, log_floor);
+}
+
 /// The kernels' instruction set, chosen once when the library loads.
 /// Zero-initialized storage reads Isa::kBaseline, so a call made during
 /// another file's static initialization, before this one, still gets
@@ -505,18 +536,12 @@ double erfc(double x) {
 }
 
 void erfc_scaled(std::span<const double> c, double r, std::span<double> out) {
-  erfc_scaled(dispatched_isa(), c, r, out);
+  erfc_scaled_on(dispatched_isa(), c, r, out);
 }
 
 void erfc_scaled(Isa isa, std::span<const double> c, double r, std::span<double> out) {
-  if (c.size() != out.size()) {
-    throw std::invalid_argument("erfc_scaled: c and out differ in size");
-  }
   check_isa(isa);
-#if FLOWRANK_KERNELS_AVX2
-  if (isa == Isa::kAvx2) return erfc_runs_avx2(c.data(), r, out.data(), c.size());
-#endif
-  erfc_runs_baseline(c.data(), r, out.data(), c.size());
+  erfc_scaled_on(isa, c, r, out);
 }
 
 double unit_power(double y, double e) {
@@ -526,27 +551,13 @@ double unit_power(double y, double e) {
 
 void scaled_unit_powers(std::span<const double> y, double e, double scale,
                         std::span<double> out) {
-  scaled_unit_powers(dispatched_isa(), y, e, scale, out);
+  scaled_unit_powers_on(dispatched_isa(), y, e, scale, out);
 }
 
 void scaled_unit_powers(Isa isa, std::span<const double> y, double e, double scale,
                         std::span<double> out) {
-  if (y.size() != out.size()) {
-    throw std::invalid_argument("scaled_unit_powers: y and out differ in size");
-  }
   check_isa(isa);
-  const double log_floor = unit_power_log_floor(e);
-  for (const double v : y) {
-    if (!(v > 0.0 && v <= 1.0)) {
-      throw std::domain_error("scaled_unit_powers: requires y in (0, 1]");
-    }
-  }
-#if FLOWRANK_KERNELS_AVX2
-  if (isa == Isa::kAvx2) {
-    return unit_powers_avx2(y.data(), out.data(), y.size(), e, scale, log_floor);
-  }
-#endif
-  unit_powers_baseline(y.data(), out.data(), y.size(), e, scale, log_floor);
+  scaled_unit_powers_on(isa, y, e, scale, out);
 }
 
 }  // namespace flowrank::numeric
